@@ -15,7 +15,7 @@ import numpy as np
 from . import fitting, io_formats, svgplot
 from .curves import parse_grid_spec
 from .errors import AcoufiltError
-from .metrics import DEFAULT_GUARD, passband_metrics
+from .metrics import DEFAULT_GUARD, METRIC_NAMES, passband_metrics
 from .network import admittance_from_s11, build_ladder_response, one_port_s11, shunt_series_shunt
 from .synthesis import synthesize_ladder
 
@@ -180,7 +180,7 @@ def _cmd_sweep(args) -> int:
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    header = [args.param] + [name for name, _ in _metric_names()]
+    header = [args.param] + list(METRIC_NAMES)
     w.writerow(header)
     for value in values:
         series, shunt, z0 = series0, shunt0, base.z0
@@ -203,16 +203,10 @@ def _cmd_sweep(args) -> int:
             m = passband_metrics(block.s21(), guard=args.guard)
             row = ["{:.16e}".format(value)] + ["{:.16e}".format(v) for _, v in m.as_rows()]
         except AcoufiltError:
-            row = ["{:.16e}".format(value)] + ["nan"] * len(_metric_names())
+            row = ["{:.16e}".format(value)] + ["nan"] * len(METRIC_NAMES)
         w.writerow(row)
     _write_outputs([(args.out, buf.getvalue())])
     return 0
-
-
-def _metric_names():
-    return [("fc_hz", 0), ("il_db", 0), ("bw3_hz", 0), ("fbw3", 0), ("f_lo3_hz", 0),
-            ("f_hi3_hz", 0), ("bw20_hz", 0), ("shape_factor20", 0),
-            ("oob_rejection_db", 0)]
 
 
 def build_parser() -> argparse.ArgumentParser:

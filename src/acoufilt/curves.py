@@ -57,9 +57,6 @@ class ComplexCurve:
     def phase_deg(self) -> np.ndarray:
         return np.degrees(np.angle(self.values))
 
-    def sorted_by_frequency(self) -> "ComplexCurve":
-        return self
-
 
 def sorted_curve(freq_hz, values, label: str = "") -> ComplexCurve:
     """Build a ComplexCurve from possibly unordered samples, sorting by frequency."""

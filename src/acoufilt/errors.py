@@ -13,10 +13,6 @@ class InfeasibleCouplingError(DomainError):
     """Requested electromechanical coupling exceeds the model's upper bound."""
 
 
-class InfeasibleSpecError(DomainError):
-    """A design specification cannot be searched at all (degenerate inputs)."""
-
-
 class SearchError(AcoufiltError):
     """An extremum search failed to bracket an interior optimum."""
 

@@ -1,7 +1,7 @@
 """Extraction of MBVD parameters from a one-port admittance sweep.
 
 A structure-based initial guess (resonance peak, anti-resonance dip, and the
-EM self-resonance above it) seeds a damped Gauss-Newton search over
+EM self-resonance above it) seeds a trust-region least-squares search over
 log-parameters, so positivity can never be violated.  Residuals are the
 concatenated real and imaginary parts of the admittance, by default weighted
 by 1/|Y| so the deep anti-resonance counts as much as the resonance peak.
@@ -13,15 +13,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from .curves import ComplexCurve
 from .errors import DomainError, StructureError
-from .mbvd import MbvdParams, ResonatorSummary, resonator_admittance, summarize
+from .mbvd import (
+    MbvdParams,
+    ResonatorSummary,
+    admittance_log_jacobian,
+    resonator_admittance,
+    summarize,
+)
 
+# Fitted parameters, in MbvdParams order; r0 is held at zero.
+_FIT_PARAMS = ("rm", "lm", "cm", "c0", "rs", "ls")
 # Positive floor standing in for "exactly zero" in log-space.
 _LOG_FLOOR = 1e-30
-_JAC_REL_STEP = 1e-6
+# Log-parameter bounds keeping exp() finite; generous for any physical value.
+_LOG_BOUND = 300.0
+# ftol, xtol and gtol of the least-squares search.
+_TOL = 1e-10
 _RS_SEED_OHM = 0.5
 _LS_SEED_H = 1e-13  # used when no EM self-resonance is visible in the sweep
 
@@ -29,16 +41,11 @@ _LS_SEED_H = 1e-13  # used when no EM self-resonance is visible in the sweep
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 200
-    relative_tolerance: float = 1e-10
-    initial_damping: float = 1e-3
     weight_mode: str = "inverse-magnitude"  # or "uniform"
-    fit_r0: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.relative_tolerance <= 0 or self.initial_damping <= 0:
-            raise DomainError("tolerances must be positive")
         if self.weight_mode not in ("inverse-magnitude", "uniform"):
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
 
@@ -67,6 +74,7 @@ def initial_guess(curve: ComplexCurve) -> MbvdParams:
     maximum above the anti-resonance, when present, seeds the routing
     inductance from the EM self-resonance against c0.
     """
+    _check_finite(curve)
     f = curve.freq_hz
     mag = curve.magnitude
     if f.size < 8:
@@ -110,116 +118,61 @@ def initial_guess(curve: ComplexCurve) -> MbvdParams:
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, rs=_RS_SEED_OHM, ls=ls)
 
 
-def _pack(p: MbvdParams, fit_r0: bool) -> np.ndarray:
-    vals = [p.rm, p.lm, p.cm, p.c0, p.rs, p.ls]
-    if fit_r0:
-        vals.append(p.r0)
+def _pack(p: MbvdParams) -> np.ndarray:
+    vals = [getattr(p, k) for k in _FIT_PARAMS]
     return np.log(np.maximum(np.asarray(vals, dtype=float), _LOG_FLOOR))
 
 
-def _unpack(x: np.ndarray, fit_r0: bool) -> MbvdParams:
-    v = np.exp(x)
-    r0 = float(v[6]) if fit_r0 else 0.0
-    return MbvdParams(rm=float(v[0]), lm=float(v[1]), cm=float(v[2]),
-                      c0=float(v[3]), rs=float(v[4]), ls=float(v[5]), r0=r0)
+def _unpack(x: np.ndarray) -> MbvdParams:
+    return MbvdParams(*(float(v) for v in np.exp(x)))
 
 
-# Log-parameter bounds keeping exp() finite; generous for any physical value.
-_LOG_BOUND = 300.0
-
-
-def _residual(x: np.ndarray, curve: ComplexCurve, w: np.ndarray, fit_r0: bool) -> np.ndarray:
-    y = resonator_admittance(_unpack(x, fit_r0), curve.freq_hz).values
-    d = y - curve.values
-    return np.concatenate([d.real * w, d.imag * w])
-
-
-def _try_cost(x, curve, w, fit_r0):
-    """Residual and cost of a candidate, or (None, inf) if unevaluable."""
-    if np.any(np.abs(x) > _LOG_BOUND):
-        return None, math.inf
-    r = _residual(x, curve, w, fit_r0)
-    cost = float(r @ r)
-    if not math.isfinite(cost):
-        return None, math.inf
-    return r, cost
-
-
-def _jacobian(x, curve, w, fit_r0):
-    n = x.size
-    cols = []
-    for j in range(n):
-        h = _JAC_REL_STEP * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        cols.append((_residual(xp, curve, w, fit_r0) - _residual(xm, curve, w, fit_r0)) / (2 * h))
-    return np.stack(cols, axis=1)
+def _check_finite(curve: ComplexCurve) -> None:
+    if not np.all(np.isfinite(curve.values)):
+        raise DomainError("admittance sweep contains non-finite values")
 
 
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:
-    """Damped least-squares fit of the MBVD model to a complex admittance sweep.
+    """Least-squares fit of the MBVD model to a complex admittance sweep.
 
-    Accepted steps divide the damping by 10, rejected steps multiply it by
-    10; the residual never increases across accepted iterations.  Returns a
-    non-converged result (never raises) when damping saturates.
+    scipy's trust-region reflective method works on the log-parameters with
+    the analytic Jacobian of the model; ``max_iterations`` caps its residual
+    evaluations.  The static loss r0 is not fitted and comes back as zero.
+    Reaching the cap gives a non-converged result, not an exception.
     """
-    n_free = 7 if opts.fit_r0 else 6
+    n_free = len(_FIT_PARAMS)
     if len(curve) < n_free + 1:
         raise DomainError(f"need at least {n_free + 1} samples to fit {n_free} parameters")
+    _check_finite(curve)
     if opts.weight_mode == "inverse-magnitude":
         w = 1.0 / np.maximum(curve.magnitude, 1e-300)
     else:
         w = np.ones(len(curve))
+    f = curve.freq_hz
 
-    x = _pack(init, opts.fit_r0)
-    r = _residual(x, curve, w, opts.fit_r0)
-    cost = float(r @ r)
-    # Residuals at the weighted-data noise floor cannot be polished further.
-    floor = (1e-13 * float(np.linalg.norm(w * np.abs(curve.values)))) ** 2
-    lam = opts.initial_damping
-    converged = cost <= floor
-    iterations = 0
+    def residual(x):
+        d = resonator_admittance(_unpack(x), f).values - curve.values
+        return np.concatenate([d.real * w, d.imag * w])
 
-    while not converged and iterations < opts.max_iterations:
-        iterations += 1
-        jac = _jacobian(x, curve, w, opts.fit_r0)
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        any_solved = False
-        while lam < 1e14:
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-300))
-            try:
-                step = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            any_solved = True
-            x_new = x + step
-            r_new, cost_new = _try_cost(x_new, curve, w, opts.fit_r0)
-            if cost_new < cost:
-                rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / 10.0, 1e-15)
-                accepted = True
-                if rel_drop < opts.relative_tolerance or cost <= floor:
-                    converged = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # A stall with solvable normal equations means zero residual
-            # change, which is below any tolerance; saturated damping with
-            # singular equations is genuine non-convergence.
-            converged = any_solved
-            break
+    def jacobian(x):
+        jac = admittance_log_jacobian(_unpack(x), f) * w[:, None]
+        return np.concatenate([jac.real, jac.imag])
 
-    params = _unpack(x, opts.fit_r0)
+    x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
+    # Trial steps far from the data can overflow; trf rejects non-finite
+    # residuals by shrinking its trust region.  The start must be finite.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r0 = residual(x0)
+        if not math.isfinite(float(r0 @ r0)):
+            raise DomainError("weighted residual at the initial guess is not finite")
+        res = least_squares(residual, x0, jac=jacobian, bounds=(-_LOG_BOUND, _LOG_BOUND),
+                            method="trf", x_scale="jac", ftol=_TOL, xtol=_TOL, gtol=_TOL,
+                            max_nfev=opts.max_iterations)
+    params = _unpack(res.x)
     return FitResult(
         params=params,
-        residual_norm=math.sqrt(cost),
-        iterations=iterations,
-        converged=converged,
+        residual_norm=float(np.linalg.norm(res.fun)),
+        iterations=int(res.njev),
+        converged=bool(res.status > 0),
         summary=summarize(params),
     )

@@ -169,6 +169,11 @@ def read_touchstone(text: str) -> TouchstoneData:
             nums = [float(tok) for tok in fields]
         except ValueError as exc:
             raise FormatError(f"malformed number: {exc}", lineno)
+        for i, v in enumerate(nums):
+            # The DB writer gives an exact zero magnitude as -inf dB.
+            zero_db = header.format == "DB" and i % 2 == 1 and v == -math.inf
+            if not (math.isfinite(v) or zero_db):
+                raise FormatError(f"non-finite number {fields[i]!r}", lineno)
         f_hz = nums[0] * header.unit_scale
         if f_hz <= 0:
             raise FormatError("non-positive frequency", lineno)

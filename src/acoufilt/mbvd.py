@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, InfeasibleCouplingError, SearchError
@@ -20,11 +21,9 @@ from .errors import DomainError, InfeasibleCouplingError, SearchError
 # Upper bound of the coupling definition k2 = (pi^2/8) * (fp^2 - fs^2) / fp^2.
 K2_MAX = math.pi**2 / 8.0
 
-# Dense-scan density used before golden-section refinement.
+# Dense-scan density used before the bounded scalar refinement.
 _SCAN_POINTS_PER_DECADE = 2001
-_GOLDEN_REL_TOL = 1e-6
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,26 +67,46 @@ class ResonatorSummary:
     q_antires: float
 
 
-def _admittance_values(p: MbvdParams, f: np.ndarray) -> np.ndarray:
-    w = 2.0 * math.pi * f
+def _branches(p: MbvdParams, w: np.ndarray):
+    """Motional and static branch impedances and their parallel admittance."""
     z_mot = p.rm + 1j * w * p.lm + 1.0 / (1j * w * p.cm)
     z_stat = p.r0 + 1.0 / (1j * w * p.c0)
-    y_inner = 1.0 / z_mot + 1.0 / z_stat
+    return z_mot, z_stat, 1.0 / z_mot + 1.0 / z_stat
+
+
+def _admittance_values(p: MbvdParams, f: np.ndarray) -> np.ndarray:
+    w = 2.0 * math.pi * f
+    _, _, y_inner = _branches(p, w)
     return 1.0 / (p.rs + 1j * w * p.ls + 1.0 / y_inner)
+
+
+def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
+    """Derivatives dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls.
+
+    Returns one complex column per parameter, shape (len(f), 6).  With
+    Z = rs + j*w*ls + 1/y_inner and Y = 1/Z, dY = -Y^2 dZ, and a branch
+    impedance z enters Z through dZ = dz / (y_inner * z)^2.
+    """
+    w = 2.0 * math.pi * f
+    z_mot, z_stat, y_inner = _branches(p, w)
+    y = 1.0 / (p.rs + 1j * w * p.ls + 1.0 / y_inner)
+    g_mot = -((y / (y_inner * z_mot)) ** 2)
+    g_stat = -((y / (y_inner * z_stat)) ** 2)
+    g_route = -(y * y)
+    return np.stack([
+        g_mot * p.rm,
+        g_mot * (1j * w * p.lm),
+        g_mot * (1j / (w * p.cm)),
+        g_stat * (1j / (w * p.c0)),
+        g_route * p.rs,
+        g_route * (1j * w * p.ls),
+    ], axis=1)
 
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     """Input admittance of the full parasitic-loaded resonator on a grid."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     return ComplexCurve(f, _admittance_values(p, f), label="Y")
-
-
-def _admittance_mag(p: MbvdParams, f: float) -> float:
-    return abs(_admittance_values(p, np.array([f]))[0])
-
-
-def _impedance_at(p: MbvdParams, f: float) -> complex:
-    return 1.0 / _admittance_values(p, np.array([f]))[0]
 
 
 def series_resonance(p: MbvdParams) -> float:
@@ -135,35 +154,24 @@ def mbvd_from_targets(
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, rs=rs, ls=ls)
 
 
-def _golden_section_max(fun, a: float, b: float, rel_tol: float = _GOLDEN_REL_TOL) -> float:
-    """Golden-section maximization of a unimodal function on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > rel_tol * 0.5 * (a + b):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _peak_frequency(fun, f_lo: float, f_hi: float) -> float:
+    """Frequency of the interior maximum of a vectorized function of f.
 
-
-def _dense_scan_max(fun, f_lo: float, f_hi: float):
-    """Geometric dense scan returning the bracketing triple around the max."""
+    A geometric dense scan brackets the largest sample between its two
+    neighbours; bounded Brent search refines the maximum inside them.
+    """
     decades = math.log10(f_hi / f_lo)
     n = max(int(_SCAN_POINTS_PER_DECADE * decades) + 2, 64)
     grid = np.geomspace(f_lo, f_hi, n)
-    mags = fun(grid)
-    i = int(np.argmax(mags))
+    i = int(np.argmax(fun(grid)))
     if i == 0 or i == n - 1:
         raise SearchError(
             f"no interior maximum in [{f_lo:g}, {f_hi:g}] Hz (peak on boundary)"
         )
-    return grid[i - 1], grid[i + 1]
+    res = minimize_scalar(lambda f: -float(fun(np.array([f]))[0]),
+                          bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+                          options={"xatol": _PEAK_REL_TOL * grid[i]})
+    return float(res.x)
 
 
 def perceived_resonance(p: MbvdParams, search_band: tuple[float, float] | None = None) -> float:
@@ -179,30 +187,28 @@ def perceived_resonance(p: MbvdParams, search_band: tuple[float, float] | None =
     f_lo, f_hi = search_band
     if not (0.0 < f_lo < f_hi):
         raise DomainError("search band must satisfy 0 < lo < hi")
-    a, b = _dense_scan_max(lambda g: np.abs(_admittance_values(p, g)), f_lo, f_hi)
-    return _golden_section_max(lambda f: _admittance_mag(p, f), a, b)
+    return _peak_frequency(lambda g: np.abs(_admittance_values(p, g)), f_lo, f_hi)
 
 
-def q_at_antiresonance(p: MbvdParams, rel_step: float = 1e-6) -> float:
+def q_at_antiresonance(p: MbvdParams) -> float:
     """Phase-derivative quality factor at the impedance-magnitude maximum.
 
-    Q = (f/2) * |d(phase Z)/df|, with the phase derivative taken by central
-    finite differences.  A fully lossless resonator has no finite Q; the
-    sentinel value inf is returned for that case.
+    Q = (w/2) * |d(phase Z)/dw| = (w/2) * |Im(Z'/Z)|, with Z' = dZ/dw in
+    closed form.  A fully lossless resonator has no finite Q; the sentinel
+    value inf is returned for that case.
     """
     if p.lossless():
         return math.inf
-    fs = series_resonance(p)
-    fp = antiresonance(p)
-    a, b = _dense_scan_max(
-        lambda g: 1.0 / np.abs(_admittance_values(p, g)), fs * 0.5, fp * 2.0
-    )
-    f_max = _golden_section_max(lambda f: abs(_impedance_at(p, f)), a, b)
-    h = rel_step * f_max
-    phi_hi = math.atan2(_impedance_at(p, f_max + h).imag, _impedance_at(p, f_max + h).real)
-    phi_lo = math.atan2(_impedance_at(p, f_max - h).imag, _impedance_at(p, f_max - h).real)
-    dphi_df = (phi_hi - phi_lo) / (2.0 * h)
-    return 0.5 * f_max * abs(dphi_df)
+    f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, g)),
+                            series_resonance(p) * 0.5, antiresonance(p) * 2.0)
+    w = 2.0 * math.pi * f_max
+    z_mot, z_stat, y_inner = _branches(p, w)
+    z = p.rs + 1j * w * p.ls + 1.0 / y_inner
+    # dz/dw of the branches: j*lm + j/(w^2*cm) and j/(w^2*c0).
+    dy_inner = (-(1j * p.lm + 1j / (w * w * p.cm)) / z_mot**2
+                - (1j / (w * w * p.c0)) / z_stat**2)
+    dz = 1j * p.ls - dy_inner / y_inner**2
+    return 0.5 * w * abs((dz / z).imag)
 
 
 def summarize(p: MbvdParams) -> ResonatorSummary:

@@ -8,7 +8,7 @@ bandwidth ratio, and out-of-band rejection over a guarded stopband.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,6 +27,10 @@ DEFAULT_GUARD = 0.15
 _LEVEL3_DB = 10.0 * np.log10(2.0)
 _LEVEL20_DB = 20.0
 
+# Row names of the FilterMetrics fields, in field and CSV serialization order.
+METRIC_NAMES = ("fc_hz", "il_db", "bw3_hz", "fbw3", "f_lo3_hz", "f_hi3_hz",
+                "bw20_hz", "shape_factor20", "oob_rejection_db")
+
 
 @dataclass(frozen=True)
 class FilterMetrics:
@@ -42,17 +46,7 @@ class FilterMetrics:
 
     def as_rows(self) -> list[tuple[str, float]]:
         """Named (metric, value) rows, the CSV serialization order."""
-        return [
-            ("fc_hz", self.fc),
-            ("il_db", self.il_db),
-            ("bw3_hz", self.bw3_hz),
-            ("fbw3", self.fbw3),
-            ("f_lo3_hz", self.f_lo3),
-            ("f_hi3_hz", self.f_hi3),
-            ("bw20_hz", self.bw20_hz),
-            ("shape_factor20", self.shape_factor20),
-            ("oob_rejection_db", self.oob_rejection_db),
-        ]
+        return list(zip(METRIC_NAMES, astuple(self)))
 
 
 def crossing_interpolate(

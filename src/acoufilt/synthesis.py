@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DomainError, InfeasibleSpecError
+from .errors import AcoufiltError, DomainError
 from .mbvd import K2_MAX, mbvd_from_targets
 from .metrics import FilterMetrics, passband_metrics
 from .network import LadderDesign, build_ladder_response, shunt_series_shunt
@@ -120,9 +120,6 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
     metrics; ``feasible`` reports whether every target is met.  The search
     is fully deterministic: fixed initial simplex, fixed evaluation cap.
     """
-    if spec.k2 == 0 or spec.q <= 0:
-        raise InfeasibleSpecError("zero coupling or nonpositive Q cannot be synthesized")
-
     grid = np.linspace(_GRID_SPAN[0] * spec.fc_target,
                        _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS)
 
@@ -133,7 +130,7 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
         sp = build_ladder_response(design, grid)
         try:
             m = passband_metrics(sp.s21(), guard=guard)
-        except Exception:
+        except AcoufiltError:
             return design, None
         return design, m
 

@@ -4,6 +4,7 @@ import pytest
 import acoufilt
 from acoufilt import io_formats
 from acoufilt.cli import main
+from acoufilt.metrics import METRIC_NAMES
 
 
 @pytest.fixture()
@@ -103,7 +104,7 @@ def test_sweep_rows_in_input_order(tmp_path, reference_design):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("shunt.c0,")
+    assert lines[0] == ",".join(("shunt.c0",) + METRIC_NAMES)
     assert len(lines) == 4
     values = [float(l.split(",")[0]) for l in lines[1:]]
     assert values == sorted(values)
@@ -140,6 +141,15 @@ def test_missing_input_is_exit_1(tmp_path, capsys):
     rc = main(["metrics", "--input", str(tmp_path / "nope.s2p")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_of_non_finite_sweep_is_exit_1(tmp_path, capsys):
+    s1p = tmp_path / "bad.s1p"
+    s1p.write_text("# GHz S RI R 50\n1 0.5 0\n2 nan 0\n")
+    rc = main(["fit", "--input", str(s1p), "--out", str(tmp_path / "fit.kv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3:") and err.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error():

@@ -76,9 +76,9 @@ def test_fit_round_trip_with_seeded_noise():
 
 def test_fit_residual_not_above_init_residual():
     init = initial_guess(CURVE)
-    from acoufilt.fitting import _pack, _residual
+    d = resonator_admittance(init, GRID).values - CURVE.values
     w = 1.0 / CURVE.magnitude
-    r0 = _residual(_pack(init, False), CURVE, w, False)
+    r0 = np.concatenate([d.real * w, d.imag * w])
     result = fit_mbvd(CURVE, init)
     assert result.residual_norm <= float(np.linalg.norm(r0))
 
@@ -124,3 +124,22 @@ def test_uniform_weighting_also_recovers():
     result = fit_mbvd(CURVE, initial_guess(CURVE), FitOptions(weight_mode="uniform"))
     assert result.converged
     assert max(rel_errors(result.params).values()) < 1e-3
+
+
+def test_non_finite_sweep_is_domain_error():
+    values = CURVE.values.copy()
+    values[100] = complex(math.nan, 0.0)
+    bad = ComplexCurve(GRID, values)
+    with pytest.raises(DomainError):
+        initial_guess(bad)
+    with pytest.raises(DomainError):
+        fit_mbvd(bad, TRUTH)
+
+
+def test_overflowing_weighted_residual_is_domain_error():
+    # A sample at 1e-200 S weighs 1e200 under inverse-magnitude weighting,
+    # so the squared residual overflows; that is reported, not warned about.
+    values = CURVE.values.copy()
+    values[100] = 1e-200
+    with pytest.raises(DomainError):
+        fit_mbvd(ComplexCurve(GRID, values), TRUTH)

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,30 @@ def test_touchstone_errors_carry_line_numbers():
     assert err.value.line == 1
     with pytest.raises(FormatError):
         read_touchstone("# Hz S RI R 50\n1e9 0 zz\n")
+
+
+def test_touchstone_rejects_non_finite_numbers():
+    for text, line in (("1 nan 0\n", 1), ("inf 1 0\n", 1),
+                       ("# GHz S MA R 50\n1 1 0\n2 1 inf\n", 3),
+                       ("# GHz S DB R 50\n1 inf 0\n", 2)):
+        with pytest.raises(FormatError) as err:
+            read_touchstone(text)
+        assert err.value.line == line
+
+
+def test_touchstone_db_reads_minus_inf_as_zero():
+    # The DB writer gives an exact zero as -inf dB; reading it back is exact.
+    curve = ComplexCurve(np.array([1e9, 2e9]), np.array([0.0, 0.5]))
+    text = write_touchstone(curve, TouchstoneHeader("GHz", "S", "DB", 50.0))
+    assert list(read_touchstone(text).s[:, 0, 0]) == [0.0, 0.5]
+
+
+def test_readme_spec_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    (example,) = [b for b in blocks if b.startswith("[spec]")]
+    spec = read_design_spec(example)
+    assert spec.fc_target > 0 and spec.fbw_target > 0
 
 
 def test_design_file_resonator_parse():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from acoufilt import (
@@ -17,11 +19,24 @@ from acoufilt import (
     summarize,
 )
 from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
-from acoufilt.mbvd import K2_MAX
+from acoufilt.mbvd import K2_MAX, admittance_log_jacobian
 
 # Resonator derived from (fs 20 GHz, k2 0.42, c0 50 fF, Q 40); the closed
 # forms give cm 25.81 fF, lm 2.4537 nH, rm 7.709 ohm.
 REF = mbvd_from_targets(20e9, 0.42, 50e-15, 40.0)
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def lossy_resonators(draw):
+    """Lossy, parasitic-loaded resonators whose |Z| peaks inside (fs/2, 2*fp)."""
+    p = mbvd_from_targets(
+        draw(st.floats(5e9, 40e9)), draw(st.floats(0.2, 0.7)),
+        draw(st.floats(2e-14, 2e-13)), draw(st.floats(30.0, 500.0)),
+        rs=draw(st.floats(0.0, 1.0)), ls=draw(st.floats(0.0, 2e-11)),
+    )
+    return dataclasses.replace(p, r0=draw(st.floats(0.0, 0.5)))
 
 
 def test_admittance_at_fs_is_motional_conductance_plus_static_susceptance():
@@ -182,6 +197,37 @@ def test_q_matches_dense_grid_phase_derivative_oracle():
     assert q_at_antiresonance(REF) == pytest.approx(q_oracle, rel=1e-3)
     # Frozen bracket from the oracle above.
     assert 48.0 < q_at_antiresonance(REF) < 50.0
+
+
+@PROPERTY_SETTINGS
+@given(lossy_resonators())
+def test_q_matches_dense_grid_oracle_for_random_resonators(p):
+    fp = antiresonance(p)
+    grid = np.linspace(fp * 0.9, fp * 1.1, 400001)
+    z = 1.0 / resonator_admittance(p, grid).values
+    phi = np.unwrap(np.angle(z))
+    q_grid = 0.5 * grid * np.abs(np.gradient(phi, grid))
+    i = int(np.argmax(np.abs(z)))
+    assert 0 < i < grid.size - 1
+    assert q_at_antiresonance(p) == pytest.approx(q_grid[i], rel=1e-3)
+
+
+@PROPERTY_SETTINGS
+@given(lossy_resonators())
+def test_log_jacobian_matches_central_differences(p):
+    # Column k is dY/d(log q_k) for q = rm, lm, cm, c0, rs, ls.
+    fs = series_resonance(p)
+    grid = np.geomspace(0.3 * fs, 3.0 * fs, 301)
+    jac = admittance_log_jacobian(p, grid)
+    # Central differences resolve a column down to rounding in Y itself.
+    floor = 1e-8 * np.max(np.abs(resonator_admittance(p, grid).values))
+    h = 1e-6
+    for k, name in enumerate(("rm", "lm", "cm", "c0", "rs", "ls")):
+        v = getattr(p, name)
+        hi = resonator_admittance(dataclasses.replace(p, **{name: v * math.exp(h)}), grid)
+        lo = resonator_admittance(dataclasses.replace(p, **{name: v * math.exp(-h)}), grid)
+        fd = (hi.values - lo.values) / (2.0 * h)
+        assert np.max(np.abs(fd - jac[:, k])) <= 1e-5 * np.max(np.abs(jac[:, k])) + floor
 
 
 def test_q_monotone_in_rm():

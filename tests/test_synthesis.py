@@ -11,6 +11,7 @@ from acoufilt import (
     synthesize_ladder,
     thickness_scale,
 )
+from acoufilt import synthesis
 from acoufilt.errors import DomainError
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
@@ -78,6 +79,16 @@ def test_self_consistency_on_secondary_spec():
     fresh = passband_metrics(build_ladder_response(result.design, grid).s21(),
                              guard=0.15)
     assert fresh == result.metrics
+
+
+def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):
+    # Only toolkit errors mean "no scoreable passband"; anything else is a bug.
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(synthesis, "passband_metrics", broken)
+    with pytest.raises(TypeError):
+        synthesize_ladder(REFERENCE_SPEC)
 
 
 def test_spec_validation():
