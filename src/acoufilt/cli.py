@@ -21,12 +21,19 @@ from .synthesis import synthesize_ladder
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via temp file + rename so interrupted runs never corrupt files."""
+    """Write via temp file + rename so interrupted runs never corrupt files.
+
+    The temp file is created private (0600); before the rename it gets the
+    mode an ordinary new file would have, 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acoufilt-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,7 +17,7 @@ from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from .curves import ComplexCurve
-from .errors import DomainError, StructureError
+from .errors import DomainError, SearchError, StructureError
 from .mbvd import (
     MbvdParams,
     ResonatorSummary,
@@ -169,10 +169,21 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
                             method="trf", x_scale="jac", ftol=_TOL, xtol=_TOL, gtol=_TOL,
                             max_nfev=opts.max_iterations)
     params = _unpack(res.x)
+    converged = bool(res.status > 0)
+    try:
+        summary = summarize(params)
+    except SearchError as exc:
+        if converged:
+            raise
+        raise SearchError(
+            f"MBVD fit diverged: stopped after {res.nfev} of at most "
+            f"{opts.max_iterations} residual evaluations at parameters without "
+            f"a resonance ({exc})"
+        ) from exc
     return FitResult(
         params=params,
         residual_norm=float(np.linalg.norm(res.fun)),
         iterations=int(res.njev),
-        converged=bool(res.status > 0),
-        summary=summarize(params),
+        converged=converged,
+        summary=summary,
     )

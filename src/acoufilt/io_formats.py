@@ -128,16 +128,50 @@ def _complex_to_pair(v: complex, fmt: str) -> tuple[float, float]:
         return 20.0 * float(np.log10(mag)) if mag > 0 else -math.inf, ang
 
 
+def _numbers(fields: list[str], lineno: int) -> list[float]:
+    try:
+        return [float(tok) for tok in fields]
+    except ValueError as exc:
+        raise FormatError(f"malformed number: {exc}", lineno)
+
+
+def _noise_row(fields: list[str], header: TouchstoneHeader, lineno: int,
+               previous: list[float]) -> float:
+    """Check one noise-parameter row and return its frequency in hertz.
+
+    A row is frequency, NFmin (dB), |Gamma_opt|, angle of Gamma_opt and the
+    normalized noise resistance: five finite numbers.
+    """
+    if len(fields) != 5:
+        raise FormatError(
+            f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
+        )
+    nums = _numbers(fields, lineno)
+    for tok, v in zip(fields, nums):
+        if not math.isfinite(v):
+            raise FormatError(f"non-finite number {tok!r}", lineno)
+    f_hz = nums[0] * header.unit_scale
+    if f_hz <= 0:
+        raise FormatError("non-positive frequency", lineno)
+    if previous and f_hz <= previous[-1]:
+        raise FormatError("frequencies must be strictly increasing", lineno)
+    return f_hz
+
+
 def read_touchstone(text: str) -> TouchstoneData:
     """Parse Touchstone v1 text; port count inferred from the column count.
 
     One-port lines carry 3 columns, two-port lines 9 columns in the v1
-    S11 S21 S12 S22 order.  Frequencies must be strictly increasing.
+    S11 S21 S12 S22 order.  Frequencies must be strictly increasing.  In a
+    two-port file, the first row whose frequency is not above the previous
+    one starts the noise-parameter block (Touchstone v1.1): its 5-column
+    rows are checked and ignored.
     """
     header: TouchstoneHeader | None = None
     freqs: list[float] = []
     rows: list[list[complex]] = []
     n_ports: int | None = None
+    noise_freqs: list[float] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("!", 1)[0].strip()
@@ -153,6 +187,11 @@ def read_touchstone(text: str) -> TouchstoneData:
         if header is None:
             header = TouchstoneHeader()
         fields = line.split()
+        if n_ports == 2 and (
+            noise_freqs or _numbers(fields[:1], lineno)[0] * header.unit_scale <= freqs[-1]
+        ):
+            noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
+            continue
         if len(fields) == 3:
             ports = 1
         elif len(fields) == 9:
@@ -165,10 +204,7 @@ def read_touchstone(text: str) -> TouchstoneData:
             n_ports = ports
         elif ports != n_ports:
             raise FormatError("inconsistent column count", lineno)
-        try:
-            nums = [float(tok) for tok in fields]
-        except ValueError as exc:
-            raise FormatError(f"malformed number: {exc}", lineno)
+        nums = _numbers(fields, lineno)
         for i, v in enumerate(nums):
             # The DB writer gives an exact zero magnitude as -inf dB.
             zero_db = header.format == "DB" and i % 2 == 1 and v == -math.inf

@@ -66,20 +66,23 @@ def crossing_interpolate(
 
 
 def _edge(freq, mag_db, peak_idx, target_db, direction, level_db):
-    """Nearest target_db crossing walking from the peak; direction is -1/+1."""
-    n = freq.size
-    i = peak_idx
-    while True:
-        j = i + direction
-        if j < 0 or j >= n:
-            raise BandEdgeError("low" if direction < 0 else "high", level_db)
-        if mag_db[j] == target_db:
-            return float(freq[j])
-        if mag_db[j] < target_db:
-            if direction < 0:
-                return crossing_interpolate(freq[j], mag_db[j], freq[i], mag_db[i], target_db)
-            return crossing_interpolate(freq[i], mag_db[i], freq[j], mag_db[j], target_db)
-        i = j
+    """Nearest target_db crossing walking from the peak; direction is -1/+1.
+
+    The crossing sample j is the first one at or below the level on that
+    side of the peak; its neighbour towards the peak is still above it.
+    """
+    if direction < 0:
+        hits = np.flatnonzero(mag_db[:peak_idx] <= target_db)
+        j = int(hits[-1]) if hits.size else -1
+    else:
+        hits = np.flatnonzero(mag_db[peak_idx + 1:] <= target_db)
+        j = peak_idx + 1 + int(hits[0]) if hits.size else -1
+    if j < 0:
+        raise BandEdgeError("low" if direction < 0 else "high", level_db)
+    if mag_db[j] == target_db:
+        return float(freq[j])
+    a, b = (j, j + 1) if direction < 0 else (j - 1, j)
+    return crossing_interpolate(freq[a], mag_db[a], freq[b], mag_db[b], target_db)
 
 
 def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterMetrics:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import MbvdParams, resonator_admittance
+from .mbvd import MbvdParams, _admittance_values, resonator_admittance
 
 
 class ElementKind(enum.Enum):
@@ -54,11 +54,14 @@ class SParameterBlock:
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "s", s)
 
+    # The grid and the shape of s were checked when the block was built.
     def s21(self) -> ComplexCurve:
-        return ComplexCurve(self.freq_hz, self.s[:, 1, 0], label="S21")
+        return _unchecked(ComplexCurve, freq_hz=self.freq_hz, values=self.s[:, 1, 0],
+                          label="S21")
 
     def s11(self) -> ComplexCurve:
-        return ComplexCurve(self.freq_hz, self.s[:, 0, 0], label="S11")
+        return _unchecked(ComplexCurve, freq_hz=self.freq_hz, values=self.s[:, 0, 0],
+                          label="S11")
 
 
 @dataclass(frozen=True)
@@ -91,26 +94,65 @@ def shunt_series_shunt(shunt: MbvdParams, series: MbvdParams, z0: float = 50.0) 
     )
 
 
+def _element(kind: ElementKind, y: np.ndarray) -> tuple:
+    """Chain-matrix entries (a, b, c, d) of one element with admittance y."""
+    if kind is ElementKind.SERIES:
+        return 1.0, 1.0 / y, 0.0, 1.0
+    if kind is ElementKind.SHUNT:
+        return 1.0, 0.0, y, 1.0
+    raise DomainError(f"unknown element kind {kind!r}")
+
+
+def _product(m: tuple, n: tuple) -> tuple:
+    """Per-frequency 2x2 product m @ n of chain matrices held as (a, b, c, d)."""
+    a1, b1, c1, d1 = m
+    a2, b2, c2, d2 = n
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _entries(mats: np.ndarray) -> tuple:
+    return mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+
+
+def _stack(n: int, a, b, c, d) -> np.ndarray:
+    """(n, 2, 2) array from four entries, each a vector or a scalar."""
+    mats = np.empty((n, 2, 2), dtype=complex)
+    mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1] = a, b, c, d
+    return mats
+
+
+def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float) -> np.ndarray:
+    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d)."""
+    bz, cz = b / z0, c * z0
+    delta = a + bz + cz + d
+    bad = np.flatnonzero(delta == 0)
+    if bad.size:
+        raise SingularConversionError(float(freq_hz[bad[0]]))
+    return _stack(freq_hz.size,
+                  (a + bz - cz - d) / delta,
+                  2.0 * (a * d - b * c) / delta,
+                  2.0 / delta,
+                  (-a + bz - cz + d) / delta)
+
+
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass from fields known to be valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def element_abcd(kind: ElementKind, p: MbvdParams, freq_hz) -> AbcdBlock:
     """ABCD block of one resonator used as a series or shunt element."""
     y = resonator_admittance(p, freq_hz)
-    n = len(y)
-    mats = np.zeros((n, 2, 2), dtype=complex)
-    mats[:, 0, 0] = 1.0
-    mats[:, 1, 1] = 1.0
-    if kind is ElementKind.SERIES:
-        mats[:, 0, 1] = 1.0 / y.values
-    elif kind is ElementKind.SHUNT:
-        mats[:, 1, 0] = y.values
-    else:
-        raise DomainError(f"unknown element kind {kind!r}")
-    return AbcdBlock(y.freq_hz, mats)
+    return AbcdBlock(y.freq_hz, _stack(len(y), *_element(kind, y.values)))
 
 
 def identity_block(freq_hz) -> AbcdBlock:
     f = validate_grid(np.asarray(freq_hz, dtype=float))
-    mats = np.broadcast_to(np.eye(2, dtype=complex), (f.size, 2, 2)).copy()
-    return AbcdBlock(f, mats)
+    return AbcdBlock(f, _stack(f.size, 1.0, 0.0, 0.0, 1.0))
 
 
 def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
@@ -128,36 +170,35 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
     for b in blocks[1:]:
         if b.freq_hz.shape != ref.shape or not np.array_equal(b.freq_hz, ref):
             raise GridAlignmentError("cascaded blocks are on different frequency grids")
-    mats = blocks[0].mats
+    chain = _entries(blocks[0].mats)
     for b in blocks[1:]:
-        mats = mats @ b.mats
-    return AbcdBlock(ref, mats)
+        chain = _product(chain, _entries(b.mats))
+    return AbcdBlock(ref, _stack(ref.size, *chain))
 
 
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     """Convert chain matrices to scattering parameters at reference z0."""
     if not z0 > 0:
         raise DomainError("reference impedance must be positive")
-    a = block.mats[:, 0, 0]
-    b = block.mats[:, 0, 1]
-    c = block.mats[:, 1, 0]
-    d = block.mats[:, 1, 1]
-    delta = a + b / z0 + c * z0 + d
-    bad = np.flatnonzero(delta == 0)
-    if bad.size:
-        raise SingularConversionError(float(block.freq_hz[bad[0]]))
-    s = np.empty_like(block.mats)
-    s[:, 0, 0] = (a + b / z0 - c * z0 - d) / delta
-    s[:, 0, 1] = 2.0 * (a * d - b * c) / delta
-    s[:, 1, 0] = 2.0 / delta
-    s[:, 1, 1] = (-a + b / z0 - c * z0 + d) / delta
+    s = _to_s(block.freq_hz, *_entries(block.mats), z0)
     return SParameterBlock(block.freq_hz, s, z0=z0)
 
 
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
-    """Evaluate a ladder design to two-port S-parameters on a grid."""
-    blocks = [element_abcd(kind, p, freq_hz) for kind, p in design.elements]
-    return abcd_to_s(cascade(blocks), design.z0)
+    """Evaluate a ladder design to two-port S-parameters on a grid.
+
+    The grid is checked once; the chain matrices are carried as four
+    complex vectors a, b, c, d and multiplied elementwise.
+    """
+    f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
+    chain = None
+    for kind, p in design.elements:
+        m = _element(kind, _admittance_values(p, f))
+        chain = m if chain is None else _product(chain, m)
+    if not all(np.all(np.isfinite(v)) for v in chain):
+        raise DomainError("ABCD matrices contain non-finite entries")
+    return _unchecked(SParameterBlock, freq_hz=f, s=_to_s(f, *chain, design.z0),
+                      z0=design.z0)
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:

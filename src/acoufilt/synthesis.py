@@ -26,6 +26,10 @@ _GRID_POINTS = 1601
 _GRID_SPAN = (0.5, 1.8)
 _MAX_EVALS = 2000
 _FAILED_EVAL_PENALTY = 1e3
+# Nelder-Mead stopping tolerances on the scaled variables x / x0 and on the
+# score; 1e-6 stops the criterion-2 search short of its optimum.
+_XATOL = 1e-8
+_FATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,10 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
 
     n_evals = 0
 
-    def objective(x):
+    def objective(u):
         nonlocal n_evals
         n_evals += 1
-        _, m = evaluate(x)
+        _, m = evaluate(x0 * u)
         if m is None:
             return _FAILED_EVAL_PENALTY
         return _score(m, spec)
@@ -159,24 +163,23 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
         cost = _score(m, spec) if m is not None else math.inf
         return SynthesisResult(design, m, False, cost, n_evals)
 
-    simplex = np.tile(x0, (5, 1))
-    for i in range(4):
-        simplex[i + 1, i] *= 1.05
+    # The search runs on u = x / x0, so hertz and farads share one scale.
+    simplex = np.vstack([np.ones(4), np.eye(4) * 0.05 + 1.0])
 
     res = minimize(
         objective,
-        x0,
+        np.ones(4),
         method="Nelder-Mead",
         options={
             "initial_simplex": simplex,
             "maxfev": _MAX_EVALS,
-            "xatol": 1e-12,
-            "fatol": 1e-12,
+            "xatol": _XATOL,
+            "fatol": _FATOL,
             "adaptive": False,
         },
     )
 
-    design, m = evaluate(res.x)
+    design, m = evaluate(x0 * res.x)
     if m is None:
         # Fall back to the seed placement if the search wandered off the cliff.
         design, m = evaluate(x0)

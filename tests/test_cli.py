@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -172,3 +175,16 @@ def test_bad_grid_spec_is_exit_1(tmp_path, reference_design, capsys):
     rc = main(["simulate", "--design", str(path), "--grid", "2e9:1e9:100",
                "--out", str(tmp_path / "x.s2p")])
     assert rc == 1
+
+
+def test_outputs_get_the_umask_mode(tmp_path, reference_design):
+    path, _ = reference_design
+    out = tmp_path / "filter.s2p"
+    old = os.umask(0o022)
+    try:
+        rc = main(["simulate", "--design", str(path), "--grid",
+                   "10e9:40e9:51", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644

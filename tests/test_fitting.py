@@ -13,7 +13,7 @@ from acoufilt import (
     resonator_admittance,
 )
 from acoufilt.curves import sorted_curve
-from acoufilt.errors import DomainError, StructureError
+from acoufilt.errors import AcoufiltError, DomainError, SearchError, StructureError
 
 PARAM_NAMES = ("rm", "lm", "cm", "c0", "rs", "ls")
 
@@ -143,3 +143,31 @@ def test_overflowing_weighted_residual_is_domain_error():
     values[100] = 1e-200
     with pytest.raises(DomainError):
         fit_mbvd(ComplexCurve(GRID, values), TRUTH)
+
+def _runaway_sweep():
+    """Sweep 155 of 254 drawn from generator seed 105: truths around the
+    criterion-4 resonator, every second sweep with 1 % complex noise.  Its
+    noise puts a dip just above the resonance that the initial guess takes
+    for the anti-resonance, and the fit from there runs away."""
+    rng = np.random.default_rng(105)
+    truths = [
+        mbvd_from_targets(rng.uniform(15e9, 25e9), rng.uniform(0.38, 0.46),
+                          rng.uniform(35e-15, 65e-15), rng.uniform(30.0, 100.0),
+                          rs=rng.uniform(0.2, 1.0), ls=rng.uniform(50e-12, 150e-12))
+        for _ in range(254)
+    ]
+    for i in range(1, 155, 2):
+        rng.standard_normal(GRID.size)
+        rng.standard_normal(GRID.size)
+    y = resonator_admittance(truths[155], GRID).values
+    noise = rng.standard_normal(GRID.size) + 1j * rng.standard_normal(GRID.size)
+    return ComplexCurve(GRID, y * (1.0 + 0.01 * noise))
+
+
+def test_diverged_fit_reports_divergence():
+    curve = _runaway_sweep()
+    with pytest.raises(SearchError, match=r"MBVD fit diverged: stopped after 200 of at most "
+                                          r"200 residual evaluations") as err:
+        fit_mbvd(curve, initial_guess(curve))
+    assert isinstance(err.value, AcoufiltError)
+    assert isinstance(err.value.__cause__, SearchError)

@@ -135,6 +135,46 @@ def test_touchstone_rejects_non_finite_numbers():
         assert err.value.line == line
 
 
+TWO_PORT_ROWS = (
+    "1.0 0.1 -0.2 0.3 0.4 0.3 0.4 0.5 -0.6\n"
+    "2.0 0.2 -0.1 0.4 0.3 0.4 0.3 0.6 -0.5\n"
+)
+NOISE_ROWS = (
+    "! noise parameters: freq NFmin |Gopt| <Gopt Rn/z0\n"
+    "1.0 0.8 0.3 45.0 0.2\n"
+    "2.0 1.1 0.25 60.0 0.25\n"
+)
+
+
+def test_touchstone_two_port_noise_block_is_skipped():
+    plain = read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS)
+    data = read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + NOISE_ROWS)
+    assert np.array_equal(data.freq_hz, plain.freq_hz)
+    assert np.array_equal(data.s, plain.s)
+    assert data.s.shape == (2, 2, 2)
+
+
+def test_touchstone_five_columns_elsewhere_are_rejected():
+    bad = (
+        # among the S data, at a frequency above the previous row
+        ("# GHz S RI R 50\n" + TWO_PORT_ROWS + "3.0 0.8 0.3 45.0 0.2\n", 4),
+        # as the first data row
+        ("# GHz S RI R 50\n1.0 0.8 0.3 45.0 0.2\n", 2),
+        # in a one-port file
+        ("# GHz S RI R 50\n1.0 0.1 0.2\n0.5 0.8 0.3 45.0 0.2\n", 3),
+        # a two-port row inside the noise block
+        ("# GHz S RI R 50\n" + TWO_PORT_ROWS + NOISE_ROWS
+         + "3.0 0.1 -0.2 0.3 0.4 0.3 0.4 0.5 -0.6\n", 7),
+        # noise frequencies that do not increase
+        ("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 0.8 0.3 45.0 0.2\n"
+         "1.0 0.8 0.3 45.0 0.2\n", 5),
+    )
+    for text, line in bad:
+        with pytest.raises(FormatError) as err:
+            read_touchstone(text)
+        assert err.value.line == line
+
+
 def test_touchstone_db_reads_minus_inf_as_zero():
     # The DB writer gives an exact zero as -inf dB; reading it back is exact.
     curve = ComplexCurve(np.array([1e9, 2e9]), np.array([0.0, 0.5]))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -24,8 +24,6 @@ from acoufilt.mbvd import K2_MAX, admittance_log_jacobian
 # Resonator derived from (fs 20 GHz, k2 0.42, c0 50 fF, Q 40); the closed
 # forms give cm 25.81 fF, lm 2.4537 nH, rm 7.709 ohm.
 REF = mbvd_from_targets(20e9, 0.42, 50e-15, 40.0)
-
-PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 @st.composite
@@ -199,7 +197,6 @@ def test_q_matches_dense_grid_phase_derivative_oracle():
     assert 48.0 < q_at_antiresonance(REF) < 50.0
 
 
-@PROPERTY_SETTINGS
 @given(lossy_resonators())
 def test_q_matches_dense_grid_oracle_for_random_resonators(p):
     fp = antiresonance(p)
@@ -212,7 +209,6 @@ def test_q_matches_dense_grid_oracle_for_random_resonators(p):
     assert q_at_antiresonance(p) == pytest.approx(q_grid[i], rel=1e-3)
 
 
-@PROPERTY_SETTINGS
 @given(lossy_resonators())
 def test_log_jacobian_matches_central_differences(p):
     # Column k is dY/d(log q_k) for q = rm, lm, cm, c0, rs, ls.

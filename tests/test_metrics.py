@@ -1,10 +1,15 @@
 import math
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from acoufilt import ComplexCurve, crossing_interpolate, passband_metrics
+from acoufilt import ComplexCurve, crossing_interpolate, metrics, passband_metrics
 from acoufilt.errors import (
+    AcoufiltError,
     BandEdgeError,
     DegeneratePassbandError,
     DomainError,
@@ -116,3 +121,53 @@ def test_crossing_interpolate_against_analytic_root():
             return 20 * math.log10(1 / math.sqrt(1 + (Q * x) ** 2))
         got = crossing_interpolate(f_a, db(f_a), f_b, db(f_b), -3.0102999566398120)
         assert got == pytest.approx(hi3, rel=tol)
+
+
+def _walking_edge(freq, mag_db, peak_idx, target_db, direction, level_db):
+    """The sample-by-sample walk from the peak that _edge replaced, kept as
+    its oracle."""
+    n = freq.size
+    i = peak_idx
+    while True:
+        j = i + direction
+        if j < 0 or j >= n:
+            raise BandEdgeError("low" if direction < 0 else "high", level_db)
+        if mag_db[j] == target_db:
+            return float(freq[j])
+        if mag_db[j] < target_db:
+            if direction < 0:
+                return crossing_interpolate(freq[j], mag_db[j], freq[i], mag_db[i], target_db)
+            return crossing_interpolate(freq[i], mag_db[i], freq[j], mag_db[j], target_db)
+        i = j
+
+
+@st.composite
+def single_peaked_curves(draw):
+    """|S21| that rises to one interior peak and falls after it, in steps of
+    0-20 dB (zero steps give plateaus), on a strictly increasing grid."""
+    n = draw(st.integers(3, 120))
+    f = np.sort(np.array(draw(st.lists(st.floats(1e9, 1e11), min_size=n, max_size=n,
+                                       unique=True))))
+    k = draw(st.integers(1, n - 2))
+    step = st.floats(0.0, 20.0)
+    rises = np.array(draw(st.lists(step, min_size=k, max_size=k)), dtype=float)
+    falls = np.array(draw(st.lists(step, min_size=n - 1 - k, max_size=n - 1 - k)),
+                     dtype=float)
+    peak_db = draw(st.floats(-20.0, 0.0))
+    below = np.concatenate([np.cumsum(rises[::-1])[::-1], [0.0], np.cumsum(falls)])
+    return ComplexCurve(f, 10.0 ** ((peak_db - below) / 20.0))
+
+
+def _outcome(curve, guard):
+    try:
+        return astuple(passband_metrics(curve, guard=guard))
+    except AcoufiltError as exc:
+        return type(exc), str(exc)
+
+
+@given(single_peaked_curves(), st.sampled_from([0.0, 0.05, 0.15]))
+def test_band_edges_match_the_walking_oracle(curve, guard):
+    got = _outcome(curve, guard)
+    with mock.patch.object(metrics, "_edge", _walking_edge):
+        expected = _outcome(curve, guard)
+    assert got == expected

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acoufilt import (
     AbcdBlock,
@@ -196,3 +198,67 @@ def test_one_port_round_trip():
     y_back = admittance_from_s11(s11, z0=50.0)
     y_direct = resonator_admittance(p, GRID)
     assert np.max(np.abs(y_back.values - y_direct.values)) < 1e-12 * np.max(np.abs(y_direct.values))
+
+
+@st.composite
+def ladders(draw):
+    """Ladders of 1-6 series/shunt resonators.
+
+    The motional branch is always lossy: a lossless one has an infinite
+    admittance at a grid point that hits its resonance exactly.
+    """
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = mbvd_from_targets(
+            fs=draw(st.floats(5e9, 35e9)),
+            k2=draw(st.floats(0.05, 0.8)),
+            c0=draw(st.floats(2e-14, 3e-13)),
+            q=draw(st.floats(10.0, 1e4)),
+            rs=draw(st.floats(0.0, 1.5)),
+            ls=draw(st.floats(0.0, 8e-11)),
+        )
+        elements.append((draw(st.sampled_from(ElementKind)), p))
+    return LadderDesign(elements=tuple(elements), z0=draw(st.sampled_from([25.0, 50.0, 75.0])))
+
+
+def grids():
+    """Strictly increasing grids of 1-64 points in 1-50 GHz."""
+    return st.lists(st.floats(1e9, 50e9), min_size=1, max_size=64, unique=True).map(
+        lambda f: np.sort(np.array(f)))
+
+
+def _matmul_reference(design, grid):
+    """S-parameters through an (n, 2, 2) np.matmul cascade and the textbook
+    ABCD-to-S formulas (Pozar, Microwave Engineering, ch. 4)."""
+    mats = np.broadcast_to(np.eye(2, dtype=complex), (grid.size, 2, 2))
+    for kind, p in design.elements:
+        y = resonator_admittance(p, grid).values
+        if kind is ElementKind.SERIES:
+            element = _series_z_block(1.0 / y, grid)
+        else:
+            element = _shunt_y_block(y, grid)
+        mats = np.matmul(mats, element.mats)
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    z0 = design.z0
+    delta = a + b / z0 + c * z0 + d
+    s = np.empty_like(mats)
+    s[:, 0, 0] = (a + b / z0 - c * z0 - d) / delta
+    s[:, 0, 1] = 2.0 * (a * d - b * c) / delta
+    s[:, 1, 0] = 2.0 / delta
+    s[:, 1, 1] = (-a + b / z0 - c * z0 + d) / delta
+    return s
+
+
+@given(ladders(), grids())
+def test_ladder_response_matches_matmul_reference(design, grid):
+    s = build_ladder_response(design, grid).s
+    ref = _matmul_reference(design, grid)
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(np.max(np.abs(s - ref), axis=(1, 2)) <= 1e-12 * scale)
+
+
+@given(ladders(), grids())
+def test_ladder_response_is_reciprocal_and_passive(design, grid):
+    s = build_ladder_response(design, grid).s
+    assert np.max(np.abs(s[:, 0, 1] - s[:, 1, 0])) <= 1e-12
+    assert np.linalg.svd(s, compute_uv=False).max() <= 1.0 + 1e-9
