@@ -15,8 +15,18 @@ import numpy as np
 from . import fitting, io_formats, svgplot
 from .curves import parse_grid_spec
 from .errors import AcoufiltError
+from .mbvd import MbvdParams
 from .metrics import DEFAULT_GUARD, METRIC_NAMES, passband_metrics
-from .network import admittance_from_s11, build_ladder_response, one_port_s11, shunt_series_shunt
+from .network import (
+    ElementKind,
+    LadderDesign,
+    admittance_from_s11,
+    build_ladder_response,
+    one_port_s11,
+)
+# Unused here since sweep replaces elements by kind; perfbench/spans.py still
+# traces the canonical ladder constructor under this name.
+from .network import shunt_series_shunt  # noqa: F401
 from .synthesis import synthesize_ladder
 
 
@@ -170,42 +180,35 @@ def _parse_value_range(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    text = _read(args.design)
-    sections = io_formats.parse_design_text(text)
     try:
         section, key = args.param.split(".", 1)
     except ValueError:
         raise AcoufiltError(f"--param must be section.key, got {args.param!r}")
-    if section not in ("series", "shunt", "filter"):
+    if section == "filter":
+        if key != "z0":
+            raise AcoufiltError("only filter.z0 can be swept")
+    elif section in ("series", "shunt"):
+        if key not in {field.name for field in dataclasses.fields(MbvdParams)}:
+            raise AcoufiltError(f"unknown resonator key {key!r}")
+    else:
         raise AcoufiltError(f"cannot sweep section [{section}]")
+    base = io_formats.read_ladder_design(_read(args.design))
     values = _parse_value_range(args.range)
     grid = parse_grid_spec(args.grid)
 
-    base = io_formats.read_ladder_design(text)
-    shunt0 = base.elements[0][1]
-    series0 = base.elements[1][1]
+    def design_at(value: float) -> LadderDesign:
+        if section == "filter":
+            return dataclasses.replace(base, z0=value)
+        kind = ElementKind(section)
+        return dataclasses.replace(base, elements=tuple(
+            (k, dataclasses.replace(p, **{key: value}) if k is kind else p)
+            for k, p in base.elements))
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    header = [args.param] + list(METRIC_NAMES)
-    w.writerow(header)
+    w.writerow([args.param] + list(METRIC_NAMES))
     for value in values:
-        series, shunt, z0 = series0, shunt0, base.z0
-        if section == "filter":
-            if key != "z0":
-                raise AcoufiltError("only filter.z0 can be swept")
-            z0 = float(value)
-        else:
-            target = series0 if section == "series" else shunt0
-            if key not in ("rm", "lm", "cm", "c0", "rs", "ls", "r0"):
-                raise AcoufiltError(f"unknown resonator key {key!r}")
-            replaced = dataclasses.replace(target, **{key: float(value)})
-            if section == "series":
-                series = replaced
-            else:
-                shunt = replaced
-        design = shunt_series_shunt(shunt, series, z0=z0)
-        block = build_ladder_response(design, grid)
+        block = build_ladder_response(design_at(float(value)), grid)
         try:
             m = passband_metrics(block.s21(), guard=args.guard)
             row = ["{:.16e}".format(value)] + ["{:.16e}".format(v) for _, v in m.as_rows()]

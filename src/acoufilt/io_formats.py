@@ -7,6 +7,7 @@ write-then-read is an identity to better than 1e-12 relative.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
@@ -24,6 +25,9 @@ from .synthesis import DesignSpec
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
 _NUM = "{:.16e}".format
+# Rows per string-formatting call of _format_table; bounds the temporary
+# tuple of Python floats.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -107,30 +111,9 @@ def _parse_option_line(tokens: list[str], lineno: int) -> TouchstoneHeader:
         raise FormatError(str(exc), lineno)
 
 
-def _pair_to_complex(a: float, b: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(a, b)
-    if fmt == "MA":
-        return a * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-    # DB: a is 20*log10(magnitude), b an angle in degrees
-    mag = 10.0 ** (a / 20.0)
-    return mag * complex(math.cos(math.radians(b)), math.sin(math.radians(b)))
-
-
-def _complex_to_pair(v: complex, fmt: str) -> tuple[float, float]:
-    if fmt == "RI":
-        return v.real, v.imag
-    mag = abs(v)
-    ang = math.degrees(math.atan2(v.imag, v.real))
-    if fmt == "MA":
-        return mag, ang
-    with np.errstate(divide="ignore"):
-        return 20.0 * float(np.log10(mag)) if mag > 0 else -math.inf, ang
-
-
-def _numbers(fields: list[str], lineno: int) -> list[float]:
+def _number(token: str, lineno: int) -> float:
     try:
-        return [float(tok) for tok in fields]
+        return float(token)
     except ValueError as exc:
         raise FormatError(f"malformed number: {exc}", lineno)
 
@@ -146,16 +129,67 @@ def _noise_row(fields: list[str], header: TouchstoneHeader, lineno: int,
         raise FormatError(
             f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
         )
-    nums = _numbers(fields, lineno)
+    nums = [_number(tok, lineno) for tok in fields]
     for tok, v in zip(fields, nums):
         if not math.isfinite(v):
             raise FormatError(f"non-finite number {tok!r}", lineno)
     f_hz = nums[0] * header.unit_scale
+    if not math.isfinite(f_hz):
+        raise FormatError("frequency overflows when scaled to hertz", lineno)
     if f_hz <= 0:
         raise FormatError("non-positive frequency", lineno)
     if previous and f_hz <= previous[-1]:
         raise FormatError("frequencies must be strictly increasing", lineno)
     return f_hz
+
+
+# Messages of the row checks after the first, in the order they are tried.
+_ROW_CHECKS = ("frequency overflows when scaled to hertz", "non-positive frequency",
+               "frequencies must be strictly increasing", "DB magnitude overflows")
+
+
+def _columns(header: TouchstoneHeader, width: int, nums: array.array,
+             linenos: list[int], lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies in hertz and S matrices of the data rows, checked by column.
+
+    A row fails if a number is not finite (-inf dB excepted), its frequency
+    overflows in hertz, is not positive or does not exceed the previous
+    row's, or a DB magnitude overflows.  The first failing row is reported
+    with its line number and the first check it fails, in that order.
+    """
+    table = np.frombuffer(nums, dtype=float).reshape(-1, width)
+    n = table.shape[0]
+    a, b = table[:, 1::2], table[:, 2::2]
+    raw_bad = ~np.isfinite(table)
+    if header.format == "DB":
+        # The DB writer gives an exact zero magnitude as -inf dB.
+        raw_bad[:, 1::2] &= a != -np.inf
+    with np.errstate(over="ignore"):
+        f = table[:, 0] * header.unit_scale
+        mag = 10.0 ** (a / 20.0) if header.format == "DB" else a
+    not_increasing = np.zeros(n, dtype=bool)
+    not_increasing[1:] = f[1:] <= f[:-1]
+    bad = np.column_stack((raw_bad.any(axis=1), ~np.isfinite(f), f <= 0, not_increasing,
+                           ~np.isfinite(mag).all(axis=1)))
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        row = rows[0]
+        check = int(np.argmax(bad[row]))
+        lineno = linenos[row]
+        if check == 0:
+            fields = lines[lineno - 1].split("!", 1)[0].split()
+            raise FormatError(f"non-finite number {fields[np.argmax(raw_bad[row])]!r}", lineno)
+        raise FormatError(_ROW_CHECKS[check - 1], lineno)
+    if header.format == "RI":
+        re, im = a, b
+    else:
+        rad = np.radians(b)
+        re, im = mag * np.cos(rad), mag * np.sin(rad)
+    s = np.empty(a.shape, dtype=complex)
+    s.real, s.imag = re, im
+    ports = 1 if width == 3 else 2
+    # v1 two-port order S11 S21 S12 S22 fills each 2x2 matrix column by column.
+    return f, s.reshape(n, ports, ports).transpose(0, 2, 1).copy()
 
 
 def read_touchstone(text: str) -> TouchstoneData:
@@ -166,73 +200,70 @@ def read_touchstone(text: str) -> TouchstoneData:
     two-port file, the first row whose frequency is not above the previous
     one starts the noise-parameter block (Touchstone v1.1): its 5-column
     rows are checked and ignored.
-    """
-    header: TouchstoneHeader | None = None
-    freqs: list[float] = []
-    rows: list[list[complex]] = []
-    n_ports: int | None = None
-    noise_freqs: list[float] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header is not None:
-                raise FormatError("duplicate option line", lineno)
-            if rows:
-                raise FormatError("option line after data", lineno)
-            header = _parse_option_line(line[1:].split(), lineno)
-            continue
-        if header is None:
-            header = TouchstoneHeader()
-        fields = line.split()
-        if n_ports == 2 and (
-            noise_freqs or _numbers(fields[:1], lineno)[0] * header.unit_scale <= freqs[-1]
-        ):
-            noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
-            continue
-        if len(fields) == 3:
-            ports = 1
-        elif len(fields) == 9:
-            ports = 2
-        else:
-            raise FormatError(
-                f"expected 3 (1-port) or 9 (2-port) columns, got {len(fields)}", lineno
-            )
-        if n_ports is None:
-            n_ports = ports
-        elif ports != n_ports:
-            raise FormatError("inconsistent column count", lineno)
-        nums = _numbers(fields, lineno)
-        for i, v in enumerate(nums):
-            # The DB writer gives an exact zero magnitude as -inf dB.
-            zero_db = header.format == "DB" and i % 2 == 1 and v == -math.inf
-            if not (math.isfinite(v) or zero_db):
-                raise FormatError(f"non-finite number {fields[i]!r}", lineno)
-        f_hz = nums[0] * header.unit_scale
-        if f_hz <= 0:
-            raise FormatError("non-positive frequency", lineno)
-        if freqs and f_hz <= freqs[-1]:
-            raise FormatError("frequencies must be strictly increasing", lineno)
-        freqs.append(f_hz)
-        vals = [_pair_to_complex(nums[i], nums[i + 1], header.format)
-                for i in range(1, len(nums), 2)]
-        rows.append(vals)
+    One pass over the lines checks their layout and collects the numbers;
+    the values are then checked and converted column by column, and an
+    error names the first offending line either way.
+    """
+    lines = text.splitlines()
+    header: TouchstoneHeader | None = None
+    scale = 1.0
+    width = 0  # columns of an S-data row: 3 (one-port) or 9 (two-port)
+    nums = array.array("d")
+    linenos: list[int] = []
+    noise_freqs: list[float] = []
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            fields = raw.split("!", 1)[0].split()
+            if not fields:
+                continue
+            if fields[0].startswith("#"):
+                if header is not None:
+                    raise FormatError("duplicate option line", lineno)
+                if linenos:
+                    raise FormatError("option line after data", lineno)
+                header = _parse_option_line(" ".join(fields)[1:].split(), lineno)
+                scale = header.unit_scale
+                continue
+            if header is None:
+                header = TouchstoneHeader()
+                scale = header.unit_scale
+            if width == 9 and (
+                noise_freqs or _number(fields[0], lineno) * scale <= nums[-9] * scale
+            ):
+                noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
+                continue
+            if len(fields) != width:
+                if len(fields) not in (3, 9):
+                    raise FormatError(
+                        f"expected 3 (1-port) or 9 (2-port) columns, got {len(fields)}", lineno
+                    )
+                if width:
+                    raise FormatError("inconsistent column count", lineno)
+                width = len(fields)
+            try:
+                nums.fromlist(list(map(float, fields)))
+            except ValueError as exc:
+                raise FormatError(f"malformed number: {exc}", lineno)
+            linenos.append(lineno)
+    except FormatError:
+        # A row before the failing line may hold a value error found only
+        # by the column checks; the earlier line is the one to report.
+        if linenos:
+            _columns(header, width, nums, linenos, lines)
+        raise
 
     if header is None:
         header = TouchstoneHeader()
-    if n_ports is None:
-        n_ports = 1
-    n = len(freqs)
-    s = np.zeros((n, n_ports, n_ports), dtype=complex)
-    for i, vals in enumerate(rows):
-        if n_ports == 1:
-            s[i, 0, 0] = vals[0]
-        else:
-            # v1 two-port order: S11 S21 S12 S22
-            s[i, 0, 0], s[i, 1, 0], s[i, 0, 1], s[i, 1, 1] = vals
-    return TouchstoneData(header, np.asarray(freqs, dtype=float), s)
+    freq, s = _columns(header, width or 3, nums, linenos, lines)
+    return TouchstoneData(header, freq, s)
+
+
+def _format_table(table: np.ndarray, sep: str) -> str:
+    """One line per row of a float table, each number formatted as _NUM does."""
+    row = sep.join(["%.16e"] * table.shape[1]) + "\n"
+    return "".join((row * len(chunk)) % tuple(chunk.ravel().tolist())
+                   for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)))
 
 
 def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
@@ -240,31 +271,30 @@ def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
     """Serialize one-port (.s1p) or two-port (.s2p) data; v1 column order."""
     if isinstance(data, TouchstoneData):
         freq, s = data.freq_hz, data.s
-        one_port = data.n_ports == 1
         if header is None:
             header = data.header
     elif isinstance(data, ComplexCurve):
         freq = data.freq_hz
         s = data.values.reshape(-1, 1, 1)
-        one_port = True
     else:
-        freq, s, one_port = data.freq_hz, data.s, False
+        freq, s = data.freq_hz, data.s
     if header is None:
         z0 = data.z0 if isinstance(data, SParameterBlock) else 50.0
         header = TouchstoneHeader("Hz", "S", "RI", z0)
-    lines = [header.option_line()]
-    scale = header.unit_scale
-    for i, f in enumerate(freq):
-        if one_port:
-            vals = (s[i, 0, 0],)
-        else:
-            vals = (s[i, 0, 0], s[i, 1, 0], s[i, 0, 1], s[i, 1, 1])
-        parts = [_NUM(f / scale)]
-        for v in vals:
-            a, b = _complex_to_pair(complex(v), header.format)
-            parts.extend((_NUM(a), _NUM(b)))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    # v1 order S11 S21 S12 S22: each 2x2 matrix column by column.
+    cols = s.transpose(0, 2, 1).reshape(len(freq), s.shape[1] ** 2)
+    table = np.empty((len(freq), 1 + 2 * cols.shape[1]))
+    table[:, 0] = freq / header.unit_scale
+    if header.format == "RI":
+        table[:, 1::2], table[:, 2::2] = cols.real, cols.imag
+    else:
+        # np.hypot is the libm hypot that abs(complex) uses; a magnitude
+        # beyond the float range is written as inf, and 0 as -inf dB.
+        with np.errstate(over="ignore", divide="ignore"):
+            mag = np.hypot(cols.real, cols.imag)
+            table[:, 1::2] = 20.0 * np.log10(mag) if header.format == "DB" else mag
+        table[:, 2::2] = np.degrees(np.arctan2(cols.imag, cols.real))
+    return header.option_line() + "\n" + _format_table(table, " ")
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +441,9 @@ def write_design_spec(spec: DesignSpec) -> str:
 # CSV
 
 def write_curve_csv(curve: ComplexCurve) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["frequency_hz", "re", "im", "mag_db", "phase_deg"])
-    mag_db = curve.magnitude_db
-    phase = curve.phase_deg
-    for i, f in enumerate(curve.freq_hz):
-        v = curve.values[i]
-        w.writerow([_NUM(f), _NUM(v.real), _NUM(v.imag), _NUM(mag_db[i]), _NUM(phase[i])])
-    return buf.getvalue()
+    table = np.column_stack((curve.freq_hz, curve.values.real, curve.values.imag,
+                             curve.magnitude_db, curve.phase_deg))
+    return "frequency_hz,re,im,mag_db,phase_deg\n" + _format_table(table, ",")
 
 
 def write_metrics_csv(metrics: FilterMetrics) -> str:

@@ -80,6 +80,28 @@ def _admittance_values(p: MbvdParams, f: np.ndarray) -> np.ndarray:
     return 1.0 / (p.rs + 1j * w * p.ls + 1.0 / y_inner)
 
 
+def _check_defined(p: MbvdParams, f: np.ndarray) -> None:
+    """Raise DomainError where the admittance of p is a division by zero.
+
+    That happens only without loss and only exactly at a resonance: the
+    motional impedance vanishes at the series resonance when rm = 0, the
+    branch admittances cancel at the anti-resonance when rm = r0 = 0, and
+    the whole impedance vanishes where a lossless resonator resonates with
+    ls.  Callers evaluate under np.errstate and call this only when the
+    result is not finite, so it costs nothing on the hot path.
+    """
+    w = 2.0 * math.pi * f
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_mot, _, y_inner = _branches(p, w)
+        z = p.rs + 1j * w * p.ls + 1.0 / y_inner
+    for hit, name in ((z_mot == 0, "series resonance"), (y_inner == 0, "anti-resonance"),
+                      (z == 0, "resonance with its routing inductance")):
+        i = np.flatnonzero(hit)
+        if i.size:
+            raise DomainError(f"lossless resonator sampled exactly at its {name}, "
+                              f"{f[i[0]]:.10g} Hz: its admittance is undefined there")
+
+
 def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
     """Derivatives dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls.
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import MbvdParams, _admittance_values, resonator_admittance
+from .mbvd import MbvdParams, _admittance_values, _check_defined, resonator_admittance
 
 
 class ElementKind(enum.Enum):
@@ -192,10 +192,13 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     chain = None
-    for kind, p in design.elements:
-        m = _element(kind, _admittance_values(p, f))
-        chain = m if chain is None else _product(chain, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kind, p in design.elements:
+            m = _element(kind, _admittance_values(p, f))
+            chain = m if chain is None else _product(chain, m)
     if not all(np.all(np.isfinite(v)) for v in chain):
+        for _, p in design.elements:
+            _check_defined(p, f)
         raise DomainError("ABCD matrices contain non-finite entries")
     return _unchecked(SParameterBlock, freq_hz=f, s=_to_s(f, *chain, design.z0),
                       z0=design.z0)

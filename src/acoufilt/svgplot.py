@@ -76,7 +76,8 @@ def s21_magnitude_svg(curve: ComplexCurve, title: str = "S21 magnitude") -> str:
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{(_MT + _H - _MB) / 2:.2f})">|S21| (dB)</text>')
-    pts = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in zip(f_ghz, db))
+    xy = np.column_stack((px(f_ghz), py(db))).ravel().tolist()
+    pts = " ".join(["%.3f,%.3f"] * len(f_ghz)) % tuple(xy)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.5"/>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_MT - 6}" '

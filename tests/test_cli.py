@@ -1,8 +1,14 @@
+import contextlib
+import dataclasses
+import io
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_touchstone_properties import ALPHABET, touchstone_texts
 
 import acoufilt
 from acoufilt import io_formats
@@ -113,6 +119,42 @@ def test_sweep_rows_in_input_order(tmp_path, reference_design):
     assert values == sorted(values)
 
 
+def test_sweep_rows_match_the_library(tmp_path, reference_design):
+    path, design = reference_design
+    grid = np.linspace(1e9, 4e10, 801)
+    for param, values in (("series.lm", (0.9, 1.1)), ("shunt.c0", (0.8, 1.2)),
+                          ("filter.z0", (40.0, 60.0))):
+        section, key = param.split(".")
+        if section == "filter":
+            designs = [dataclasses.replace(design, z0=v) for v in values]
+        else:
+            kind = acoufilt.ElementKind(section)
+            (base,) = {p for k, p in design.elements if k is kind}
+            values = tuple(f * getattr(base, key) for f in values)
+            designs = [dataclasses.replace(design, elements=tuple(
+                (k, dataclasses.replace(p, **{key: v}) if k is kind else p)
+                for k, p in design.elements)) for v in values]
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--design", str(path), "--param", param,
+                   "--range", f"{values[0]!r}:{values[1]!r}:2", "--grid", "1e9:4e10:801",
+                   "--out", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        for row, d in zip(rows, designs):
+            m = acoufilt.passband_metrics(acoufilt.build_ladder_response(d, grid).s21())
+            assert row.split(",")[1:] == ["{:.16e}".format(v) for _, v in m.as_rows()]
+
+
+@pytest.mark.parametrize("param", ["shunt.bogus", "filter.rm", "spec.fc", "shunt"])
+def test_bad_sweep_param_is_exit_1(tmp_path, reference_design, capsys, param):
+    path, _ = reference_design
+    rc = main(["sweep", "--design", str(path), "--param", param, "--range", "1:2:2",
+               "--grid", "1e9:4e10:801", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_svg_output_is_deterministic(tmp_path, reference_design):
     path, _ = reference_design
     s2p = tmp_path / "f.s2p"
@@ -153,6 +195,35 @@ def test_fit_of_non_finite_sweep_is_exit_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 3:") and err.count("\n") == 1
+
+
+def test_fit_of_db_overflow_is_exit_1(tmp_path, capsys):
+    s1p = tmp_path / "loud.s1p"
+    s1p.write_text("# GHz S DB R 50\n1 7000 0\n")
+    rc = main(["fit", "--input", str(s1p), "--out", str(tmp_path / "fit.kv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 2: DB magnitude overflows\n"
+
+
+@settings(max_examples=60)
+@given(text=st.one_of(touchstone_texts(odds=2), st.text(alphabet=ALPHABET)))
+# Generated texts first reach a DB magnitude that overflows after a few
+# hundred examples, beyond this budget; the known case always runs.
+@example(text="# GHz S DB R 50\n1 7000 0\n")
+def test_metrics_and_fit_on_any_input_exit_cleanly(tmp_path_factory, text):
+    """Exit 0, or exit 1 with a one-line message; never a traceback."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "input.snp"
+    path.write_text(text)
+    for argv in (["metrics", "--input", str(path), "--out", str(work / "m.csv")],
+                 ["fit", "--input", str(path), "--out", str(work / "fit.kv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1)
+        if rc == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error():

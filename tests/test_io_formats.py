@@ -135,6 +135,39 @@ def test_touchstone_rejects_non_finite_numbers():
         assert err.value.line == line
 
 
+def test_touchstone_db_magnitude_overflow_is_format_error():
+    # 10 ** (7000 / 20) overflows a float.
+    with pytest.raises(FormatError) as err:
+        read_touchstone("# GHz S DB R 50\n1 -3 0\n2 7000 0\n")
+    assert err.value.line == 3
+    assert "DB magnitude overflows" in str(err.value)
+
+
+def test_touchstone_frequency_overflow_is_format_error():
+    with pytest.raises(FormatError) as err:
+        read_touchstone("# GHz S RI R 50\n1 0.5 0\n1e300 0.5 0\n")
+    assert err.value.line == 3
+    assert "overflows" in str(err.value)
+    # the same in a noise-parameter row
+    with pytest.raises(FormatError) as err:
+        read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 0.8 0.3 45.0 0.2\n"
+                        "1e300 0.8 0.3 45.0 0.2\n")
+    assert err.value.line == 5
+    assert "overflows" in str(err.value)
+
+
+def test_touchstone_first_bad_line_wins():
+    # A value error is found by the column checks, a layout error during the
+    # line pass; the earlier line is reported either way.
+    for text, line in (("# GHz S RI R 50\n1 nan 0\n2 0 0 0\n", 2),
+                       ("# GHz S RI R 50\n1 0 0\n2 0 0 0\n3 nan 0\n", 3),
+                       ("# GHz S RI R 50\n2 0 0\n1 0 0\n# GHz S RI R 50\n", 3),
+                       ("# GHz S RI R 50\n-1 0 0\n-2 0 0\n", 2)):
+        with pytest.raises(FormatError) as err:
+            read_touchstone(text)
+        assert err.value.line == line
+
+
 TWO_PORT_ROWS = (
     "1.0 0.1 -0.2 0.3 0.4 0.3 0.4 0.5 -0.6\n"
     "2.0 0.2 -0.1 0.4 0.3 0.4 0.3 0.6 -0.5\n"

@@ -192,6 +192,19 @@ def test_lossless_energy_conservation():
     assert np.max(np.abs(power - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("fs, f, name", [
+    (8.6396873e9, 8.6396873e9, "series resonance, 8639687300 Hz"),
+    (8.16e9, 9926359364.099905, "anti-resonance, 9926359364 Hz"),
+])
+def test_lossless_resonance_on_the_grid_is_named(fs, f, name):
+    # A lossless resonator sampled exactly at a resonance: the admittance is
+    # a division by zero there.  Runs with warnings as errors.
+    p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
+    design = LadderDesign(((ElementKind.SERIES, p),), z0=50.0)
+    with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
+        build_ladder_response(design, [f])
+
+
 def test_one_port_round_trip():
     p = mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
     s11 = one_port_s11(p, GRID, z0=50.0)
