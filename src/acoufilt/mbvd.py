@@ -67,17 +67,22 @@ class ResonatorSummary:
     q_antires: float
 
 
-def _branches(p: MbvdParams, w: np.ndarray):
+def _jw(f: np.ndarray) -> np.ndarray:
+    """j*omega on a grid, the argument of the branch algebra below."""
+    return 1j * (2.0 * math.pi * f)
+
+
+def _branches(p: MbvdParams, jw):
     """Motional and static branch impedances and their parallel admittance."""
-    z_mot = p.rm + 1j * w * p.lm + 1.0 / (1j * w * p.cm)
-    z_stat = p.r0 + 1.0 / (1j * w * p.c0)
+    z_mot = p.rm + jw * p.lm + 1.0 / (jw * p.cm)
+    z_stat = p.r0 + 1.0 / (jw * p.c0)
     return z_mot, z_stat, 1.0 / z_mot + 1.0 / z_stat
 
 
-def _admittance_values(p: MbvdParams, f: np.ndarray) -> np.ndarray:
-    w = 2.0 * math.pi * f
-    _, _, y_inner = _branches(p, w)
-    return 1.0 / (p.rs + 1j * w * p.ls + 1.0 / y_inner)
+def _admittance_values(p: MbvdParams, jw: np.ndarray) -> np.ndarray:
+    """Admittance of p from jw = _jw(f); callers on one grid share jw."""
+    _, _, y_inner = _branches(p, jw)
+    return 1.0 / (p.rs + jw * p.ls + 1.0 / y_inner)
 
 
 def _check_defined(p: MbvdParams, f: np.ndarray) -> None:
@@ -90,10 +95,10 @@ def _check_defined(p: MbvdParams, f: np.ndarray) -> None:
     ls.  Callers evaluate under np.errstate and call this only when the
     result is not finite, so it costs nothing on the hot path.
     """
-    w = 2.0 * math.pi * f
+    jw = _jw(f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_mot, _, y_inner = _branches(p, w)
-        z = p.rs + 1j * w * p.ls + 1.0 / y_inner
+        z_mot, _, y_inner = _branches(p, jw)
+        z = p.rs + jw * p.ls + 1.0 / y_inner
     for hit, name in ((z_mot == 0, "series resonance"), (y_inner == 0, "anti-resonance"),
                       (z == 0, "resonance with its routing inductance")):
         i = np.flatnonzero(hit)
@@ -110,25 +115,26 @@ def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
     impedance z enters Z through dZ = dz / (y_inner * z)^2.
     """
     w = 2.0 * math.pi * f
-    z_mot, z_stat, y_inner = _branches(p, w)
-    y = 1.0 / (p.rs + 1j * w * p.ls + 1.0 / y_inner)
+    jw = 1j * w
+    z_mot, z_stat, y_inner = _branches(p, jw)
+    y = 1.0 / (p.rs + jw * p.ls + 1.0 / y_inner)
     g_mot = -((y / (y_inner * z_mot)) ** 2)
     g_stat = -((y / (y_inner * z_stat)) ** 2)
     g_route = -(y * y)
     return np.stack([
         g_mot * p.rm,
-        g_mot * (1j * w * p.lm),
+        g_mot * (jw * p.lm),
         g_mot * (1j / (w * p.cm)),
         g_stat * (1j / (w * p.c0)),
         g_route * p.rs,
-        g_route * (1j * w * p.ls),
+        g_route * (jw * p.ls),
     ], axis=1)
 
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     """Input admittance of the full parasitic-loaded resonator on a grid."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    return ComplexCurve(f, _admittance_values(p, f), label="Y")
+    return ComplexCurve(f, _admittance_values(p, _jw(f)), label="Y")
 
 
 def series_resonance(p: MbvdParams) -> float:
@@ -209,7 +215,7 @@ def perceived_resonance(p: MbvdParams, search_band: tuple[float, float] | None =
     f_lo, f_hi = search_band
     if not (0.0 < f_lo < f_hi):
         raise DomainError("search band must satisfy 0 < lo < hi")
-    return _peak_frequency(lambda g: np.abs(_admittance_values(p, g)), f_lo, f_hi)
+    return _peak_frequency(lambda g: np.abs(_admittance_values(p, _jw(g))), f_lo, f_hi)
 
 
 def q_at_antiresonance(p: MbvdParams) -> float:
@@ -221,11 +227,12 @@ def q_at_antiresonance(p: MbvdParams) -> float:
     """
     if p.lossless():
         return math.inf
-    f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, g)),
+    f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, _jw(g))),
                             series_resonance(p) * 0.5, antiresonance(p) * 2.0)
     w = 2.0 * math.pi * f_max
-    z_mot, z_stat, y_inner = _branches(p, w)
-    z = p.rs + 1j * w * p.ls + 1.0 / y_inner
+    jw = 1j * w
+    z_mot, z_stat, y_inner = _branches(p, jw)
+    z = p.rs + jw * p.ls + 1.0 / y_inner
     # dz/dw of the branches: j*lm + j/(w^2*cm) and j/(w^2*c0).
     dy_inner = (-(1j * p.lm + 1j / (w * w * p.cm)) / z_mot**2
                 - (1j / (w * w * p.c0)) / z_stat**2)

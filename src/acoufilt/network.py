@@ -10,7 +10,7 @@ import numpy as np
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import MbvdParams, _admittance_values, _check_defined, resonator_admittance
+from .mbvd import MbvdParams, _admittance_values, _check_defined, _jw, resonator_admittance
 
 
 class ElementKind(enum.Enum):
@@ -122,17 +122,24 @@ def _stack(n: int, a, b, c, d) -> np.ndarray:
     return mats
 
 
-def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float) -> np.ndarray:
-    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d)."""
-    bz, cz = b / z0, c * z0
+def _delta(freq_hz: np.ndarray, a, bz, cz, d) -> tuple:
+    """Denominator delta = a + b/z0 + c*z0 + d of the ABCD->S conversion,
+    checked nonzero, and S21 = 2 / delta."""
     delta = a + bz + cz + d
     bad = np.flatnonzero(delta == 0)
     if bad.size:
         raise SingularConversionError(float(freq_hz[bad[0]]))
+    return delta, 2.0 / delta
+
+
+def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float) -> np.ndarray:
+    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d)."""
+    bz, cz = b / z0, c * z0
+    delta, s21 = _delta(freq_hz, a, bz, cz, d)
     return _stack(freq_hz.size,
                   (a + bz - cz - d) / delta,
                   2.0 * (a * d - b * c) / delta,
-                  2.0 / delta,
+                  s21,
                   (-a + bz - cz + d) / delta)
 
 
@@ -184,6 +191,28 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     return SParameterBlock(block.freq_hz, s, z0=z0)
 
 
+def _chain(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> tuple:
+    """Chain matrix (a, b, c, d) of a ladder on a checked grid f, jw = _jw(f).
+
+    Each distinct resonator (equal MbvdParams) is evaluated once.  A lossless
+    resonator sampled exactly at a resonance is named by _check_defined.
+    """
+    admittances: dict[MbvdParams, np.ndarray] = {}
+    chain = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for kind, p in design.elements:
+            y = admittances.get(p)
+            if y is None:
+                y = admittances[p] = _admittance_values(p, jw)
+            m = _element(kind, y)
+            chain = m if chain is None else _product(chain, m)
+    if not all(np.all(np.isfinite(v)) for v in chain):
+        for p in admittances:
+            _check_defined(p, f)
+        raise DomainError("ABCD matrices contain non-finite entries")
+    return chain
+
+
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """Evaluate a ladder design to two-port S-parameters on a grid.
 
@@ -191,26 +220,30 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     complex vectors a, b, c, d and multiplied elementwise.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    chain = None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for kind, p in design.elements:
-            m = _element(kind, _admittance_values(p, f))
-            chain = m if chain is None else _product(chain, m)
-    if not all(np.all(np.isfinite(v)) for v in chain):
-        for _, p in design.elements:
-            _check_defined(p, f)
-        raise DomainError("ABCD matrices contain non-finite entries")
-    return _unchecked(SParameterBlock, freq_hz=f, s=_to_s(f, *chain, design.z0),
-                      z0=design.z0)
+    s = _to_s(f, *_chain(design, f, _jw(f)), design.z0)
+    return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=design.z0)
+
+
+def _ladder_s21(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> ComplexCurve:
+    """S21 of a ladder on a checked grid f, jw = _jw(f): the values of
+    build_ladder_response(design, f).s21(), without the other entries."""
+    a, b, c, d = _chain(design, f, jw)
+    _, s21 = _delta(f, a, b / design.z0, c * design.z0, d)
+    return _unchecked(ComplexCurve, freq_hz=f, values=s21, label="S21")
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
     """Reflection coefficient of a resonator measured as a one-port."""
     if not z0 > 0:
         raise DomainError("reference impedance must be positive")
-    y = resonator_admittance(p, freq_hz)
-    z = 1.0 / y.values
-    return ComplexCurve(y.freq_hz, (z - z0) / (z + z0), label="S11")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = resonator_admittance(p, freq_hz)
+        z = 1.0 / y.values
+        s11 = (z - z0) / (z + z0)
+    if not np.all(np.isfinite(s11)):
+        _check_defined(p, y.freq_hz)
+        raise DomainError("S11 contains non-finite entries")
+    return ComplexCurve(y.freq_hz, s11, label="S11")
 
 
 def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:

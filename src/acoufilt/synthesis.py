@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from .curves import validate_grid
 from .errors import AcoufiltError, DomainError
-from .mbvd import K2_MAX, mbvd_from_targets
+from .mbvd import K2_MAX, _jw, mbvd_from_targets
 from .metrics import FilterMetrics, passband_metrics
-from .network import LadderDesign, build_ladder_response, shunt_series_shunt
+from .network import LadderDesign, _ladder_s21, build_ladder_response, shunt_series_shunt
 
 # Synthesis scoring grid: wide enough to see OoB on both sides of the band.
 _GRID_POINTS = 1601
@@ -47,6 +48,11 @@ class DesignSpec:
     il_max_db: float = 3.0
 
     def __post_init__(self):
+        # q = inf asks for a lossless search; every other field must be finite.
+        finite = (self.fc_target, self.fbw_target, self.z0, self.oob_min_db, self.k2,
+                  self.rs, self.ls, self.il_max_db)
+        if not all(math.isfinite(v) for v in finite) or math.isnan(self.q):
+            raise DomainError("spec quantities must be finite (q may be inf)")
         if min(self.fc_target, self.fbw_target, self.z0, self.oob_min_db,
                self.q, self.il_max_db) <= 0:
             raise DomainError("spec quantities must be positive")
@@ -124,26 +130,31 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
     metrics; ``feasible`` reports whether every target is met.  The search
     is fully deterministic: fixed initial simplex, fixed evaluation cap.
     """
-    grid = np.linspace(_GRID_SPAN[0] * spec.fc_target,
-                       _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS)
+    grid = validate_grid(np.linspace(_GRID_SPAN[0] * spec.fc_target,
+                                     _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))
+    jw = _jw(grid)
+
+    def metrics_of(s21):
+        try:
+            return passband_metrics(s21, guard=guard)
+        except AcoufiltError:
+            return None
 
     def evaluate(x):
+        """The design at x and its metrics from the full two-port response."""
         design = _design_from_x(x, spec)
         if design is None:
             return None, None
-        sp = build_ladder_response(design, grid)
-        try:
-            m = passband_metrics(sp.s21(), guard=guard)
-        except AcoufiltError:
-            return design, None
-        return design, m
+        return design, metrics_of(build_ladder_response(design, grid).s21())
 
     n_evals = 0
 
     def objective(u):
+        # Scores candidates on S21 alone, on the grid and jw built above.
         nonlocal n_evals
         n_evals += 1
-        _, m = evaluate(x0 * u)
+        design = _design_from_x(x0 * u, spec)
+        m = None if design is None else metrics_of(_ladder_s21(design, grid, jw))
         if m is None:
             return _FAILED_EVAL_PENALTY
         return _score(m, spec)

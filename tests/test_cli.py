@@ -226,6 +226,20 @@ def test_metrics_and_fit_on_any_input_exit_cleanly(tmp_path_factory, text):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("key, value", [("z0", "inf"), ("oob_min_db", "nan"), ("fc", "nan")])
+def test_synthesize_of_non_finite_spec_is_exit_1(tmp_path, capsys, key, value):
+    fields = {"fc": "23.5e9", "fbw": "0.16", "k2": "0.46", "q": "50", key: value}
+    spec = tmp_path / "spec.kv"
+    spec.write_text("[spec]\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+    rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "d.kv"),
+               "--grid", "1e10:4e10:11"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spec quantities must be finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "d.kv").exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--frobnicate"])

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acoufilt import (
@@ -21,8 +22,15 @@ from acoufilt import (
     series_resonance,
     shunt_series_shunt,
 )
-from acoufilt.errors import DomainError, GridAlignmentError, SingularConversionError
-from acoufilt.network import identity_block
+from acoufilt import network
+from acoufilt.errors import (
+    AcoufiltError,
+    DomainError,
+    GridAlignmentError,
+    SingularConversionError,
+)
+from acoufilt.mbvd import _admittance_values, _jw
+from acoufilt.network import _ladder_s21, identity_block
 
 GRID = np.linspace(1e9, 40e9, 101)
 
@@ -192,10 +200,15 @@ def test_lossless_energy_conservation():
     assert np.max(np.abs(power - 1.0)) < 1e-9
 
 
-@pytest.mark.parametrize("fs, f, name", [
+# A lossless resonator mbvd_from_targets(fs, 0.4, 1e-13, inf) sampled at f,
+# exactly on one of its resonances.
+LOSSLESS_HITS = [
     (8.6396873e9, 8.6396873e9, "series resonance, 8639687300 Hz"),
     (8.16e9, 9926359364.099905, "anti-resonance, 9926359364 Hz"),
-])
+]
+
+
+@pytest.mark.parametrize("fs, f, name", LOSSLESS_HITS)
 def test_lossless_resonance_on_the_grid_is_named(fs, f, name):
     # A lossless resonator sampled exactly at a resonance: the admittance is
     # a division by zero there.  Runs with warnings as errors.
@@ -203,6 +216,30 @@ def test_lossless_resonance_on_the_grid_is_named(fs, f, name):
     design = LadderDesign(((ElementKind.SERIES, p),), z0=50.0)
     with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
         build_ladder_response(design, [f])
+
+
+@pytest.mark.parametrize("fs, f, name", LOSSLESS_HITS)
+def test_lossless_resonance_in_one_port_s11_is_named(fs, f, name):
+    # Runs with warnings as errors: no numpy warning, no NaN S11.
+    p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
+    with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
+        one_port_s11(p, [f])
+
+
+def test_equal_resonators_are_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting(p, jw):
+        calls.append(p)
+        return _admittance_values(p, jw)
+
+    shunt = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    design = LadderDesign(((ElementKind.SHUNT, shunt),
+                           (ElementKind.SERIES, mbvd_from_targets(23e9, 0.42, 25e-15, 40)),
+                           (ElementKind.SHUNT, dataclasses.replace(shunt))), z0=50.0)
+    monkeypatch.setattr(network, "_admittance_values", counting)
+    build_ladder_response(design, GRID)
+    assert len(calls) == 2
 
 
 def test_one_port_round_trip():
@@ -275,3 +312,56 @@ def test_ladder_response_is_reciprocal_and_passive(design, grid):
     s = build_ladder_response(design, grid).s
     assert np.max(np.abs(s[:, 0, 1] - s[:, 1, 0])) <= 1e-12
     assert np.linalg.svd(s, compute_uv=False).max() <= 1.0 + 1e-9
+
+
+@st.composite
+def ladders_with_repeats(draw):
+    """Ladders of 1-6 elements drawn from 1-3 resonators, lossy or lossless,
+    each use either the same object or an equal copy; the grid sometimes
+    holds a resonator's series resonance exactly."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        lossless = draw(st.booleans())
+        pool.append(mbvd_from_targets(
+            fs=draw(st.floats(5e9, 35e9)),
+            k2=draw(st.floats(0.05, 0.8)),
+            c0=draw(st.floats(2e-14, 3e-13)),
+            q=math.inf if lossless else draw(st.floats(10.0, 1e4)),
+            rs=0.0 if lossless else draw(st.floats(0.0, 1.5)),
+            ls=draw(st.floats(0.0, 8e-11)),
+        ))
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            p = dataclasses.replace(p)
+        elements.append((draw(st.sampled_from(ElementKind)), p))
+    design = LadderDesign(elements=tuple(elements),
+                          z0=draw(st.sampled_from([25.0, 50.0, 75.0])))
+    points = draw(st.lists(st.floats(1e9, 50e9), min_size=1, max_size=64))
+    points += [series_resonance(p) for p in pool if draw(st.booleans())]
+    return design, np.unique(np.array(points))
+
+
+_HIT = mbvd_from_targets(8.6396873e9, 0.4, 1e-13, math.inf)
+_LOSSY = mbvd_from_targets(8.0e9, 0.4, 2e-13, 50.0)
+
+
+@given(ladders_with_repeats())
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _HIT),
+                        (ElementKind.SHUNT, _LOSSY)), z0=50.0),
+          np.array([8e9, 8.6396873e9, 9e9])))
+def test_s21_path_matches_build_ladder_response(case):
+    # Bit for bit, or the same exception class with the same message.
+    design, grid = case
+    try:
+        ref = build_ladder_response(design, grid).s21()
+    except AcoufiltError as exc:
+        with pytest.raises(AcoufiltError) as err:
+            _ladder_s21(design, grid, _jw(grid))
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    s21 = _ladder_s21(design, grid, _jw(grid))
+    assert np.array_equal(s21.freq_hz, ref.freq_hz)
+    assert s21.values.tobytes() == ref.values.tobytes()

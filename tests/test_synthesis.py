@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,14 @@ def test_self_consistency_on_secondary_spec():
     assert fresh == result.metrics
 
 
+def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_result):
+    # The search must take the same path when every candidate is scored from
+    # the full two-port response.
+    monkeypatch.setattr(synthesis, "_ladder_s21",
+                        lambda design, f, jw: build_ladder_response(design, f).s21())
+    assert synthesize_ladder(REFERENCE_SPEC) == reference_result
+
+
 def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):
     # Only toolkit errors mean "no scoreable passband"; anything else is a bug.
     def broken(*args, **kwargs):
@@ -98,6 +109,21 @@ def test_spec_validation():
         DesignSpec(fc_target=1e9, fbw_target=0.1, k2=1.5, q=50)
     with pytest.raises(DomainError):
         DesignSpec(fc_target=1e9, fbw_target=0.1, k2=0.4, q=50, rs=-1.0)
+
+
+NON_FINITE_FIELDS = [(f.name, v) for f in dataclasses.fields(DesignSpec)
+                     for v in (math.nan, math.inf, -math.inf)
+                     if not (f.name == "q" and v == math.inf)]
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_FIELDS)
+def test_spec_rejects_non_finite_fields(field, value):
+    with pytest.raises(DomainError):
+        dataclasses.replace(REFERENCE_SPEC, **{field: value})
+
+
+def test_spec_accepts_lossless_q():
+    assert dataclasses.replace(REFERENCE_SPEC, q=math.inf).q == math.inf
 
 
 def test_thickness_scale():
