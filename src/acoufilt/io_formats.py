@@ -44,8 +44,8 @@ class TouchstoneHeader:
             raise DomainError("only S-parameter Touchstone files are supported")
         if self.format not in _FORMATS:
             raise DomainError(f"unknown Touchstone format {self.format!r}")
-        if not self.reference_resistance > 0:
-            raise DomainError("reference resistance must be positive")
+        if not 0 < self.reference_resistance < math.inf:
+            raise DomainError("reference resistance must be positive and finite")
 
     @property
     def unit_scale(self) -> float:

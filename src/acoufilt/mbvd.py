@@ -24,6 +24,7 @@ K2_MAX = math.pi**2 / 8.0
 # Dense-scan density used before the bounded scalar refinement.
 _SCAN_POINTS_PER_DECADE = 2001
 _PEAK_REL_TOL = 1e-9
+_UNDEFINED = "lossless resonator sampled exactly at its {}, {:.10g} Hz: its {} is undefined there"
 
 
 @dataclass(frozen=True)
@@ -79,32 +80,47 @@ def _branches(p: MbvdParams, jw):
     return z_mot, z_stat, 1.0 / z_mot + 1.0 / z_stat
 
 
+def _terms(p: MbvdParams, jw):
+    """pm, ps, num and den of the admittance Y = num / den of p.
+
+    With s = jw, the motional branch is pm / (s*cm), the static branch
+    ps / (s*c0) and their parallel admittance num / (pm*ps), so that
+    Y = 1 / (rs + s*ls + pm*ps/num) = num / (pm*ps + (rs + s*ls)*num) takes
+    one division.
+    """
+    pm = (jw * p.lm + p.rm) * jw * p.cm + 1.0
+    ps = jw * p.r0 * p.c0 + 1.0
+    num = jw * (p.cm * ps + p.c0 * pm)
+    return pm, ps, num, pm * ps + (p.rs + jw * p.ls) * num
+
+
 def _admittance_values(p: MbvdParams, jw: np.ndarray) -> np.ndarray:
     """Admittance of p from jw = _jw(f); callers on one grid share jw."""
-    _, _, y_inner = _branches(p, jw)
-    return 1.0 / (p.rs + jw * p.ls + 1.0 / y_inner)
+    _, _, num, den = _terms(p, jw)
+    return num / den
 
 
-def _check_defined(p: MbvdParams, f: np.ndarray) -> None:
-    """Raise DomainError where the admittance of p is a division by zero.
+def _check_defined(p: MbvdParams, f: np.ndarray, inverted: bool = True) -> None:
+    """Raise DomainError where the admittance of p, or with ``inverted`` its
+    impedance 1 / Y, is a division by zero.
 
-    That happens only without loss and only exactly at a resonance: the
-    motional impedance vanishes at the series resonance when rm = 0, the
-    branch admittances cancel at the anti-resonance when rm = r0 = 0, and
-    the whole impedance vanishes where a lossless resonator resonates with
-    ls.  Callers evaluate under np.errstate and call this only when the
-    result is not finite, so it costs nothing on the hot path.
+    Both happen only without loss and only exactly at a resonance.  den
+    vanishes at the series resonance when rm = rs = ls = 0 and where a
+    lossless resonator resonates with ls.  num vanishes at the
+    anti-resonance when rm = r0 = 0: there Y = 0 exactly, the physical value
+    for a shunt element, and an infinite impedance for a series element or
+    a one-port.  Callers evaluate under np.errstate and call this only when
+    the result is not finite, so it costs nothing on the hot path.
     """
-    jw = _jw(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z_mot, _, y_inner = _branches(p, jw)
-        z = p.rs + jw * p.ls + 1.0 / y_inner
-    for hit, name in ((z_mot == 0, "series resonance"), (y_inner == 0, "anti-resonance"),
-                      (z == 0, "resonance with its routing inductance")):
-        i = np.flatnonzero(hit)
+    pm, _, num, den = _terms(p, _jw(f))
+    i = np.flatnonzero(den == 0)
+    if i.size:
+        name = "series resonance" if pm[i[0]] == 0 else "resonance with its routing inductance"
+        raise DomainError(_UNDEFINED.format(name, f[i[0]], "admittance"))
+    if inverted:
+        i = np.flatnonzero(num == 0)
         if i.size:
-            raise DomainError(f"lossless resonator sampled exactly at its {name}, "
-                              f"{f[i[0]]:.10g} Hz: its admittance is undefined there")
+            raise DomainError(_UNDEFINED.format("anti-resonance", f[i[0]], "impedance"))
 
 
 def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:

@@ -72,17 +72,33 @@ def _edge(freq, mag_db, peak_idx, target_db, direction, level_db):
     side of the peak; its neighbour towards the peak is still above it.
     """
     if direction < 0:
-        hits = np.flatnonzero(mag_db[:peak_idx] <= target_db)
-        j = int(hits[-1]) if hits.size else -1
+        below = mag_db[peak_idx - 1::-1] <= target_db
+        k = int(np.argmax(below))
+        j = peak_idx - 1 - k if below[k] else -1
     else:
-        hits = np.flatnonzero(mag_db[peak_idx + 1:] <= target_db)
-        j = peak_idx + 1 + int(hits[0]) if hits.size else -1
+        below = mag_db[peak_idx + 1:] <= target_db
+        k = int(np.argmax(below))
+        j = peak_idx + 1 + k if below[k] else -1
     if j < 0:
         raise BandEdgeError("low" if direction < 0 else "high", level_db)
     if mag_db[j] == target_db:
         return float(freq[j])
     a, b = (j, j + 1) if direction < 0 else (j - 1, j)
     return crossing_interpolate(freq[a], mag_db[a], freq[b], mag_db[b], target_db)
+
+
+def _stopband_peak(freq, mag_db, stop_lo, stop_hi) -> float:
+    """Largest mag_db where freq <= stop_lo or freq >= stop_hi.
+
+    Those samples are a head and a tail of the increasing grid.  searchsorted
+    sorts a NaN bound last, but neither comparison holds for it.
+    """
+    head = np.searchsorted(freq, stop_lo, side="right") if stop_lo == stop_lo else 0
+    tail = np.searchsorted(freq, stop_hi, side="left")
+    stop = np.concatenate((mag_db[:head], mag_db[tail:]))
+    if not stop.size:
+        raise StopbandError("no grid points in the out-of-band region")
+    return float(np.max(stop))
 
 
 def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterMetrics:
@@ -92,10 +108,14 @@ def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterM
     crossings, and the |S21| maximum must be interior.  ``guard`` is the
     fractional offset from the 3-dB edges at which the stopband starts.
     """
+    return _metrics_from_db(s21.freq_hz, s21.magnitude_db, guard)
+
+
+def _metrics_from_db(freq: np.ndarray, mag_db: np.ndarray, guard: float) -> FilterMetrics:
+    """passband_metrics of the |S21| samples mag_db, in dB, on the checked
+    grid freq."""
     if guard < 0:
         raise DomainError("guard must be nonnegative")
-    freq = s21.freq_hz
-    mag_db = s21.magnitude_db
     peak_idx = int(np.argmax(mag_db))
     if peak_idx == 0 or peak_idx == freq.size - 1:
         raise DegeneratePassbandError("|S21| maximum sits on the grid boundary")
@@ -110,10 +130,7 @@ def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterM
     bw20 = f_hi20 - f_lo20
     fc = 0.5 * (f_lo3 + f_hi3)
 
-    stop = (freq <= f_lo3 * (1.0 - guard)) | (freq >= f_hi3 * (1.0 + guard))
-    if not np.any(stop):
-        raise StopbandError("no grid points in the out-of-band region")
-    oob = peak_db - float(np.max(mag_db[stop]))
+    oob = peak_db - _stopband_peak(freq, mag_db, f_lo3 * (1.0 - guard), f_hi3 * (1.0 + guard))
 
     return FilterMetrics(
         fc=fc,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -11,6 +12,11 @@ import numpy as np
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
 from .mbvd import MbvdParams, _admittance_values, _check_defined, _jw, resonator_admittance
+
+
+def _check_z0(z0: float, name: str = "reference impedance") -> None:
+    if not 0 < z0 < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
 
 
 class ElementKind(enum.Enum):
@@ -49,8 +55,7 @@ class SParameterBlock:
         s = np.asarray(self.s, dtype=complex)
         if s.shape != (f.size, 2, 2):
             raise DomainError("S matrices must have shape (n, 2, 2)")
-        if not self.z0 > 0:
-            raise DomainError("reference impedance must be positive")
+        _check_z0(self.z0)
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "s", s)
 
@@ -77,8 +82,7 @@ class LadderDesign:
         for kind, p in self.elements:
             if not isinstance(kind, ElementKind) or not isinstance(p, MbvdParams):
                 raise DomainError("elements must be (ElementKind, MbvdParams) pairs")
-        if not self.z0 > 0:
-            raise DomainError("port impedance must be positive")
+        _check_z0(self.z0, "port impedance")
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
@@ -103,6 +107,18 @@ def _element(kind: ElementKind, y: np.ndarray) -> tuple:
     raise DomainError(f"unknown element kind {kind!r}")
 
 
+def _fold(chain: tuple, kind: ElementKind, y: np.ndarray) -> tuple:
+    """Chain matrix (a, b, c, d) times the element of kind with admittance y,
+    written out with the element's 1s and 0s."""
+    a, b, c, d = chain
+    if kind is ElementKind.SERIES:
+        z = 1.0 / y
+        return a, a * z + b, c, c * z + d
+    if kind is ElementKind.SHUNT:
+        return a + b * y, b, c + d * y, d
+    raise DomainError(f"unknown element kind {kind!r}")
+
+
 def _product(m: tuple, n: tuple) -> tuple:
     """Per-frequency 2x2 product m @ n of chain matrices held as (a, b, c, d)."""
     a1, b1, c1, d1 = m
@@ -122,24 +138,26 @@ def _stack(n: int, a, b, c, d) -> np.ndarray:
     return mats
 
 
-def _delta(freq_hz: np.ndarray, a, bz, cz, d) -> tuple:
-    """Denominator delta = a + b/z0 + c*z0 + d of the ABCD->S conversion,
-    checked nonzero, and S21 = 2 / delta."""
-    delta = a + bz + cz + d
-    bad = np.flatnonzero(delta == 0)
-    if bad.size:
-        raise SingularConversionError(float(freq_hz[bad[0]]))
-    return delta, 2.0 / delta
+def _delta(a, b, c, d, z0: float):
+    """Denominator delta = a + b/z0 + c*z0 + d of the ABCD->S conversion."""
+    return a + b / z0 + c * z0 + d
 
 
-def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float) -> np.ndarray:
-    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d)."""
+def _nonzero(freq_hz: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """delta, or SingularConversionError at the first frequency where it is 0."""
+    if not delta.all():
+        raise SingularConversionError(float(freq_hz[np.flatnonzero(delta == 0)[0]]))
+    return delta
+
+
+def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float, delta: np.ndarray) -> np.ndarray:
+    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d),
+    given their nonzero delta = _delta(a, b, c, d, z0)."""
     bz, cz = b / z0, c * z0
-    delta, s21 = _delta(freq_hz, a, bz, cz, d)
     return _stack(freq_hz.size,
                   (a + bz - cz - d) / delta,
                   2.0 * (a * d - b * c) / delta,
-                  s21,
+                  2.0 / delta,
                   (-a + bz - cz + d) / delta)
 
 
@@ -185,17 +203,22 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
 
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     """Convert chain matrices to scattering parameters at reference z0."""
-    if not z0 > 0:
-        raise DomainError("reference impedance must be positive")
-    s = _to_s(block.freq_hz, *_entries(block.mats), z0)
-    return SParameterBlock(block.freq_hz, s, z0=z0)
+    _check_z0(z0)
+    f = block.freq_hz
+    chain = _entries(block.mats)
+    s = _to_s(f, *chain, z0, _nonzero(f, _delta(*chain, z0)))
+    return SParameterBlock(f, s, z0=z0)
 
 
 def _chain(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> tuple:
-    """Chain matrix (a, b, c, d) of a ladder on a checked grid f, jw = _jw(f).
+    """Chain matrix (a, b, c, d) of a ladder on a checked grid f, jw = _jw(f),
+    and its nonzero delta at the port impedance.
 
-    Each distinct resonator (equal MbvdParams) is evaluated once.  A lossless
-    resonator sampled exactly at a resonance is named by _check_defined.
+    Each distinct resonator (equal MbvdParams) is evaluated once, and each
+    element is folded into the chain.  Any non-finite entry makes delta
+    non-finite, so only delta is checked; only then are the entries checked
+    and a lossless resonator sampled exactly at a resonance named by
+    _check_defined.
     """
     admittances: dict[MbvdParams, np.ndarray] = {}
     chain = None
@@ -204,38 +227,40 @@ def _chain(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> tuple:
             y = admittances.get(p)
             if y is None:
                 y = admittances[p] = _admittance_values(p, jw)
-            m = _element(kind, y)
-            chain = m if chain is None else _product(chain, m)
-    if not all(np.all(np.isfinite(v)) for v in chain):
-        for p in admittances:
-            _check_defined(p, f)
+            chain = _element(kind, y) if chain is None else _fold(chain, kind, y)
+        delta = _delta(*chain, design.z0)
+    if not np.isfinite(delta).all() and not all(np.all(np.isfinite(v)) for v in chain):
+        for kind, p in design.elements:
+            _check_defined(p, f, inverted=kind is ElementKind.SERIES)
         raise DomainError("ABCD matrices contain non-finite entries")
-    return chain
+    return chain, _nonzero(f, delta)
 
 
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """Evaluate a ladder design to two-port S-parameters on a grid.
 
     The grid is checked once; the chain matrices are carried as four
-    complex vectors a, b, c, d and multiplied elementwise.
+    complex vectors a, b, c, d and updated elementwise.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    s = _to_s(f, *_chain(design, f, _jw(f)), design.z0)
+    chain, delta = _chain(design, f, _jw(f))
+    s = _to_s(f, *chain, design.z0, delta)
     return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=design.z0)
 
 
-def _ladder_s21(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> ComplexCurve:
-    """S21 of a ladder on a checked grid f, jw = _jw(f): the values of
-    build_ladder_response(design, f).s21(), without the other entries."""
-    a, b, c, d = _chain(design, f, jw)
-    _, s21 = _delta(f, a, b / design.z0, c * design.z0, d)
-    return _unchecked(ComplexCurve, freq_hz=f, values=s21, label="S21")
+_DB_OF_2 = 20.0 * math.log10(2.0)
+
+
+def _ladder_s21_db(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
+    """|S21| in dB of a ladder on a checked grid f, jw = _jw(f), from delta
+    alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|."""
+    _, delta = _chain(design, f, jw)
+    return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
     """Reflection coefficient of a resonator measured as a one-port."""
-    if not z0 > 0:
-        raise DomainError("reference impedance must be positive")
+    _check_z0(z0)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = resonator_admittance(p, freq_hz)
         z = 1.0 / y.values
@@ -248,7 +273,6 @@ def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
 
 def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:
     """Invert a one-port reflection measurement back to input admittance."""
-    if not z0 > 0:
-        raise DomainError("reference impedance must be positive")
+    _check_z0(z0)
     y = (1.0 - s11.values) / (1.0 + s11.values) / z0
     return ComplexCurve(s11.freq_hz, y, label="Y")

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from . import metrics
 from .curves import validate_grid
 from .errors import AcoufiltError, DomainError
 from .mbvd import K2_MAX, _jw, mbvd_from_targets
 from .metrics import FilterMetrics, passband_metrics
-from .network import LadderDesign, _ladder_s21, build_ladder_response, shunt_series_shunt
+from .network import LadderDesign, _ladder_s21_db, build_ladder_response, shunt_series_shunt
 
 # Synthesis scoring grid: wide enough to see OoB on both sides of the band.
 _GRID_POINTS = 1601
@@ -150,12 +151,16 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
     n_evals = 0
 
     def objective(u):
-        # Scores candidates on S21 alone, on the grid and jw built above.
+        # Scores candidates on |S21| in dB alone, on the grid and jw built above.
         nonlocal n_evals
         n_evals += 1
         design = _design_from_x(x0 * u, spec)
-        m = None if design is None else metrics_of(_ladder_s21(design, grid, jw))
-        if m is None:
+        if design is None:
+            return _FAILED_EVAL_PENALTY
+        mag_db = _ladder_s21_db(design, grid, jw)
+        try:
+            m = metrics._metrics_from_db(grid, mag_db, guard)
+        except AcoufiltError:
             return _FAILED_EVAL_PENALTY
         return _score(m, spec)
 

@@ -240,6 +240,27 @@ def test_synthesize_of_non_finite_spec_is_exit_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "d.kv").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("out", ["filter.s2p", "resonator.s1p"])
+def test_simulate_of_non_finite_z0_is_exit_1(tmp_path, reference_design, capsys, value, out):
+    # Warnings are errors here: no numpy warning, no NaN S-parameters.
+    path, design = reference_design
+    if out.endswith(".s1p"):
+        text = f"[filter]\nz0 = {value}\n\n" + io_formats.write_resonator(design.elements[1][1])
+    else:
+        text = path.read_text().replace("z0 = 5.0000000000000000e+01", f"z0 = {value}")
+        assert f"z0 = {value}" in text
+    bad = tmp_path / "bad.kv"
+    bad.write_text(text)
+    rc = main(["simulate", "--design", str(bad), "--grid", "1e10:3e10:3",
+               "--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be positive and finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / out).exists()
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--frobnicate"])

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acoufilt import ComplexCurve, crossing_interpolate, metrics, passband_metrics
@@ -170,4 +170,53 @@ def test_band_edges_match_the_walking_oracle(curve, guard):
     got = _outcome(curve, guard)
     with mock.patch.object(metrics, "_edge", _walking_edge):
         expected = _outcome(curve, guard)
+    assert got == expected
+
+
+# Seven grid points; the examples below put a NaN edge, or a stopband bound
+# exactly on a grid point, where a 3-dB sample sits exactly on the level.
+_GHZ = np.arange(1.0, 8.0) * 1e9
+
+
+def _masked_stopband_peak(freq, mag_db, stop_lo, stop_hi):
+    """The full-grid stopband mask that _stopband_peak's head and tail
+    replaced, kept as its oracle."""
+    stop = (freq <= stop_lo) | (freq >= stop_hi)
+    if not np.any(stop):
+        raise StopbandError("no grid points in the out-of-band region")
+    return float(np.max(mag_db[stop]))
+
+
+@st.composite
+def db_curves_with_holes(draw):
+    """dB samples of a single-peaked curve with up to four samples set to
+    NaN or -inf."""
+    curve = draw(single_peaked_curves())
+    mag_db = curve.magnitude_db.copy()
+    for i in draw(st.lists(st.integers(0, mag_db.size - 1), max_size=4)):
+        mag_db[i] = draw(st.sampled_from([math.nan, -math.inf]))
+    return curve.freq_hz, mag_db
+
+
+def _db_outcome(freq, mag_db, guard):
+    # An -inf sample at a crossing makes an edge NaN, and a NaN guard makes
+    # both stopband bounds NaN; the metrics carry them on without warnings.
+    with np.errstate(all="ignore"):
+        try:
+            return np.array(astuple(metrics._metrics_from_db(freq, mag_db, guard))).tobytes()
+        except AcoufiltError as exc:
+            return type(exc), str(exc)
+
+
+@given(db_curves_with_holes(), st.sampled_from([0.0, 0.05, 0.15, math.nan]))
+@example((_GHZ, np.array([-50.0, -np.inf, 0.0, -1.0, -30.0, -40.0, -50.0])), 0.05)
+@example((_GHZ, np.array([-50.0, -metrics._LEVEL3_DB, 0.0, -1.0, -30.0, -40.0, -50.0])), 0.0)
+@example((_GHZ, np.array([-50.0, -30.0, -1.0, 0.0, -metrics._LEVEL3_DB, -40.0, -50.0])), 0.0)
+def test_metrics_from_db_match_the_mask_and_walking_oracles(case, guard):
+    # Bit for bit, or the same exception class with the same message.
+    freq, mag_db = case
+    got = _db_outcome(freq, mag_db, guard)
+    with mock.patch.object(metrics, "_edge", _walking_edge), \
+            mock.patch.object(metrics, "_stopband_peak", _masked_stopband_peak):
+        expected = _db_outcome(freq, mag_db, guard)
     assert got == expected

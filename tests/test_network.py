@@ -30,7 +30,8 @@ from acoufilt.errors import (
     SingularConversionError,
 )
 from acoufilt.mbvd import _admittance_values, _jw
-from acoufilt.network import _ladder_s21, identity_block
+from acoufilt.io_formats import TouchstoneHeader
+from acoufilt.network import SParameterBlock, _ladder_s21_db, identity_block
 
 GRID = np.linspace(1e9, 40e9, 101)
 
@@ -201,17 +202,17 @@ def test_lossless_energy_conservation():
 
 
 # A lossless resonator mbvd_from_targets(fs, 0.4, 1e-13, inf) sampled at f,
-# exactly on one of its resonances.
+# exactly on its anti-resonance: num = 0 there, so Y = 0 and 1 / Y is a
+# division by zero.
 LOSSLESS_HITS = [
-    (8.6396873e9, 8.6396873e9, "series resonance, 8639687300 Hz"),
     (8.16e9, 9926359364.099905, "anti-resonance, 9926359364 Hz"),
 ]
 
 
 @pytest.mark.parametrize("fs, f, name", LOSSLESS_HITS)
 def test_lossless_resonance_on_the_grid_is_named(fs, f, name):
-    # A lossless resonator sampled exactly at a resonance: the admittance is
-    # a division by zero there.  Runs with warnings as errors.
+    # A lossless series resonator sampled exactly at its anti-resonance has
+    # no impedance there.  Runs with warnings as errors.
     p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
     design = LadderDesign(((ElementKind.SERIES, p),), z0=50.0)
     with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
@@ -224,6 +225,53 @@ def test_lossless_resonance_in_one_port_s11_is_named(fs, f, name):
     p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
     with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
         one_port_s11(p, [f])
+
+
+def test_lossless_shunt_at_its_anti_resonance_is_open():
+    # Y = 0 exactly: the shunt element is an open circuit, not an error.
+    fs, f, _ = LOSSLESS_HITS[0]
+    p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
+    assert resonator_admittance(p, [f]).values[0] == 0
+    s = build_ladder_response(LadderDesign(((ElementKind.SHUNT, p),), z0=50.0), [f]).s
+    assert s[0, 1, 0] == 1 and s[0, 0, 0] == 0
+
+
+# mbvd_from_targets(8.6396873e9, 0.4, 1e-13, inf) at its nominal series
+# resonance: the motional branch is not exactly zero in floating point, so
+# Y is huge but finite.
+_NEAR_FS = 8.6396873e9
+
+
+def test_lossless_series_element_near_series_resonance_is_a_short():
+    p = mbvd_from_targets(_NEAR_FS, 0.4, 1e-13, math.inf)
+    s = build_ladder_response(LadderDesign(((ElementKind.SERIES, p),), z0=50.0), [_NEAR_FS]).s
+    assert np.all(np.isfinite(s))
+    assert abs(s[0, 1, 0] - 1) < 1e-12 and abs(s[0, 0, 0]) < 1e-12
+
+
+def test_lossless_one_port_near_series_resonance_is_a_short():
+    p = mbvd_from_targets(_NEAR_FS, 0.4, 1e-13, math.inf)
+    assert abs(one_port_s11(p, [_NEAR_FS]).values[0] + 1) < 1e-12
+
+
+# A lossless resonator whose motional branch vanishes exactly at 10 GHz in
+# floating point (lm chosen to the last bit): den = 0 there.
+_EXACT_FS = MbvdParams(rm=0.0, lm=1.2665147955292223e-08, cm=2e-14, c0=1e-13)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_exact_series_resonance_on_the_grid_is_named(kind):
+    match = "lossless resonator .* series resonance, 1e\\+10 Hz"
+    with pytest.raises(DomainError, match=match):
+        build_ladder_response(LadderDesign(((kind, _EXACT_FS),), z0=50.0), [1e10])
+    with pytest.raises(DomainError, match=match):
+        one_port_s11(_EXACT_FS, [1e10])
+    # An open shunt at its anti-resonance on the same grid is not the error.
+    fs, f, _ = LOSSLESS_HITS[0]
+    shunt = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
+    design = LadderDesign(((ElementKind.SHUNT, shunt), (kind, _EXACT_FS)), z0=50.0)
+    with pytest.raises(DomainError, match=match):
+        build_ladder_response(design, [f, 1e10])
 
 
 def test_equal_resonators_are_evaluated_once(monkeypatch):
@@ -240,6 +288,21 @@ def test_equal_resonators_are_evaluated_once(monkeypatch):
     monkeypatch.setattr(network, "_admittance_values", counting)
     build_ladder_response(design, GRID)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("z0", [math.inf, -math.inf, math.nan, 0.0, -50.0])
+def test_reference_impedance_must_be_positive_and_finite(z0):
+    p = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    s11 = one_port_s11(p, GRID)
+    calls = (lambda: LadderDesign(((ElementKind.SHUNT, p),), z0=z0),
+             lambda: SParameterBlock(GRID, np.zeros((GRID.size, 2, 2)), z0=z0),
+             lambda: abcd_to_s(identity_block(GRID), z0),
+             lambda: one_port_s11(p, GRID, z0=z0),
+             lambda: admittance_from_s11(s11, z0=z0),
+             lambda: TouchstoneHeader(reference_resistance=z0))
+    for call in calls:
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            call()
 
 
 def test_one_port_round_trip():
@@ -343,25 +406,28 @@ def ladders_with_repeats(draw):
     return design, np.unique(np.array(points))
 
 
-_HIT = mbvd_from_targets(8.6396873e9, 0.4, 1e-13, math.inf)
+_HIT = mbvd_from_targets(_NEAR_FS, 0.4, 1e-13, math.inf)
 _LOSSY = mbvd_from_targets(8.0e9, 0.4, 2e-13, 50.0)
 
 
 @given(ladders_with_repeats())
 @example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _HIT),
                         (ElementKind.SHUNT, _LOSSY)), z0=50.0),
-          np.array([8e9, 8.6396873e9, 9e9])))
-def test_s21_path_matches_build_ladder_response(case):
-    # Bit for bit, or the same exception class with the same message.
+          np.array([8e9, _NEAR_FS, 9e9])))
+@example((LadderDesign(((ElementKind.SERIES, _LOSSY), (ElementKind.SHUNT, _EXACT_FS)),
+                       z0=50.0), np.array([8e9, 1e10])))
+def test_s21_db_path_matches_build_ladder_response(case):
+    # Within 1e-12 dB of 20*log10|S21|, or the same exception class with the
+    # same message.
     design, grid = case
     try:
-        ref = build_ladder_response(design, grid).s21()
+        ref = build_ladder_response(design, grid).s21().magnitude_db
     except AcoufiltError as exc:
         with pytest.raises(AcoufiltError) as err:
-            _ladder_s21(design, grid, _jw(grid))
+            _ladder_s21_db(design, grid, _jw(grid))
         assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
         return
-    s21 = _ladder_s21(design, grid, _jw(grid))
-    assert np.array_equal(s21.freq_hz, ref.freq_hz)
-    assert s21.values.tobytes() == ref.values.tobytes()
+    db = _ladder_s21_db(design, grid, _jw(grid))
+    assert db.shape == ref.shape
+    assert np.all(np.abs(db - ref) <= 1e-12)

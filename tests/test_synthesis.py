@@ -14,7 +14,7 @@ from acoufilt import (
     synthesize_ladder,
     thickness_scale,
 )
-from acoufilt import synthesis
+from acoufilt import metrics, synthesis
 from acoufilt.errors import DomainError
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
@@ -86,18 +86,20 @@ def test_self_consistency_on_secondary_spec():
 
 def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_result):
     # The search must take the same path when every candidate is scored from
-    # the full two-port response.
-    monkeypatch.setattr(synthesis, "_ladder_s21",
-                        lambda design, f, jw: build_ladder_response(design, f).s21())
+    # |S21| in dB of the full two-port response.
+    monkeypatch.setattr(synthesis, "_ladder_s21_db",
+                        lambda design, f, jw: build_ladder_response(design, f).s21().magnitude_db)
     assert synthesize_ladder(REFERENCE_SPEC) == reference_result
 
 
 def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):
-    # Only toolkit errors mean "no scoreable passband"; anything else is a bug.
+    # Only toolkit errors mean "no scoreable passband"; anything else is a
+    # bug, whether it happens while scoring a candidate or in the final
+    # re-evaluation.
     def broken(*args, **kwargs):
         raise TypeError("bug")
 
-    monkeypatch.setattr(synthesis, "passband_metrics", broken)
+    monkeypatch.setattr(metrics, "_metrics_from_db", broken)
     with pytest.raises(TypeError):
         synthesize_ladder(REFERENCE_SPEC)
 
