@@ -86,12 +86,14 @@ def _terms(p: MbvdParams, jw):
     With s = jw, the motional branch is pm / (s*cm), the static branch
     ps / (s*c0) and their parallel admittance num / (pm*ps), so that
     Y = 1 / (rs + s*ls + pm*ps/num) = num / (pm*ps + (rs + s*ls)*num) takes
-    one division.
+    one division.  Without r0, ps is 1, and without rs and ls the routing
+    term is 0; skipping them gives the same values with fewer array passes.
     """
     pm = (jw * p.lm + p.rm) * jw * p.cm + 1.0
-    ps = jw * p.r0 * p.c0 + 1.0
+    ps = jw * p.r0 * p.c0 + 1.0 if p.r0 else 1.0
     num = jw * (p.cm * ps + p.c0 * pm)
-    return pm, ps, num, pm * ps + (p.rs + jw * p.ls) * num
+    den = pm * ps + (p.rs + jw * p.ls) * num if p.rs or p.ls else pm * ps
+    return pm, ps, num, den
 
 
 def _admittance_values(p: MbvdParams, jw: np.ndarray) -> np.ndarray:

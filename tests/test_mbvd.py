@@ -19,7 +19,7 @@ from acoufilt import (
     summarize,
 )
 from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
-from acoufilt.mbvd import K2_MAX, admittance_log_jacobian
+from acoufilt.mbvd import K2_MAX, _jw, admittance_log_jacobian
 
 # Resonator derived from (fs 20 GHz, k2 0.42, c0 50 fF, Q 40); the closed
 # forms give cm 25.81 fF, lm 2.4537 nH, rm 7.709 ohm.
@@ -269,3 +269,39 @@ def test_summarize_consistency():
     assert 0 < s.k2 < 1
     assert s.q_antires > 0
     assert s.f_perceived <= s.fs * (1 + 1e-2)
+
+
+def _generic_admittance(p, jw):
+    """The one-division admittance with every term formed, kept as the
+    oracle of the shortcuts _terms takes when r0, or rs and ls, are 0."""
+    pm = (jw * p.lm + p.rm) * jw * p.cm + 1.0
+    ps = jw * p.r0 * p.c0 + 1.0
+    num = jw * (p.cm * ps + p.c0 * pm)
+    return num / (pm * ps + (p.rs + jw * p.ls) * num)
+
+
+def _branch_admittance(p, jw):
+    """Textbook form: routing in series with the parallel motional and
+    static branches, six divisions."""
+    z_mot = p.rm + jw * p.lm + 1.0 / (jw * p.cm)
+    z_stat = p.r0 + 1.0 / (jw * p.c0)
+    return 1.0 / (p.rs + jw * p.ls + 1.0 / (1.0 / z_mot + 1.0 / z_stat))
+
+
+@given(st.builds(
+    MbvdParams, rm=st.floats(0.0, 20.0) | st.just(0.0), lm=st.floats(1e-10, 1e-8),
+    cm=st.floats(1e-15, 1e-13), c0=st.floats(2e-14, 3e-13),
+    rs=st.floats(0.0, 1.5) | st.just(0.0), ls=st.floats(0.0, 8e-11) | st.just(0.0),
+    r0=st.floats(0.0, 0.5) | st.just(0.0)),
+    st.lists(st.floats(1e9, 50e9), min_size=1, max_size=64, unique=True))
+def test_admittance_matches_the_generic_and_branch_forms(p, points):
+    f = np.sort(np.array(points))
+    jw = _jw(f)
+    y = resonator_admittance(p, f).values
+    assert np.array_equal(y, _generic_admittance(p, jw))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = _branch_admittance(p, jw)
+    # Near a resonance both forms lose digits to cancellation, so the bound
+    # is relative to the largest |Y| on the grid.
+    ok = np.isfinite(ref)
+    assert np.all(np.abs(y[ok] - ref[ok]) <= 1e-11 * np.max(np.abs(ref[ok]), initial=0.0))
