@@ -12,7 +12,8 @@ GATED = ("setup_s", "op_p50_gauge", "op_mean_gauge", "peak_rss_mb")
 def _report(workload, seed, gauge, ops):
     metrics = {name: {"value": gauge if "gauge" in name else 1.0, "unit": "u"}
                for name in GATED}
-    return {"environment": {"seed": seed, "python": "3.x", "passes": 2, "ops": len(ops)},
+    return {"environment": {"seed": seed, "python": "3.x", "passes": 2, "ops": len(ops),
+                            "inputs": {"workload": workload}},
             "ops": ops,
             "result": {"correct": True, "attempted": len(ops),
                        "failed": sum(not op["ok"] for op in ops), "metrics": metrics}}
@@ -51,6 +52,7 @@ def test_summary_of_paired_runs(tmp_path):
     assert set(summary["workloads"]) == {"synth", "fit"}
     synth = summary["workloads"]["synth"]
     assert synth["seeds"] == [1, 2, 3]
+    assert synth["inputs"] == {"workload": "synth"}
     mean = synth["metrics"]["op_mean_gauge"]
     assert mean["parent"] == {"median": 190.0, "q1": 185.0, "q3": 195.0}
     assert mean["change"]["median"] == 130.0

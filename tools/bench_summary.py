@@ -26,8 +26,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = re.compile(r"(?P<workload>\w+)-seed(?P<seed>-?\d+)-trace0\.json")
-# Fields of a report's environment block that differ from run to run.
-PER_RUN = ("seed", "passes", "ops")
+# Fields of a report's environment block that differ from run to run or
+# describe one workload's inputs.
+PER_RUN = ("seed", "passes", "ops", "inputs")
 # Quality fields of a synth op that identify its outcome.
 SYNTH_OUTCOME = ("evaluations", "feasible", "il_db", "fc_hz", "fbw3", "oob_db")
 
@@ -83,7 +84,8 @@ def quality(workload: str, reports: list[dict]) -> dict:
 
 
 def summarize(parent: dict, change: dict, gated: list[dict]) -> dict:
-    """Per workload: the paired seeds, gated metrics per side, and quality."""
+    """Per workload: the paired seeds, its inputs, gated metrics per side,
+    and quality."""
     workloads = {}
     for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -107,6 +109,7 @@ def summarize(parent: dict, change: dict, gated: list[dict]) -> dict:
             metrics[name] = entry
         workloads[workload] = {
             "seeds": seeds,
+            "inputs": sides["change"][0]["environment"].get("inputs"),
             "metrics": metrics,
             "quality": {side: quality(workload, runs) for side, runs in sides.items()},
         }
