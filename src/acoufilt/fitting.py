@@ -1,10 +1,14 @@
 """Extraction of MBVD parameters from a one-port admittance sweep.
 
-A structure-based initial guess (resonance peak, anti-resonance dip, and the
-EM self-resonance above it) seeds a trust-region least-squares search over
-log-parameters, so positivity can never be violated.  Residuals are the
-concatenated real and imaginary parts of the admittance, by default weighted
-by 1/|Y| so the deep anti-resonance counts as much as the resonance peak.
+A structure-based initial guess (resonance peak, the most prominent
+anti-resonance dip above it, and the EM self-resonance above that) seeds a
+MINPACK Levenberg-Marquardt search over log-parameters, so positivity can
+never be violated.  The search is unbounded; a trial point with a
+log-parameter beyond +-_LOG_BOUND gets an infinite residual, which the
+search rejects as no reduction and answers with a shorter step.  Residuals
+are the concatenated real and imaginary parts of the admittance, by default
+weighted by 1/|Y| so the deep anti-resonance counts as much as the resonance
+peak.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from .mbvd import (
 _FIT_PARAMS = ("rm", "lm", "cm", "c0", "rs", "ls")
 # Positive floor standing in for "exactly zero" in log-space.
 _LOG_FLOOR = 1e-30
-# Log-parameter bounds keeping exp() finite; generous for any physical value.
+# Largest |log-parameter| a trial point may have: beyond it exp() nears
+# overflow, so the residual there is +inf and the step is rejected.  Generous
+# for any physical value.
 _LOG_BOUND = 300.0
 # ftol, xtol and gtol of the least-squares search.
 _TOL = 1e-10
@@ -59,18 +65,21 @@ class FitResult:
     summary: ResonatorSummary
 
 
-def _peak_indices(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _peak_indices(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of the |Y| peaks and valleys, and the valleys' prominences."""
     span = float(mag.max() - mag.min())
     prom = 0.01 * span
     peaks, _ = find_peaks(mag, prominence=prom)
-    valleys, _ = find_peaks(-mag, prominence=prom)
-    return peaks, valleys
+    valleys, props = find_peaks(-mag, prominence=prom)
+    return peaks, valleys, props["prominences"]
 
 
 def initial_guess(curve: ComplexCurve) -> MbvdParams:
     """Heuristic MBVD seed from the visible resonance structure of |Y|.
 
-    Needs at least one |Y| maximum followed by one |Y| minimum; a further
+    Needs at least one |Y| maximum followed by one |Y| minimum.  Of the
+    minima above the first maximum, the most prominent is the anti-resonance,
+    so a noise dip next to the resonance is not taken for it.  A further
     maximum above the anti-resonance, when present, seeds the routing
     inductance from the EM self-resonance against c0.
     """
@@ -80,14 +89,14 @@ def initial_guess(curve: ComplexCurve) -> MbvdParams:
     if f.size < 8:
         raise StructureError("too few samples to identify resonance structure")
 
-    peaks, valleys = _peak_indices(mag)
+    peaks, valleys, valley_prom = _peak_indices(mag)
     if peaks.size == 0:
         raise StructureError("no admittance maximum found (no resonance in band)")
     i_fs = int(peaks[0])
-    later_valleys = valleys[valleys > i_fs]
-    if later_valleys.size == 0:
+    later = valleys > i_fs
+    if not later.any():
         raise StructureError("no admittance minimum above the resonance peak")
-    i_fp = int(later_valleys[0])
+    i_fp = int(valleys[later][np.argmax(valley_prom[later])])
 
     fs = float(f[i_fs])
     fp = float(f[i_fp])
@@ -135,10 +144,14 @@ def _check_finite(curve: ComplexCurve) -> None:
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of the MBVD model to a complex admittance sweep.
 
-    scipy's trust-region reflective method works on the log-parameters with
-    the analytic Jacobian of the model; ``max_iterations`` caps its residual
-    evaluations.  The static loss r0 is not fitted and comes back as zero.
-    Reaching the cap gives a non-converged result, not an exception.
+    scipy's MINPACK Levenberg-Marquardt method (``least_squares`` with
+    ``method="lm"``) works on the log-parameters, without bounds, with the
+    analytic Jacobian of the model; ``max_iterations`` caps its residual
+    evaluations.  A trial point with a log-parameter beyond +-_LOG_BOUND has
+    an infinite residual, so the search rejects it and shortens its step.
+    The static loss r0 is not fitted and comes back as zero.  Reaching the
+    cap gives a non-converged result, not an exception; parameters without a
+    resonance, converged or not, raise SearchError.
     """
     n_free = len(_FIT_PARAMS)
     if len(curve) < n_free + 1:
@@ -149,8 +162,11 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     else:
         w = np.ones(len(curve))
     f = curve.freq_hz
+    out_of_range = np.full(2 * len(curve), np.inf)
 
     def residual(x):
+        if np.max(np.abs(x)) > _LOG_BOUND:
+            return out_of_range
         d = resonator_admittance(_unpack(x), f).values - curve.values
         return np.concatenate([d.real * w, d.imag * w])
 
@@ -159,22 +175,23 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         return np.concatenate([jac.real, jac.imag])
 
     x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
-    # Trial steps far from the data can overflow; trf rejects non-finite
-    # residuals by shrinking its trust region.  The start must be finite.
+    # Trial steps far from the data can overflow; lm counts a non-finite
+    # residual as no reduction and shortens its step.  The start must be finite.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r0 = residual(x0)
         if not math.isfinite(float(r0 @ r0)):
             raise DomainError("weighted residual at the initial guess is not finite")
-        res = least_squares(residual, x0, jac=jacobian, bounds=(-_LOG_BOUND, _LOG_BOUND),
-                            method="trf", x_scale="jac", ftol=_TOL, xtol=_TOL, gtol=_TOL,
-                            max_nfev=opts.max_iterations)
+        res = least_squares(residual, x0, jac=jacobian, method="lm", x_scale="jac",
+                            ftol=_TOL, xtol=_TOL, gtol=_TOL, max_nfev=opts.max_iterations)
     params = _unpack(res.x)
     converged = bool(res.status > 0)
     try:
         summary = summarize(params)
     except SearchError as exc:
         if converged:
-            raise
+            raise SearchError(
+                f"MBVD fit converged to parameters without a resonance ({exc})"
+            ) from exc
         raise SearchError(
             f"MBVD fit diverged: stopped after {res.nfev} of at most "
             f"{opts.max_iterations} residual evaluations at parameters without "

@@ -52,7 +52,12 @@ class FilterMetrics:
 def crossing_interpolate(
     f_a: float, y_a_db: float, f_b: float, y_b_db: float, target_db: float
 ) -> float:
-    """Linear-in-frequency interpolation of a dB-level crossing."""
+    """Linear-in-frequency interpolation of a dB-level crossing.
+
+    An endpoint at -inf dB (a zero magnitude) gives the formula's limit, the
+    frequency of the finite endpoint; the formula reaches it by itself only
+    when that endpoint is f_a.
+    """
     if not f_a < f_b:
         raise DomainError("crossing bracket requires f_a < f_b")
     lo, hi = min(y_a_db, y_b_db), max(y_a_db, y_b_db)
@@ -61,6 +66,8 @@ def crossing_interpolate(
             f"target {target_db:g} dB not strictly inside bracket "
             f"({y_a_db:g}, {y_b_db:g}) dB"
         )
+    if y_a_db == -np.inf:
+        return float(f_b)
     t = (target_db - y_a_db) / (y_b_db - y_a_db)
     return f_a + t * (f_b - f_a)
 

@@ -6,6 +6,7 @@ import pytest
 from acoufilt import (
     ComplexCurve,
     FitOptions,
+    MbvdParams,
     coupling_k2,
     fit_mbvd,
     initial_guess,
@@ -144,30 +145,55 @@ def test_overflowing_weighted_residual_is_domain_error():
     with pytest.raises(DomainError):
         fit_mbvd(ComplexCurve(GRID, values), TRUTH)
 
-def _runaway_sweep():
-    """Sweep 155 of 254 drawn from generator seed 105: truths around the
-    criterion-4 resonator, every second sweep with 1 % complex noise.  Its
-    noise puts a dip just above the resonance that the initial guess takes
-    for the anti-resonance, and the fit from there runs away."""
-    rng = np.random.default_rng(105)
+def _runaway_sweep(seed, index):
+    """Sweep ``index`` of 254 drawn from generator ``seed``: truths around the
+    criterion-4 resonator, every second sweep with 1 % complex noise.  In
+    sweeps 105/155 and 111/15 the noise puts a dip just above the resonance,
+    and a fit seeded from that dip as the anti-resonance runs away."""
+    rng = np.random.default_rng(seed)
     truths = [
         mbvd_from_targets(rng.uniform(15e9, 25e9), rng.uniform(0.38, 0.46),
                           rng.uniform(35e-15, 65e-15), rng.uniform(30.0, 100.0),
                           rs=rng.uniform(0.2, 1.0), ls=rng.uniform(50e-12, 150e-12))
         for _ in range(254)
     ]
-    for i in range(1, 155, 2):
+    for _ in range(1, index, 2):
         rng.standard_normal(GRID.size)
         rng.standard_normal(GRID.size)
-    y = resonator_admittance(truths[155], GRID).values
+    y = resonator_admittance(truths[index], GRID).values
     noise = rng.standard_normal(GRID.size) + 1j * rng.standard_normal(GRID.size)
-    return ComplexCurve(GRID, y * (1.0 + 0.01 * noise))
+    return truths[index], ComplexCurve(GRID, y * (1.0 + 0.01 * noise))
+
+
+@pytest.mark.parametrize("seed, index", [(105, 155), (111, 15)])
+def test_noise_dip_is_not_taken_for_the_anti_resonance(seed, index):
+    truth, curve = _runaway_sweep(seed, index)
+    result = fit_mbvd(curve, initial_guess(curve))
+    assert result.converged
+    assert max(abs(getattr(result.params, k) - getattr(truth, k)) / getattr(truth, k)
+               for k in PARAM_NAMES) < 0.02
+
+
+# The first |Y| valley above the resonance of sweep 111/15, a noise dip, taken
+# for the anti-resonance.  From it the search crosses the log-parameter limit
+# on some trial points.
+NOISE_DIP_SEED = MbvdParams(rm=8.030384545453904, lm=3.774185776521559e-07,
+                            cm=1.7212045084376096e-16, c0=5.736920074255682e-14,
+                            rs=0.5, ls=1.1255761681188162e-09)
 
 
 def test_diverged_fit_reports_divergence():
-    curve = _runaway_sweep()
-    with pytest.raises(SearchError, match=r"MBVD fit diverged: stopped after 200 of at most "
-                                          r"200 residual evaluations") as err:
-        fit_mbvd(curve, initial_guess(curve))
+    _, curve = _runaway_sweep(111, 15)
+    with pytest.raises(SearchError, match=r"MBVD fit diverged: stopped after 20 of at most "
+                                          r"20 residual evaluations") as err:
+        fit_mbvd(curve, NOISE_DIP_SEED, FitOptions(max_iterations=20))
     assert isinstance(err.value, AcoufiltError)
+    assert isinstance(err.value.__cause__, SearchError)
+
+
+def test_converged_fit_without_a_resonance_is_named():
+    _, curve = _runaway_sweep(111, 15)
+    with pytest.raises(SearchError, match=r"MBVD fit converged to parameters without "
+                                          r"a resonance \(no interior maximum") as err:
+        fit_mbvd(curve, NOISE_DIP_SEED)
     assert isinstance(err.value.__cause__, SearchError)

@@ -109,6 +109,20 @@ def test_crossing_interpolate_examples():
         crossing_interpolate(2e9, -2.0, 1e9, -4.0, -3.0)
 
 
+def test_zero_magnitude_sample_gives_the_finite_endpoint_edge():
+    # |S21| = 0 at 2 GHz is -inf dB.  Both low edges fall in the bracket
+    # (-inf dB at 2 GHz, 0 dB at 3 GHz), whose interpolation limit is 3 GHz.
+    assert crossing_interpolate(2e9, -math.inf, 3e9, 0.0, -3.0) == 3e9
+    assert crossing_interpolate(2e9, 0.0, 3e9, -math.inf, -3.0) == 2e9
+    f = np.arange(1.0, 8.0) * 1e9
+    db = np.array([-50.0, -np.inf, 0.0, -1.0, -30.0, -40.0, -50.0])
+    m = passband_metrics(ComplexCurve(f, 10.0 ** (db / 20.0)))
+    assert all(math.isfinite(v) for v in astuple(m))
+    assert m.f_lo3 == 3e9
+    assert m.bw20_hz == pytest.approx(4e9 + (-20.0 + 1.0) / -29.0 * 1e9 - 3e9)
+    assert m.f_hi3 == pytest.approx(4e9 + (-10 * math.log10(2) + 1.0) / -29.0 * 1e9)
+
+
 def test_crossing_interpolate_against_analytic_root():
     # A sampled monotone segment of the RLC skirt: the interpolated 3-dB
     # crossing converges to the closed-form edge as the grid refines.
