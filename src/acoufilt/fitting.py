@@ -22,13 +22,10 @@ from scipy.signal import find_peaks
 
 from .curves import ComplexCurve
 from .errors import DomainError, SearchError, StructureError
-from .mbvd import (
-    MbvdParams,
-    ResonatorSummary,
-    admittance_log_jacobian,
-    resonator_admittance,
-    summarize,
-)
+from .mbvd import MbvdParams, ResonatorSummary, _jw, _log_jacobian, _terms, summarize
+# Unused here since the fit evaluates the model through _terms; perfbench/spans.py
+# still traces the fit's model evaluations under this name.
+from .mbvd import resonator_admittance  # noqa: F401
 
 # Fitted parameters, in MbvdParams order; r0 is held at zero.
 _FIT_PARAMS = ("rm", "lm", "cm", "c0", "rs", "ls")
@@ -161,18 +158,32 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         w = 1.0 / np.maximum(curve.magnitude, 1e-300)
     else:
         w = np.ones(len(curve))
-    f = curve.freq_hz
+    s = _jw(curve.freq_hz)
     out_of_range = np.full(2 * len(curve), np.inf)
+    # The model at the last point evaluated, (p, pm, ps, num, den, y), and
+    # that point's bytes.  lm asks for the Jacobian at the point whose
+    # residual it has just evaluated, so the two share one evaluation.
+    last_key = last = None
+
+    def model(x):
+        nonlocal last_key, last
+        key = x.tobytes()
+        if key != last_key:
+            p = _unpack(x)
+            pm, ps, num, den = _terms(p, s)
+            last_key, last = key, (p, pm, ps, num, den, num / den)
+        return last
 
     def residual(x):
         if np.max(np.abs(x)) > _LOG_BOUND:
             return out_of_range
-        d = resonator_admittance(_unpack(x), f).values - curve.values
+        d = model(x)[-1] - curve.values
         return np.concatenate([d.real * w, d.imag * w])
 
     def jacobian(x):
-        jac = admittance_log_jacobian(_unpack(x), f) * w[:, None]
-        return np.concatenate([jac.real, jac.imag])
+        p, pm, ps, _, den, y = model(x)
+        jac = _log_jacobian(p, s, pm, ps, den, y) * w
+        return np.concatenate([jac.real, jac.imag], axis=1).T
 
     x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
     # Trial steps far from the data can overflow; lm counts a non-finite

@@ -73,13 +73,6 @@ def _jw(f: np.ndarray) -> np.ndarray:
     return 1j * (2.0 * math.pi * f)
 
 
-def _branches(p: MbvdParams, jw):
-    """Motional and static branch impedances and their parallel admittance."""
-    z_mot = p.rm + jw * p.lm + 1.0 / (jw * p.cm)
-    z_stat = p.r0 + 1.0 / (jw * p.c0)
-    return z_mot, z_stat, 1.0 / z_mot + 1.0 / z_stat
-
-
 def _terms(p: MbvdParams, jw):
     """pm, ps, num and den of the admittance Y = num / den of p.
 
@@ -125,28 +118,38 @@ def _check_defined(p: MbvdParams, f: np.ndarray, inverted: bool = True) -> None:
             raise DomainError(_UNDEFINED.format("anti-resonance", f[i[0]], "impedance"))
 
 
+def _log_jacobian(p: MbvdParams, jw, pm, ps, den, y) -> np.ndarray:
+    """dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls, from the
+    terms _terms(p, jw) and y = num / den, one row per parameter.
+
+    The routing R = rs + s*ls enters only den, so dY = -Y^2 dR.  The
+    branches enter through pm, ps and num = s*(cm*ps + c0*pm), and there
+    dY = (dnum*pm*ps - num*d(pm*ps)) / den^2 reduces, with u = s*cm*ps^2 /
+    den^2, to u for cm, -d(log pm)*u for rm and lm (whose d(log pm) are
+    s*rm*cm and s^2*lm*cm) and s*c0*pm^2 / den^2 for c0.
+    """
+    sg = jw / (den * den)
+    u = sg * (p.cm * ps * ps)
+    su = jw * u
+    y2 = y * y
+    return np.stack([
+        su * (-p.rm * p.cm),
+        jw * su * (-p.lm * p.cm),
+        u,
+        sg * p.c0 * (pm * pm),
+        y2 * -p.rs,
+        y2 * (jw * -p.ls),
+    ])
+
+
 def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
     """Derivatives dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls.
 
-    Returns one complex column per parameter, shape (len(f), 6).  With
-    Z = rs + j*w*ls + 1/y_inner and Y = 1/Z, dY = -Y^2 dZ, and a branch
-    impedance z enters Z through dZ = dz / (y_inner * z)^2.
+    Returns one complex column per parameter, shape (len(f), 6).
     """
-    w = 2.0 * math.pi * f
-    jw = 1j * w
-    z_mot, z_stat, y_inner = _branches(p, jw)
-    y = 1.0 / (p.rs + jw * p.ls + 1.0 / y_inner)
-    g_mot = -((y / (y_inner * z_mot)) ** 2)
-    g_stat = -((y / (y_inner * z_stat)) ** 2)
-    g_route = -(y * y)
-    return np.stack([
-        g_mot * p.rm,
-        g_mot * (jw * p.lm),
-        g_mot * (1j / (w * p.cm)),
-        g_stat * (1j / (w * p.c0)),
-        g_route * p.rs,
-        g_route * (jw * p.ls),
-    ], axis=1)
+    jw = _jw(f)
+    pm, ps, num, den = _terms(p, jw)
+    return _log_jacobian(p, jw, pm, ps, den, num / den).T
 
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
@@ -239,23 +242,24 @@ def perceived_resonance(p: MbvdParams, search_band: tuple[float, float] | None =
 def q_at_antiresonance(p: MbvdParams) -> float:
     """Phase-derivative quality factor at the impedance-magnitude maximum.
 
-    Q = (w/2) * |d(phase Z)/dw| = (w/2) * |Im(Z'/Z)|, with Z' = dZ/dw in
-    closed form.  A fully lossless resonator has no finite Q; the sentinel
-    value inf is returned for that case.
+    Q = (w/2) * |d(phase Z)/dw| = (w/2) * |Re(Z'/Z)| with Z = den / num and
+    ' = d/ds, s = j*w, so Z'/Z = den'/den - num'/num in closed form.  A
+    fully lossless resonator has no finite Q; the sentinel value inf is
+    returned for that case.
     """
     if p.lossless():
         return math.inf
     f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, _jw(g))),
                             series_resonance(p) * 0.5, antiresonance(p) * 2.0)
     w = 2.0 * math.pi * f_max
-    jw = 1j * w
-    z_mot, z_stat, y_inner = _branches(p, jw)
-    z = p.rs + jw * p.ls + 1.0 / y_inner
-    # dz/dw of the branches: j*lm + j/(w^2*cm) and j/(w^2*c0).
-    dy_inner = (-(1j * p.lm + 1j / (w * w * p.cm)) / z_mot**2
-                - (1j / (w * w * p.c0)) / z_stat**2)
-    dz = 1j * p.ls - dy_inner / y_inner**2
-    return 0.5 * w * abs((dz / z).imag)
+    s = 1j * w
+    pm, ps, num, den = _terms(p, s)
+    # d/ds of pm, ps, num and den.
+    dpm = 2.0 * s * p.lm * p.cm + p.rm * p.cm
+    dps = p.r0 * p.c0
+    dnum = p.cm * ps + p.c0 * pm + s * (p.cm * dps + p.c0 * dpm)
+    dden = dpm * ps + pm * dps + p.ls * num + (p.rs + s * p.ls) * dnum
+    return 0.5 * w * abs((dden / den - dnum / num).real)
 
 
 def summarize(p: MbvdParams) -> ResonatorSummary:

@@ -272,7 +272,17 @@ def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
 
 
 def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:
-    """Invert a one-port reflection measurement back to input admittance."""
+    """Invert a one-port reflection measurement back to input admittance.
+
+    A sample at S11 = -1, a short circuit, has no finite admittance and
+    raises DomainError naming its frequency.
+    """
     _check_z0(z0)
-    y = (1.0 - s11.values) / (1.0 + s11.values) / z0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y = (1.0 - s11.values) / (1.0 + s11.values) / z0
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"S11 = {s11.values[i]:.6g} at {s11.freq_hz[i]:.10g} Hz has no "
+                          "finite admittance (S11 = -1 is a short circuit)")
     return ComplexCurve(s11.freq_hz, y, label="Y")

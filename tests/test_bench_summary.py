@@ -35,9 +35,10 @@ def test_summary_of_paired_runs(tmp_path):
     for seed, before, after in ((1, 190.0, 120.0), (2, 180.0, 185.0), (3, 200.0, 130.0)):
         _write(parent, "synth", seed, before, [_synth_op(1439, 2.84174847)] * 2)
         _write(change, "synth", seed, after, [_synth_op(1450, 2.84174808)] * 2)
-    _write(parent, "fit", 7, 10.0, [{"ok": True, "target_met": True},
-                                    {"ok": False, "target_met": False}])
-    _write(change, "fit", 7, 9.0, [{"ok": True, "target_met": True}] * 2)
+    _write(parent, "fit", 7, 10.0, [{"ok": True, "target_met": True, "iterations": 9},
+                                    {"ok": False}])
+    _write(change, "fit", 7, 9.0, [{"ok": True, "target_met": True, "iterations": 8},
+                                   {"ok": True, "target_met": True, "iterations": 11}])
     _write(change, "files", 9, 100.0, [{"ok": True}])  # no parent run: not a pair
     (parent / "synth-seed1-trace1.json").write_text("{}")  # traced: not read
     out = tmp_path / "BENCH_1.json"
@@ -68,6 +69,9 @@ def test_summary_of_paired_runs(tmp_path):
     assert fit["parent"]["failed_ops"] == 1 and fit["change"]["failed_ops"] == 0
     assert fit["parent"]["targets_met_per_run"] == [1]
     assert fit["change"]["targets_met_per_run"] == [2]
+    # A failed op reports no iterations and is left out of the mean.
+    assert fit["parent"]["mean_iterations_per_run"] == [9.0]
+    assert fit["change"]["mean_iterations_per_run"] == [9.5]
 
 
 def test_no_pairs_is_exit_1(tmp_path):

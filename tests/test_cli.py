@@ -206,6 +206,18 @@ def test_fit_of_db_overflow_is_exit_1(tmp_path, capsys):
     assert err == "error: line 2: DB magnitude overflows\n"
 
 
+def test_fit_of_a_short_is_exit_1(tmp_path, capsys):
+    rows = [f"{i} 0.1 0.0" for i in range(1, 51)]
+    rows[10] = "11 -1.0 0.0"
+    s1p = tmp_path / "short.s1p"
+    s1p.write_text("# GHz S RI R 50\n" + "\n".join(rows) + "\n")
+    rc = main(["fit", "--input", str(s1p), "--out", str(tmp_path / "fit.kv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: S11 = -1+0j at 1.1e+10 Hz") and err.count("\n") == 1
+    assert not (tmp_path / "fit.kv").exists()
+
+
 @settings(max_examples=60)
 @given(text=st.one_of(touchstone_texts(odds=2), st.text(alphabet=ALPHABET)))
 # Generated texts first reach a DB magnitude that overflows after a few

@@ -9,6 +9,7 @@ from acoufilt import (
     MbvdParams,
     coupling_k2,
     fit_mbvd,
+    fitting,
     initial_guess,
     mbvd_from_targets,
     resonator_admittance,
@@ -82,6 +83,31 @@ def test_fit_residual_not_above_init_residual():
     r0 = np.concatenate([d.real * w, d.imag * w])
     result = fit_mbvd(CURVE, init)
     assert result.residual_norm <= float(np.linalg.norm(r0))
+
+
+def test_fit_residual_norm_matches_the_returned_params():
+    result = fit_mbvd(CURVE, initial_guess(CURVE))
+    d = resonator_admittance(result.params, GRID).values - CURVE.values
+    w = 1.0 / CURVE.magnitude
+    norm = float(np.linalg.norm(np.concatenate([d.real * w, d.imag * w])))
+    assert result.residual_norm == pytest.approx(norm, rel=1e-9)
+
+
+def test_fit_evaluates_each_point_once(monkeypatch):
+    # The residual and the Jacobian at one point share one model evaluation,
+    # and the start is evaluated once.
+    points = []
+
+    def counting_terms(p, jw):
+        points.append(p)
+        return terms(p, jw)
+
+    terms = fitting._terms
+    monkeypatch.setattr(fitting, "_terms", counting_terms)
+    result = fit_mbvd(CURVE, initial_guess(CURVE))
+    assert result.converged
+    assert len(points) > result.iterations
+    assert len(set(points)) == len(points)
 
 
 def test_fit_invariant_to_sample_order():

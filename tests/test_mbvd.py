@@ -226,6 +226,37 @@ def test_log_jacobian_matches_central_differences(p):
         assert np.max(np.abs(fd - jac[:, k])) <= 1e-5 * np.max(np.abs(jac[:, k])) + floor
 
 
+def _branch_log_jacobian(p, f):
+    """The log Jacobian through the branch impedances, kept as an oracle:
+    with Z = rs + j*w*ls + 1/y_inner and Y = 1/Z, dY = -Y^2 dZ, and a branch
+    impedance z enters Z through dZ = dz / (y_inner * z)^2."""
+    w = 2.0 * math.pi * f
+    jw = 1j * w
+    z_mot = p.rm + jw * p.lm + 1.0 / (jw * p.cm)
+    z_stat = p.r0 + 1.0 / (jw * p.c0)
+    y_inner = 1.0 / z_mot + 1.0 / z_stat
+    y = 1.0 / (p.rs + jw * p.ls + 1.0 / y_inner)
+    g_mot = -((y / (y_inner * z_mot)) ** 2)
+    g_stat = -((y / (y_inner * z_stat)) ** 2)
+    g_route = -(y * y)
+    return np.stack([g_mot * p.rm, g_mot * (jw * p.lm), g_mot * (1j / (w * p.cm)),
+                     g_stat * (1j / (w * p.c0)), g_route * p.rs, g_route * (jw * p.ls)],
+                    axis=1)
+
+
+@given(lossy_resonators())
+def test_log_jacobian_matches_the_branch_form(p):
+    fs = series_resonance(p)
+    grid = np.geomspace(0.3 * fs, 3.0 * fs, 301)
+    jac = admittance_log_jacobian(p, grid)
+    ref = _branch_log_jacobian(p, grid)
+    assert jac.shape == ref.shape == (grid.size, 6)
+    # Both forms round differently near the resonances, so the bound is
+    # relative to each column's largest entry.
+    bound = 1e-10 * np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(jac - ref) <= bound)
+
+
 def test_q_monotone_in_rm():
     values = [q_at_antiresonance(dataclasses.replace(REF, rm=rm))
               for rm in (2.0, 5.0, 10.0, 20.0)]

@@ -10,8 +10,9 @@ on both sides.  For each workload the summary gives, per side, the median
 and quartiles of every end-to-end metric that the benchmark file gates, how
 many pairs the change won, and the quality numbers next to the times:
 synthesis evaluations, feasibility and metrics per distinct spec outcome,
-fit targets met, and failed ops.  A revision is read with ``git rev-parse
-HEAD`` in a checkout unless it is given.  Standard library only.
+fit targets met and mean fit iterations per run, and failed ops.  A revision
+is read with ``git rev-parse HEAD`` in a checkout unless it is given.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _mean_iterations(ops: list[dict]) -> float | None:
+    """Mean fit iterations over the ops that report them (failed ops do not)."""
+    its = [op["iterations"] for op in ops if "iterations" in op]
+    return statistics.fmean(its) if its else None
+
+
 def quality(workload: str, reports: list[dict]) -> dict:
     """Failed ops, and what the workload's ops achieved, over a side's runs."""
     ops = [op for report in reports for op in report["ops"]]
@@ -80,6 +87,7 @@ def quality(workload: str, reports: list[dict]) -> dict:
         met = [sum(bool(op.get("target_met")) for op in report["ops"]) for report in reports]
         out["targets_met_per_run"] = met
         out["fits_per_run"] = [len(report["ops"]) for report in reports]
+        out["mean_iterations_per_run"] = [_mean_iterations(report["ops"]) for report in reports]
     return out
 
 
