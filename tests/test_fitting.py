@@ -97,12 +97,12 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     # The residual and the Jacobian at one point share one model evaluation,
     # and the start is evaluated once.
     points = []
+    terms = fitting._terms
 
     def counting_terms(p, jw):
         points.append(p)
         return terms(p, jw)
 
-    terms = fitting._terms
     monkeypatch.setattr(fitting, "_terms", counting_terms)
     result = fit_mbvd(CURVE, initial_guess(CURVE))
     assert result.converged

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from acoufilt import (
     AbcdBlock,
-    ComplexCurve,
     ElementKind,
     LadderDesign,
     MbvdParams,
@@ -312,14 +311,6 @@ def test_one_port_round_trip():
     y_back = admittance_from_s11(s11, z0=50.0)
     y_direct = resonator_admittance(p, GRID)
     assert np.max(np.abs(y_back.values - y_direct.values)) < 1e-12 * np.max(np.abs(y_direct.values))
-
-
-def test_admittance_from_a_short_is_domain_error():
-    f = np.linspace(1e9, 50e9, 50)
-    s11 = np.full(f.size, 0.1 + 0j)
-    s11[10] = -1.0
-    with pytest.raises(DomainError, match=r"S11 = -1\+0j at 1\.1e\+10 Hz has no finite admittance"):
-        admittance_from_s11(ComplexCurve(f, s11))
 
 
 @st.composite
