@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
 import tempfile
@@ -174,8 +175,8 @@ def _parse_value_range(spec: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise AcoufiltError(f"bad --range {spec!r}: {exc}")
-    if n < 1 or b < a:
-        raise AcoufiltError("--range requires a <= b and n >= 1")
+    if n < 1 or not (a <= b and math.isfinite(b - a)):
+        raise AcoufiltError("--range requires finite a <= b and n >= 1")
     return np.linspace(a, b, n)
 
 

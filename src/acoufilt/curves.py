@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,6 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise DomainError(f"grid spec {spec!r}: {exc}") from None
     if count < 2:
         raise DomainError("grid count must be at least 2")
-    if not (0.0 < start < stop):
-        raise DomainError("grid requires 0 < start < stop")
+    if not (0.0 < start < stop < math.inf):
+        raise DomainError("grid requires 0 < start < stop < inf")
     return np.linspace(start, stop, count)

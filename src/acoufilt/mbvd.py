@@ -105,9 +105,11 @@ def _check_defined(p: MbvdParams, f: np.ndarray, inverted: bool = True) -> None:
     anti-resonance when rm = r0 = 0: there Y = 0 exactly, the physical value
     for a shunt element, and an infinite impedance for a series element or
     a one-port.  Callers evaluate under np.errstate and call this only when
-    the result is not finite, so it costs nothing on the hot path.
+    the result is not finite, so it costs nothing on the hot path.  It
+    evaluates quietly too: an overflow is not the fault it names.
     """
-    pm, _, num, den = _terms(p, _jw(f))
+    with np.errstate(all="ignore"):
+        pm, _, num, den = _terms(p, _jw(f))
     i = np.flatnonzero(den == 0)
     if i.size:
         name = "series resonance" if pm[i[0]] == 0 else "resonance with its routing inductance"

@@ -8,6 +8,7 @@ bandwidth ratio, and out-of-band rejection over a guarded stopband.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ DEFAULT_GUARD = 0.15
 
 # "3 dB" edges use the exact half-power level 10*log10(2) ~ 3.0103 dB, the
 # convention under which a single-pole resonator's 3-dB bandwidth is f0/Q.
-_LEVEL3_DB = 10.0 * np.log10(2.0)
+_LEVEL3_DB = 10.0 * math.log10(2.0)
 _LEVEL20_DB = 20.0
 
 # Row names of the FilterMetrics fields, in field and CSV serialization order.
@@ -89,23 +90,26 @@ def _edge(freq, mag_db, peak_idx, target_db, direction, level_db):
     if j < 0:
         raise BandEdgeError("low" if direction < 0 else "high", level_db)
     if mag_db[j] == target_db:
-        return float(freq[j])
+        return freq.item(j)
     a, b = (j, j + 1) if direction < 0 else (j - 1, j)
-    return crossing_interpolate(freq[a], mag_db[a], freq[b], mag_db[b], target_db)
+    return crossing_interpolate(freq.item(a), mag_db.item(a), freq.item(b), mag_db.item(b),
+                                target_db)
 
 
 def _stopband_peak(freq, mag_db, stop_lo, stop_hi) -> float:
     """Largest mag_db where freq <= stop_lo or freq >= stop_hi.
 
     Those samples are a head and a tail of the increasing grid.  searchsorted
-    sorts a NaN bound last, but neither comparison holds for it.
+    sorts a NaN bound last, but neither comparison holds for it.  A NaN
+    sample in either part is the result, as it is for np.max.
     """
     head = np.searchsorted(freq, stop_lo, side="right") if stop_lo == stop_lo else 0
     tail = np.searchsorted(freq, stop_hi, side="left")
-    stop = np.concatenate((mag_db[:head], mag_db[tail:]))
-    if not stop.size:
+    if not head and tail == freq.size:
         raise StopbandError("no grid points in the out-of-band region")
-    return float(np.max(stop))
+    lo = mag_db[:head].max().item() if head else -math.inf
+    hi = mag_db[tail:].max().item() if tail < freq.size else -math.inf
+    return hi if hi != hi or hi > lo else lo
 
 
 def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterMetrics:
@@ -126,7 +130,7 @@ def _metrics_from_db(freq: np.ndarray, mag_db: np.ndarray, guard: float) -> Filt
     peak_idx = int(np.argmax(mag_db))
     if peak_idx == 0 or peak_idx == freq.size - 1:
         raise DegeneratePassbandError("|S21| maximum sits on the grid boundary")
-    peak_db = mag_db[peak_idx]
+    peak_db = mag_db.item(peak_idx)
 
     f_lo3 = _edge(freq, mag_db, peak_idx, peak_db - _LEVEL3_DB, -1, 3.0)
     f_hi3 = _edge(freq, mag_db, peak_idx, peak_db - _LEVEL3_DB, +1, 3.0)
@@ -138,6 +142,10 @@ def _metrics_from_db(freq: np.ndarray, mag_db: np.ndarray, guard: float) -> Filt
     fc = 0.5 * (f_lo3 + f_hi3)
 
     oob = peak_db - _stopband_peak(freq, mag_db, f_lo3 * (1.0 - guard), f_hi3 * (1.0 + guard))
+    if bw3 == 0:
+        # Both edges are the peak frequency: its neighbours are at -inf dB,
+        # or the grid is spaced by a few ulps.
+        raise DegeneratePassbandError("3-dB bandwidth is zero")
 
     return FilterMetrics(
         fc=fc,

@@ -11,7 +11,14 @@ import numpy as np
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import MbvdParams, _admittance_values, _check_defined, _jw, resonator_admittance
+from .mbvd import (
+    MbvdParams,
+    _admittance_values,
+    _check_defined,
+    _jw,
+    _terms,
+    resonator_admittance,
+)
 
 
 def _check_z0(z0: float, name: str = "reference impedance") -> None:
@@ -215,14 +222,14 @@ def _chain(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> tuple:
     and its nonzero delta at the port impedance.
 
     Each distinct resonator (equal MbvdParams) is evaluated once, and each
-    element is folded into the chain.  Any non-finite entry makes delta
-    non-finite, so only delta is checked; only then are the entries checked
-    and a lossless resonator sampled exactly at a resonance named by
-    _check_defined.
+    element is folded into the chain.  Any non-finite entry, from a division
+    by zero or an overflow, makes delta non-finite, so only delta is checked;
+    only then are the entries checked and a lossless resonator sampled
+    exactly at a resonance named by _check_defined.
     """
     admittances: dict[MbvdParams, np.ndarray] = {}
     chain = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for kind, p in design.elements:
             y = admittances.get(p)
             if y is None:
@@ -240,12 +247,49 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """Evaluate a ladder design to two-port S-parameters on a grid.
 
     The grid is checked once; the chain matrices are carried as four
-    complex vectors a, b, c, d and updated elementwise.
+    complex vectors a, b, c, d and updated elementwise.  Values that
+    overflow raise DomainError instead of giving non-finite S-parameters.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    chain, delta = _chain(design, f, _jw(f))
-    s = _to_s(f, *chain, design.z0, delta)
+    with np.errstate(all="ignore"):
+        chain, delta = _chain(design, f, _jw(f))
+        s = _to_s(f, *chain, design.z0, delta)
+    if not np.isfinite(s).all():
+        raise DomainError("S-parameters contain non-finite entries")
     return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=design.z0)
+
+
+def _row_delta(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
+    """The delta of _chain alone, as the row vector [1, z0] carried through
+    the chain matrices and closed with [1, 1/z0]:
+    [1, z0] @ [[a, b], [c, d]] @ [1, 1/z0] = a + b/z0 + c*z0 + d.
+
+    A series element of impedance z = den / num maps the row (p, q) to
+    (p, p*z + q), a shunt of admittance y = num / den to (p + q*y, q), so
+    each takes one division from _terms.  Each distinct (kind, resonator)
+    pair is evaluated once.  Where delta is not finite or is zero, or a
+    series element is a short (z = 0, a division by zero in _chain), _chain
+    takes over: it names the fault or gives its own delta.
+    """
+    values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
+    short = False
+    p, q = 1.0, design.z0
+    with np.errstate(all="ignore"):
+        for kind, r in design.elements:
+            series = kind is ElementKind.SERIES
+            v = values.get((kind, r))
+            if v is None:
+                _, _, num, den = _terms(r, jw)
+                v = values[kind, r] = den / num if series else num / den
+                short = short or (series and not v.all())
+            if series:
+                q = p * v + q
+            else:
+                p = p + q * v
+        delta = p + q / design.z0
+    if short or not (np.isfinite(delta).all() and delta.all()):
+        return _chain(design, f, jw)[1]
+    return delta
 
 
 _DB_OF_2 = 20.0 * math.log10(2.0)
@@ -254,14 +298,13 @@ _DB_OF_2 = 20.0 * math.log10(2.0)
 def _ladder_s21_db(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
     """|S21| in dB of a ladder on a checked grid f, jw = _jw(f), from delta
     alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|."""
-    _, delta = _chain(design, f, jw)
-    return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))
+    return _DB_OF_2 - 20.0 * np.log10(np.abs(_row_delta(design, f, jw)))
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
     """Reflection coefficient of a resonator measured as a one-port."""
     _check_z0(z0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         y = resonator_admittance(p, freq_hz)
         z = 1.0 / y.values
         s11 = (z - z0) / (z + z0)

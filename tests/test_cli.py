@@ -3,11 +3,13 @@ import dataclasses
 import io
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_design_file_properties import _VALID_LINES, design_texts
 from test_touchstone_properties import ALPHABET, touchstone_texts
 
 import acoufilt
@@ -224,18 +226,103 @@ def test_fit_of_a_short_is_exit_1(tmp_path, capsys):
 # hundred examples, beyond this budget; the known case always runs.
 @example(text="# GHz S DB R 50\n1 7000 0\n")
 def test_metrics_and_fit_on_any_input_exit_cleanly(tmp_path_factory, text):
-    """Exit 0, or exit 1 with a one-line message; never a traceback."""
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "input.snp"
     path.write_text(text)
-    for argv in (["metrics", "--input", str(path), "--out", str(work / "m.csv")],
-                 ["fit", "--input", str(path), "--out", str(work / "fit.kv")]):
-        err = io.StringIO()
+    _assert_clean_exit(["metrics", "--input", str(path), "--out", str(work / "m.csv")])
+    _assert_clean_exit(["fit", "--input", str(path), "--out", str(work / "fit.kv")])
+
+
+def _assert_clean_exit(argv):
+    """Exit 0, or exit 1 with a one-line message; never a traceback or a
+    warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main(argv)
-        assert rc in (0, 1)
-        if rc == 1:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Design files: the ladder of test_design_file_properties and a single
+# resonator (for .s1p output), mangled, or any text.
+_RESONATOR_LINES = ("[filter]", "z0 = 50", "") + tuple(io_formats.write_resonator(
+    acoufilt.MbvdParams(rm=5.1, lm=2.1e-9, cm=2.2e-14, c0=2.5e-14, rs=0.5, ls=1e-11),
+).splitlines())
+_LADDERS = st.one_of(st.just("\n".join(_VALID_LINES)), design_texts(),
+                     st.just("\n".join(_VALID_LINES)), st.text(max_size=200))
+_RESONATORS = st.one_of(st.just("\n".join(_RESONATOR_LINES)), design_texts(_RESONATOR_LINES))
+
+# Odd parts of start:stop:count strings, including values whose products
+# overflow.
+_ODD_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "0", "", "abc", "0x10", "1_0", " 2e10 ",
+                     "1e-300", "1e150", "1e300", "1.7e308"]),
+)
+_ODD_COUNTS = st.sampled_from(["", "abc", "1.5", "1e3", "0x10", " 7 ", "1_0"])
+
+
+@st.composite
+def value_specs(draw, lo, hi, max_count):
+    """start:stop:count strings: three in four plausible, with start below
+    and stop above the middle of [lo, hi], and the rest with odd parts, or a
+    part too few or too many.  Counts stay at most max_count: a count is
+    what a run allocates."""
+    if draw(st.integers(0, 3)):
+        mid = 0.5 * (lo + hi)
+        return (f"{draw(st.floats(lo, mid))!r}:{draw(st.floats(mid, hi))!r}:"
+                f"{draw(st.integers(2, max_count))}")
+    count = st.one_of(st.integers(-2, max_count).map(str), _ODD_COUNTS)
+    parts = [draw(_ODD_NUMBERS), draw(_ODD_NUMBERS), draw(count)]
+    extra = draw(st.sampled_from([0, 0, -1, 1]))
+    if extra < 0:
+        del parts[draw(st.integers(0, 2))]
+    elif extra > 0:
+        parts.insert(draw(st.integers(0, 3)), draw(_ODD_NUMBERS))
+    return ":".join(parts)
+
+
+# Grids around the designs' 20-30 GHz passbands.
+_GRIDS = (1e9, 6e10)
+# Plausible --range bounds of each swept parameter.
+_SWEPT = {"filter.z0": (1.0, 200.0), "series.lm": (1e-10, 1e-8), "series.rm": (0.0, 50.0),
+          "shunt.c0": (1e-15, 1e-12), "shunt.ls": (0.0, 1e-9)}
+
+
+@settings(max_examples=60)
+@given(text_out=st.one_of(st.tuples(_LADDERS, st.just("o.s2p")),
+                         st.tuples(_RESONATORS, st.just("o.s1p"))),
+       grid=value_specs(*_GRIDS, 3000), with_metrics=st.booleans())
+@example(text_out=("\n".join(_RESONATOR_LINES), "o.s1p"), grid="1e-300:1e-299:3",
+         with_metrics=False)
+def test_simulate_on_any_design_and_grid_exits_cleanly(tmp_path_factory, text_out, grid,
+                                                       with_metrics):
+    text, out = text_out
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "design.kv").write_text(text)
+    argv = ["simulate", "--design", str(work / "design.kv"), f"--grid={grid}",
+            "--out", str(work / out)]
+    _assert_clean_exit(argv + (["--metrics", str(work / "m.csv")] if with_metrics else []))
+
+
+@settings(max_examples=60)
+@given(text=_LADDERS, param_values=st.sampled_from(sorted(_SWEPT)).flatmap(
+    lambda param: st.tuples(st.just(param), value_specs(*_SWEPT[param], 20))),
+    grid=value_specs(*_GRIDS, 500))
+@example(text="\n".join(_VALID_LINES), param_values=("shunt.c0", "-1.7e308:1.7e308:3"),
+         grid="1e10:4e10:201")
+def test_sweep_on_any_design_range_and_grid_exits_cleanly(tmp_path_factory, text,
+                                                          param_values, grid):
+    param, values = param_values
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "design.kv").write_text(text)
+    _assert_clean_exit(["sweep", "--design", str(work / "design.kv"), "--param", param,
+                        f"--range={values}", f"--grid={grid}", "--out", str(work / "o.csv")])
 
 
 @pytest.mark.parametrize("key, value", [("z0", "inf"), ("oob_min_db", "nan"), ("fc", "nan")])

@@ -42,13 +42,13 @@ def test_design_spec_write_then_read_is_identity(spec):
     assert read_design_spec(write_design_spec(spec)) == spec
 
 
-# Every line of a valid file: a ladder design and a spec.
+# Every line of a valid file: a ladder design and a spec; a spec alone.
+_SPEC_LINES = write_design_spec(DesignSpec(23.5e9, 0.16, k2=0.46, q=50.0)).splitlines()
 _VALID_LINES = (
     write_ladder_design(shunt_series_shunt(
         MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14, rs=0.5, ls=1e-11),
         MbvdParams(rm=5.1, lm=2.1e-9, cm=2.2e-14, c0=2.5e-14, rs=0.5, ls=1e-11)))
-    + write_design_spec(DesignSpec(23.5e9, 0.16, k2=0.46, q=50.0))
-).splitlines()
+).splitlines() + _SPEC_LINES
 
 _ODD_VALUES = st.one_of(
     st.floats().map(repr),
@@ -58,10 +58,10 @@ _ODD_VALUES = st.one_of(
 
 
 @st.composite
-def design_texts(draw):
-    """A valid design file with a few lines dropped, repeated, mangled or
-    given odd values."""
-    lines = list(_VALID_LINES)
+def design_texts(draw, valid_lines=tuple(_VALID_LINES)):
+    """A valid design file, given by its lines, with a few lines dropped,
+    repeated, mangled or given odd values."""
+    lines = list(valid_lines)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["drop", "repeat", "value", "value", "mangle"]))
@@ -84,3 +84,13 @@ def test_design_readers_raise_only_format_or_domain_errors(text):
             read(text)
         except (FormatError, DomainError):
             pass
+
+
+@given(st.one_of(st.text(), design_texts(_SPEC_LINES)))
+def test_spec_reader_gives_a_spec_or_a_named_error(text):
+    # Whatever spec it reads writes and reads back to itself.
+    try:
+        spec = read_design_spec(text)
+    except (FormatError, DomainError):
+        return
+    assert read_design_spec(write_design_spec(spec)) == spec

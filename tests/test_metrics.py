@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from acoufilt import ComplexCurve, crossing_interpolate, metrics, passband_metrics
+from acoufilt.metrics import METRIC_NAMES
 from acoufilt.errors import (
     AcoufiltError,
     BandEdgeError,
@@ -234,3 +235,35 @@ def test_metrics_from_db_match_the_mask_and_walking_oracles(case, guard):
             mock.patch.object(metrics, "_stopband_peak", _masked_stopband_peak):
         expected = _db_outcome(freq, mag_db, guard)
     assert got == expected
+
+
+@given(single_peaked_curves(), st.sampled_from([0.0, 0.05, 0.15]))
+@example(ComplexCurve(_GHZ, 10.0 ** (np.array(
+    [-50.0, -metrics._LEVEL3_DB, 0.0, -1.0, -30.0, -40.0, -50.0]) / 20.0)), 0.0)
+def test_metrics_are_python_floats(curve, guard):
+    # Whether an edge is interpolated or sits exactly on a sample.
+    try:
+        m = passband_metrics(curve, guard=guard)
+    except AcoufiltError:
+        return
+    assert [type(v) for v in astuple(m)] == [float] * len(METRIC_NAMES)
+
+
+def _adjacent_doubles(f, n):
+    grid = [f]
+    for _ in range(n - 1):
+        grid.append(np.nextafter(grid[-1], np.inf))
+    return np.array(grid)
+
+
+@pytest.mark.parametrize("freq, db", [
+    # |S21| = 0 next to the peak: both 3-dB edges are the peak frequency.
+    (np.arange(1.0, 6.0) * 1e9, [-50.0, -np.inf, 0.0, -np.inf, -50.0]),
+    # Five adjacent doubles: both 3-dB edges round to the peak frequency.
+    (_adjacent_doubles(10e9, 5), [-40.0, -10.0, 0.0, -10.0, -40.0]),
+])
+def test_zero_3db_bandwidth_is_degenerate(freq, db):
+    # Not a ZeroDivisionError, and not a NaN shape factor with a warning.
+    curve = ComplexCurve(freq, 10.0 ** (np.array(db) / 20.0))
+    with pytest.raises(DegeneratePassbandError, match="3-dB bandwidth is zero"):
+        passband_metrics(curve, guard=0.0)

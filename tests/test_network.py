@@ -29,6 +29,7 @@ from acoufilt.errors import (
     GridAlignmentError,
     SingularConversionError,
 )
+from acoufilt.curves import parse_grid_spec
 from acoufilt.mbvd import _admittance_values, _jw
 from acoufilt.io_formats import TouchstoneHeader
 from acoufilt.network import SParameterBlock, _ladder_s21_db, identity_block
@@ -431,3 +432,41 @@ def test_s21_db_path_matches_build_ladder_response(case):
     db = _ladder_s21_db(design, grid, _jw(grid))
     assert db.shape == ref.shape
     assert np.all(np.abs(db - ref) <= 1e-12)
+
+
+@given(ladders_with_repeats())
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _LOSSY),
+                        (ElementKind.SHUNT, _LOSSY)), z0=50.0), np.array([7e9, 8e9, 9e9])))
+@example((LadderDesign(((ElementKind.SERIES, _LOSSY), (ElementKind.SHUNT, _HIT)), z0=75.0),
+          np.array([8e9, _NEAR_FS, 9e9])))
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _EXACT_FS)),
+                       z0=50.0), np.array([8e9, 1e10])))
+def test_row_delta_matches_the_chain_delta(case):
+    # The row-vector delta is within 1e-13 of the chain's, relative, or
+    # raises the same exception class with the same message.  The examples
+    # use one resonator as both a series and a shunt element, start with a
+    # series element, and put a series short (z = 0) on the grid.
+    design, grid = case
+    jw = _jw(grid)
+    try:
+        _, ref = network._chain(design, grid, jw)
+    except AcoufiltError as exc:
+        with pytest.raises(AcoufiltError) as err:
+            network._row_delta(design, grid, jw)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return
+    delta = network._row_delta(design, grid, jw)
+    assert delta.shape == ref.shape
+    assert np.all(np.abs(delta - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("grid", ["1e150:1e160:3", "1e300:1e308:3", "1e-300:1e-299:3"])
+def test_overflowing_ladder_response_is_named(grid):
+    # Warnings are errors here: no numpy warning and no non-finite S.
+    p = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    design = shunt_series_shunt(p, p)
+    with pytest.raises(DomainError, match="non-finite entries"):
+        build_ladder_response(design, parse_grid_spec(grid))
+    with pytest.raises(DomainError, match="non-finite entries"):
+        one_port_s11(p, parse_grid_spec(grid))
