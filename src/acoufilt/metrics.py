@@ -81,11 +81,11 @@ def _edge(freq, mag_db, peak_idx, target_db, direction, level_db):
     """
     if direction < 0:
         below = mag_db[peak_idx - 1::-1] <= target_db
-        k = int(np.argmax(below))
+        k = int(below.argmax())
         j = peak_idx - 1 - k if below[k] else -1
     else:
         below = mag_db[peak_idx + 1:] <= target_db
-        k = int(np.argmax(below))
+        k = int(below.argmax())
         j = peak_idx + 1 + k if below[k] else -1
     if j < 0:
         raise BandEdgeError("low" if direction < 0 else "high", level_db)
@@ -103,8 +103,8 @@ def _stopband_peak(freq, mag_db, stop_lo, stop_hi) -> float:
     sorts a NaN bound last, but neither comparison holds for it.  A NaN
     sample in either part is the result, as it is for np.max.
     """
-    head = np.searchsorted(freq, stop_lo, side="right") if stop_lo == stop_lo else 0
-    tail = np.searchsorted(freq, stop_hi, side="left")
+    head = freq.searchsorted(stop_lo, side="right") if stop_lo == stop_lo else 0
+    tail = freq.searchsorted(stop_hi, side="left")
     if not head and tail == freq.size:
         raise StopbandError("no grid points in the out-of-band region")
     lo = mag_db[:head].max().item() if head else -math.inf
@@ -127,7 +127,7 @@ def _metrics_from_db(freq: np.ndarray, mag_db: np.ndarray, guard: float) -> Filt
     grid freq."""
     if guard < 0:
         raise DomainError("guard must be nonnegative")
-    peak_idx = int(np.argmax(mag_db))
+    peak_idx = int(mag_db.argmax())
     if peak_idx == 0 or peak_idx == freq.size - 1:
         raise DegeneratePassbandError("|S21| maximum sits on the grid boundary")
     peak_db = mag_db.item(peak_idx)

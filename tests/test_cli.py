@@ -294,7 +294,6 @@ _SWEPT = {"filter.z0": (1.0, 200.0), "series.lm": (1e-10, 1e-8), "series.rm": (0
           "shunt.c0": (1e-15, 1e-12), "shunt.ls": (0.0, 1e-9)}
 
 
-@settings(max_examples=60)
 @given(text_out=st.one_of(st.tuples(_LADDERS, st.just("o.s2p")),
                          st.tuples(_RESONATORS, st.just("o.s1p"))),
        grid=value_specs(*_GRIDS, 3000), with_metrics=st.booleans())
@@ -310,7 +309,6 @@ def test_simulate_on_any_design_and_grid_exits_cleanly(tmp_path_factory, text_ou
     _assert_clean_exit(argv + (["--metrics", str(work / "m.csv")] if with_metrics else []))
 
 
-@settings(max_examples=60)
 @given(text=_LADDERS, param_values=st.sampled_from(sorted(_SWEPT)).flatmap(
     lambda param: st.tuples(st.just(param), value_specs(*_SWEPT[param], 20))),
     grid=value_specs(*_GRIDS, 500))

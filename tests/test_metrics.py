@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acoufilt import ComplexCurve, crossing_interpolate, metrics, passband_metrics
@@ -237,6 +237,7 @@ def test_metrics_from_db_match_the_mask_and_walking_oracles(case, guard):
     assert got == expected
 
 
+@settings(max_examples=20)
 @given(single_peaked_curves(), st.sampled_from([0.0, 0.05, 0.15]))
 @example(ComplexCurve(_GHZ, 10.0 ** (np.array(
     [-50.0, -metrics._LEVEL3_DB, 0.0, -1.0, -30.0, -40.0, -50.0]) / 20.0)), 0.0)
