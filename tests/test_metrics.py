@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acoufilt import ComplexCurve, crossing_interpolate, metrics, passband_metrics
-from acoufilt.metrics import METRIC_NAMES
 from acoufilt.errors import (
     AcoufiltError,
     BandEdgeError,
@@ -16,6 +15,7 @@ from acoufilt.errors import (
     DomainError,
     StopbandError,
 )
+from acoufilt.metrics import METRIC_NAMES
 
 F0 = 10e9
 Q = 10.0
