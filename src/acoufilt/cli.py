@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import math
 import os
@@ -14,7 +15,7 @@ import tempfile
 import numpy as np
 
 from . import fitting, io_formats, svgplot
-from .curves import parse_grid_spec
+from .curves import MAX_POINTS, parse_grid_spec
 from .errors import AcoufiltError
 from .mbvd import MbvdParams
 from .metrics import DEFAULT_GUARD, METRIC_NAMES, passband_metrics
@@ -177,6 +178,8 @@ def _parse_value_range(spec: str) -> np.ndarray:
         raise AcoufiltError(f"bad --range {spec!r}: {exc}")
     if n < 1 or not (a <= b and math.isfinite(b - a)):
         raise AcoufiltError("--range requires finite a <= b and n >= 1")
+    if n > MAX_POINTS:
+        raise AcoufiltError(f"--range count must be at most {MAX_POINTS}")
     return np.linspace(a, b, n)
 
 
@@ -220,7 +223,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: callers
+    must not modify it."""
     parser = argparse.ArgumentParser(
         prog="acoufilt",
         description="Acoustic resonator / ladder filter modeling, fitting and synthesis",
@@ -234,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", help="also write passband metrics CSV")
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD,
                    help="fractional stopband offset from the 3-dB edges")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="extract MBVD parameters from a one-port .s1p")
     p.add_argument("--input", required=True, help="one-port Touchstone file")
@@ -245,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--weight", default="inverse-magnitude",
                    choices=("inverse-magnitude", "uniform"))
-    p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("synthesize", help="search a ladder design meeting a spec file")
     p.add_argument("--spec", required=True, help="design spec file with a [spec] section")
@@ -254,14 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--touchstone", help="also write the .s2p response")
     p.add_argument("--metrics", help="also write metrics CSV")
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
-    p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("metrics", help="score a two-port .s2p file")
     p.add_argument("--input", required=True, help="two-port Touchstone file")
     p.add_argument("--out", help="metrics CSV (stdout when omitted)")
     p.add_argument("--svg", help="also write an |S21| SVG plot")
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
-    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("sweep", help="sweep one design parameter and tabulate metrics")
     p.add_argument("--design", required=True)
@@ -270,15 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="frequency grid start:stop:count (Hz)")
     p.add_argument("--out", required=True, help="CSV of one metrics row per value")
     p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up on each call: the parser is cached, and a command function
+    # rebound after it was built (by a tracing wrapper, say) is the one run.
+    command = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (AcoufiltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

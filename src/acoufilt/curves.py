@@ -9,6 +9,11 @@ import numpy as np
 
 from .errors import DomainError
 
+# Largest count of a start:stop:count grid or --range spec.  A larger count
+# is rejected before anything is allocated; a grid of this size takes tens
+# of megabytes per complex array.
+MAX_POINTS = 1_000_000
+
 
 def validate_grid(freq_hz: np.ndarray) -> np.ndarray:
     """Validate a frequency grid: 1-D, finite, positive, strictly increasing."""
@@ -79,6 +84,8 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise DomainError(f"grid spec {spec!r}: {exc}") from None
     if count < 2:
         raise DomainError("grid count must be at least 2")
+    if count > MAX_POINTS:
+        raise DomainError(f"grid count must be at most {MAX_POINTS}")
     if not (0.0 < start < stop < math.inf):
         raise DomainError("grid requires 0 < start < stop < inf")
     return np.linspace(start, stop, count)

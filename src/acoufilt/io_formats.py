@@ -11,6 +11,7 @@ import array
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,17 +149,17 @@ _ROW_CHECKS = ("frequency overflows when scaled to hertz", "non-positive frequen
                "frequencies must be strictly increasing", "DB magnitude overflows")
 
 
-def _columns(header: TouchstoneHeader, width: int, nums: array.array,
-             linenos: list[int], lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+def _columns(header: TouchstoneHeader, table: np.ndarray, linenos: list[int] | None = None,
+             lines: list[str] | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Frequencies in hertz and S matrices of the data rows, checked by column.
 
     A row fails if a number is not finite (-inf dB excepted), its frequency
     overflows in hertz, is not positive or does not exceed the previous
     row's, or a DB magnitude overflows.  The first failing row is reported
-    with its line number and the first check it fails, in that order.
+    with its line number and the first check it fails, in that order;
+    without line numbers a failing row gives None.
     """
-    table = np.frombuffer(nums, dtype=float).reshape(-1, width)
-    n = table.shape[0]
+    n, width = table.shape
     a, b = table[:, 1::2], table[:, 2::2]
     raw_bad = ~np.isfinite(table)
     if header.format == "DB":
@@ -173,6 +174,8 @@ def _columns(header: TouchstoneHeader, width: int, nums: array.array,
                            ~np.isfinite(mag).all(axis=1)))
     rows = np.flatnonzero(bad.any(axis=1))
     if rows.size:
+        if linenos is None:
+            return None
         row = rows[0]
         check = int(np.argmax(bad[row]))
         lineno = linenos[row]
@@ -201,11 +204,50 @@ def read_touchstone(text: str) -> TouchstoneData:
     one starts the noise-parameter block (Touchstone v1.1): its 5-column
     rows are checked and ignored.
 
-    One pass over the lines checks their layout and collects the numbers;
-    the values are then checked and converted column by column, and an
-    error names the first offending line either way.
+    A well-formed file is read by one np.loadtxt call after its option line.
+    Every other file (a noise block, an error, no data, a token only float()
+    reads, such as 1_0) is read by the line walk, which names the first
+    offending line.
     """
     lines = text.splitlines()
+    return _read_table(lines) or _read_lines(lines)
+
+
+def _read_table(lines: list[str]) -> TouchstoneData | None:
+    """The data of a file without noise block or error, or None.
+
+    None hands the file to the line walk; loadtxt's C parser reads a subset
+    of what float() reads, to the same bits.
+    """
+    for start, raw in enumerate(lines):
+        fields = raw.split("!", 1)[0].split()
+        if fields:
+            break
+    else:
+        return None
+    header = TouchstoneHeader()
+    if fields[0].startswith("#"):
+        header = _parse_option_line(" ".join(fields)[1:].split(), start + 1)
+        start += 1
+    try:
+        # An input without data rows warns; the line walk reads it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines[start:], comments="!", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] not in (3, 9):
+        return None
+    # A two-port row whose frequency is not above the previous one (the
+    # start of a noise block) is a failing row here.
+    cols = _columns(header, table)
+    return None if cols is None else TouchstoneData(header, *cols)
+
+
+def _read_lines(lines: list[str]) -> TouchstoneData:
+    """The line walk: one pass over the lines checks their layout and
+    collects the numbers, which are then checked and converted by column;
+    an error names the first offending line either way."""
     header: TouchstoneHeader | None = None
     scale = 1.0
     width = 0  # columns of an S-data row: 3 (one-port) or 9 (two-port)
@@ -250,12 +292,12 @@ def read_touchstone(text: str) -> TouchstoneData:
         # A row before the failing line may hold a value error found only
         # by the column checks; the earlier line is the one to report.
         if linenos:
-            _columns(header, width, nums, linenos, lines)
+            _columns(header, np.frombuffer(nums).reshape(-1, width), linenos, lines)
         raise
 
     if header is None:
         header = TouchstoneHeader()
-    freq, s = _columns(header, width or 3, nums, linenos, lines)
+    freq, s = _columns(header, np.frombuffer(nums).reshape(-1, width or 3), linenos, lines)
     return TouchstoneData(header, freq, s)
 
 

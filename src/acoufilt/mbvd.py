@@ -199,8 +199,17 @@ def mbvd_from_targets(
         raise InfeasibleCouplingError(
             f"k2 must lie in (0, pi^2/8 ~ {K2_MAX:.4f}), got {k2:g}"
         )
-    cm = c0 * (1.0 / (1.0 - k2 / K2_MAX) - 1.0)
-    lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
+    # On Python floats, an overflowing power or a zero divisor raises
+    # instead of printing a numpy warning, and a product that overflows
+    # gives inf, which MbvdParams rejects.
+    fs, k2, c0, q = float(fs), float(k2), float(c0), float(q)
+    try:
+        cm = c0 * (1.0 / (1.0 - k2 / K2_MAX) - 1.0)
+        lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"no finite motional branch for fs = {fs:g} Hz, k2 = {k2:g}, c0 = {c0:g} F"
+        ) from None
     rm = 0.0 if math.isinf(q) else 2.0 * math.pi * fs * lm / q
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, rs=rs, ls=ls)
 

@@ -97,10 +97,9 @@ def thickness_scale(scaling: ThicknessScaling, t_new: float) -> float:
     return scaling.f_ref * scaling.t_ref / t_new
 
 
-def _design_from_x(x: np.ndarray, spec: DesignSpec) -> LadderDesign | None:
+def _design_from_x(x: np.ndarray, spec: DesignSpec) -> LadderDesign:
+    """The ladder at a placement; a DomainError where it has no circuit."""
     fs_se, fs_sh, c0_se, c0_sh = x
-    if min(fs_se, fs_sh, c0_se, c0_sh) <= 0:
-        return None
     series = mbvd_from_targets(fs_se, spec.k2, c0_se, spec.q, spec.rs, spec.ls)
     shunt = mbvd_from_targets(fs_sh, spec.k2, c0_sh, spec.q, spec.rs, spec.ls)
     return shunt_series_shunt(shunt, series, z0=spec.z0)
@@ -135,31 +134,26 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
                                      _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))
     jw = _jw(grid)
 
-    def metrics_of(s21):
-        try:
-            return passband_metrics(s21, guard=guard)
-        except AcoufiltError:
-            return None
-
     def evaluate(x):
-        """The design at x and its metrics from the full two-port response."""
+        """The design at x and its metrics from the full two-port response,
+        None where the response names a fault or has no scoreable passband."""
         design = _design_from_x(x, spec)
-        if design is None:
-            return None, None
-        return design, metrics_of(build_ladder_response(design, grid).s21())
+        try:
+            return design, passband_metrics(build_ladder_response(design, grid).s21(),
+                                            guard=guard)
+        except AcoufiltError:
+            return design, None
 
     n_evals = 0
 
     def objective(u):
-        # Scores candidates on |S21| in dB alone, on the grid and jw built above.
+        # Scores candidates on |S21| in dB alone, on the grid and jw built
+        # above; a toolkit error anywhere is a failed evaluation.
         nonlocal n_evals
         n_evals += 1
-        design = _design_from_x(x0 * u, spec)
-        if design is None:
-            return _FAILED_EVAL_PENALTY
-        mag_db = _ladder_s21_db(design, grid, jw)
         try:
-            m = metrics._metrics_from_db(grid, mag_db, guard)
+            design = _design_from_x(x0 * u, spec)
+            m = metrics._metrics_from_db(grid, _ladder_s21_db(design, grid, jw), guard)
         except AcoufiltError:
             return _FAILED_EVAL_PENALTY
         return _score(m, spec)
@@ -195,9 +189,13 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
         },
     )
 
-    design, m = evaluate(x0 * res.x)
+    try:
+        design, m = evaluate(x0 * res.x)
+    except AcoufiltError:  # the search ended on a placement without a circuit
+        m = None
     if m is None:
-        # Fall back to the seed placement if the search wandered off the cliff.
+        # Fall back to the seed placement if the search wandered off the
+        # cliff; a seed without a circuit raises its error here.
         design, m = evaluate(x0)
         cost = _score(m, spec) if m is not None else math.inf
         return SynthesisResult(design, m, False, cost, n_evals)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_design_file_properties import _VALID_LINES, design_texts
-from test_touchstone_properties import ALPHABET, touchstone_texts
+from test_touchstone_properties import ALPHABET, rarely, touchstone_texts
 
 import acoufilt
 from acoufilt import io_formats
 from acoufilt.cli import main
+from acoufilt.curves import MAX_POINTS, parse_grid_spec
+from acoufilt.errors import DomainError
 from acoufilt.metrics import METRIC_NAMES
 
 
@@ -321,6 +323,64 @@ def test_sweep_on_any_design_range_and_grid_exits_cleanly(tmp_path_factory, text
     (work / "design.kv").write_text(text)
     _assert_clean_exit(["sweep", "--design", str(work / "design.kv"), "--param", param,
                         f"--range={values}", f"--grid={grid}", "--out", str(work / "o.csv")])
+
+
+# Spec fields: a plausible range, or one time in five an extreme or invalid
+# value.
+_SPEC_RANGES = {"fc": (1e9, 1e11), "fbw": (0.02, 0.3), "z0": (10.0, 200.0),
+                "oob_min_db": (5.0, 30.0), "k2": (0.05, 1.2), "q": (10.0, 1000.0),
+                "rs": (0.0, 5.0), "ls": (0.0, 1e-10), "il_max_db": (0.5, 5.0)}
+_SPEC_EXTREMES = st.sampled_from(["1e300", "1e-300", "0", "-1", "nan", "inf", "5e-324",
+                                  "1.2337", "1e30"])
+
+
+@st.composite
+def spec_texts(draw):
+    lines = ["[spec]"]
+    for key, (lo, hi) in _SPEC_RANGES.items():
+        value = draw(_SPEC_EXTREMES) if rarely(draw, 5) else repr(draw(st.floats(lo, hi)))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+# Whole searches take up to half a second each; a few dozen specs at most.
+@settings(max_examples=24, deadline=None)
+@given(text=spec_texts())
+@example(text="[spec]\nfc = 23.5e9\nfbw = 0.16\nk2 = 0.46\nq = 1e-300\n")
+@example(text="[spec]\nfc = 1e300\nfbw = 0.16\nk2 = 0.46\nq = 50\n")
+@example(text="[spec]\nfc = 23.5e9\nfbw = 0.16\nk2 = 0.46\nq = 50\nz0 = 1e-300\n")
+def test_synthesize_on_any_spec_exits_cleanly(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "spec.kv").write_text(text)
+    _assert_clean_exit(["synthesize", "--spec", str(work / "spec.kv"), "--out",
+                        str(work / "d.kv"), "--grid", "1e9:6e10:201", "--touchstone",
+                        str(work / "d.s2p"), "--metrics", str(work / "m.csv")])
+
+
+@pytest.mark.parametrize("grid, values", [(f"1e9:4e10:{10**12}", "1e-14:1e-13:3"),
+                                          ("1e9:4e10:11", f"1e-14:1e-13:{10**12}")])
+def test_counts_above_the_bound_are_rejected_before_allocation(
+        tmp_path, reference_design, monkeypatch, capsys, grid, values):
+    path, _ = reference_design
+    linspace = np.linspace
+
+    def bounded_linspace(start, stop, num, **kwargs):
+        assert num <= MAX_POINTS, "a count above the bound reached np.linspace"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", bounded_linspace)
+    rc = main(["sweep", "--design", str(path), "--param", "shunt.c0", f"--range={values}",
+               f"--grid={grid}", "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"at most {MAX_POINTS}" in err
+    assert err.count("\n") == 1
+
+
+def test_grid_count_bound_is_inclusive():
+    assert parse_grid_spec(f"1:2:{MAX_POINTS}").size == MAX_POINTS
+    with pytest.raises(DomainError, match="at most"):
+        parse_grid_spec(f"1:2:{MAX_POINTS + 1}")
 
 
 @pytest.mark.parametrize("key, value", [("z0", "inf"), ("oob_min_db", "nan"), ("fc", "nan")])

@@ -147,6 +147,14 @@ def test_mbvd_from_targets_rejects_excess_coupling():
         mbvd_from_targets(20e9, 1.3, 50e-15, 40.0)
 
 
+@pytest.mark.parametrize("fs, k2, c0", [(1e300, 0.42, 1e-13), (1e-300, 0.42, 1e-13),
+                                         (20e9, 1e-300, 1e-13), (20e9, 0.42, 1e300)])
+def test_mbvd_from_targets_without_a_finite_branch_is_a_domain_error(fs, k2, c0):
+    # On float64 inputs too, with warnings as errors: no numpy warning first.
+    with pytest.raises(DomainError):
+        mbvd_from_targets(np.float64(fs), np.float64(k2), np.float64(c0), np.float64(40.0))
+
+
 def test_perceived_resonance_unloaded_lossless_equals_fs():
     p = mbvd_from_targets(20e9, 0.42, 50e-15, math.inf)
     assert perceived_resonance(p) == pytest.approx(20e9, rel=1e-6)

@@ -137,3 +137,22 @@ def test_thickness_scale():
         thickness_scale(scaling, 0.0)
     with pytest.raises(DomainError):
         ThicknessScaling(f_ref=0.0, t_ref=90e-9)
+
+
+@pytest.mark.parametrize("field, value", [("q", 1e-300), ("ls", 1e300)])
+def test_candidates_that_name_faults_give_a_best_effort(field, value):
+    # Every placement's chain names a fault (non-finite ABCD entries); the
+    # search still returns its seed design, flagged infeasible.
+    result = synthesize_ladder(dataclasses.replace(REFERENCE_SPEC, **{field: value}))
+    assert not result.feasible and result.metrics is None and result.cost == math.inf
+    assert [kind for kind, _ in result.design.elements] == [
+        ElementKind.SHUNT, ElementKind.SERIES, ElementKind.SHUNT]
+
+
+@pytest.mark.parametrize("field, value", [("fc_target", 1e300), ("fc_target", 1e-300),
+                                          ("k2", 1e-300), ("z0", 1e-300)])
+def test_spec_without_a_seed_circuit_is_a_domain_error(field, value):
+    # Warnings are errors here: the placement arithmetic on the search's
+    # float64 values must not print numpy overflow or divide warnings.
+    with pytest.raises(DomainError):
+        synthesize_ladder(dataclasses.replace(REFERENCE_SPEC, **{field: value}))

@@ -10,9 +10,11 @@ FormatError at its line, not an OverflowError or an infinite frequency.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acoufilt import io_formats
 from acoufilt.errors import AcoufiltError, DomainError, FormatError
 from acoufilt.io_formats import (
     TouchstoneData,
@@ -185,8 +187,13 @@ def option_line(draw) -> str:
 
 @st.composite
 def touchstone_texts(draw, odds: int = 8):
-    """Text that is mostly a valid one- or two-port file, with mistakes mixed in."""
+    """Text that is mostly a valid one- or two-port file, with mistakes mixed in.
+
+    Numbers are separated by spaces, or in one file in four by tabs or
+    no-break spaces, which str.split() also splits on.
+    """
     width = draw(st.sampled_from([3, 9]))
+    sep = draw(st.sampled_from(["\t", "\xa0"])) if rarely(draw, 4) else " "
     lines = [option_line(draw)] if not rarely(draw, 4) else []
     freq = noise_freq = 0
     kinds = ["row"] * 40 + ["comment", "blank", "option", "noise", "odd-row"]
@@ -200,15 +207,18 @@ def touchstone_texts(draw, odds: int = 8):
         elif kind == "noise":
             noise_freq += 0 if rarely(draw, 4) else 1
             values = [token(draw, odds) for _ in range(4)]
-            lines.append(" ".join([repr(float(noise_freq))] + values))
+            lines.append(sep.join([repr(float(noise_freq))] + values))
         else:
             freq += draw(st.sampled_from([0, -1])) if rarely(draw, 20) else 1
             f = draw(WILD_TOKENS) if rarely(draw, 30) else repr(float(freq))
             n = width if kind == "row" else draw(st.sampled_from([1, 3, 4, 5, 9]))
             values = [token(draw, odds) for _ in range(n - 1)]
             comment = " ! inline" if rarely(draw, 6) else ""
-            lines.append(" ".join([f] + values) + comment)
+            lines.append(sep.join([f] + values) + comment)
     return "\n".join(lines) + "\n"
+
+
+ALPHABET = "0123456789.eE+-_ #!\n\t\rxinfaSsDBMRHzGkI,"
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,18 @@ def touchstone_texts(draw, odds: int = 8):
 
 
 @settings(max_examples=200)
-@given(touchstone_texts())
+@given(st.one_of(touchstone_texts(), st.text(alphabet=ALPHABET)))
+# One example for each kind of file the single loadtxt read hands to the
+# line walk, and one with no-break spaces, which loadtxt splits on as
+# str.split() does.
+@example("# GHz S RI R 50\n1 1_0 0\n")  # float() only
+@example("# GHz S RI R 50\n1 \uff11 0\n")  # float() only: a fullwidth digit
+@example("# GHz S RI R 50\n" + "1 0.1 0 0.2 0 0.2 0 0.1 0\n2 0.1 0 0.2 0 0.2 0 0.1 0\n"
+         "1 0.8 0.3 45 0.2\n2 1.1 0.25 60 0.25\n")  # a two-port noise block
+@example("# GHz S RI R 50\n2 0.1 0 0.2 0 0.2 0 0.1 0\n1 0.1 0 0.2 0 0.2 0 0.1 0\n")  # 9 columns
+@example("")  # no lines
+@example("! only a comment\n\n")  # no data
+@example("# GHz S RI R 50\n1\xa00.5\xa00\n2\xa00.25\xa00\n")  # read by loadtxt
 def test_reader_matches_the_line_by_line_reference(text):
     got, want = outcome(read_touchstone, text), outcome(reference_read, text)
     if isinstance(want, tuple):
@@ -266,12 +287,30 @@ def test_ma_and_db_columns_are_within_4_ulp_of_math(data):
         assert_same_complex(got.s, ref.s, exact=False)
 
 
-ALPHABET = "0123456789.eE+-_ #!\n\t\rxinfaSsDBMRHzGkI,"
-
-
 @given(st.one_of(st.text(), st.text(alphabet=ALPHABET), touchstone_texts()))
 def test_reader_raises_only_format_or_domain_errors(text):
     try:
         read_touchstone(text)
     except (FormatError, DomainError):
         pass
+
+
+@pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+@pytest.mark.parametrize("ports", [1, 2])
+def test_written_files_are_read_without_the_line_walk(monkeypatch, fmt, ports):
+    rng = np.random.default_rng(7)
+    s = rng.standard_normal((40, ports, ports)) + 1j * rng.standard_normal((40, ports, ports))
+    s[3] = 0.0  # an exact zero: -inf dB in a DB file
+    header = TouchstoneHeader("GHz", "S", fmt, 75.0)
+    data = TouchstoneData(header, np.linspace(1e9, 4e10, 40), s)
+    text = write_touchstone(data)
+    want = reference_read(text)
+
+    def fail(lines):
+        raise AssertionError("the line walk read a written file")
+
+    monkeypatch.setattr(io_formats, "_read_lines", fail)
+    got = read_touchstone(text)
+    assert got.header == header
+    assert np.array_equal(bits(got.freq_hz), bits(want.freq_hz))
+    assert_same_complex(got.s, want.s, exact=fmt == "RI")
