@@ -64,14 +64,6 @@ class ComplexCurve:
         return np.degrees(np.angle(self.values))
 
 
-def sorted_curve(freq_hz, values, label: str = "") -> ComplexCurve:
-    """Build a ComplexCurve from possibly unordered samples, sorting by frequency."""
-    f = np.asarray(freq_hz, dtype=float)
-    v = np.asarray(values, dtype=complex)
-    order = np.argsort(f, kind="stable")
-    return ComplexCurve(f[order], v[order], label=label)
-
-
 def parse_grid_spec(spec: str) -> np.ndarray:
     """Parse a ``start:stop:count`` grid spec (hertz) into a linear grid."""
     parts = spec.split(":")

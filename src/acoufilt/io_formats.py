@@ -270,8 +270,9 @@ def _read_lines(lines: list[str]) -> TouchstoneData:
             if header is None:
                 header = TouchstoneHeader()
                 scale = header.unit_scale
+            first = None  # the first field of a two-port row, converted once
             if width == 9 and (
-                noise_freqs or _number(fields[0], lineno) * scale <= nums[-9] * scale
+                noise_freqs or (first := _number(fields[0], lineno)) * scale <= nums[-9] * scale
             ):
                 noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
                 continue
@@ -284,7 +285,8 @@ def _read_lines(lines: list[str]) -> TouchstoneData:
                     raise FormatError("inconsistent column count", lineno)
                 width = len(fields)
             try:
-                nums.fromlist(list(map(float, fields)))
+                nums.fromlist([first, *map(float, fields[1:])] if first is not None
+                              else list(map(float, fields)))
             except ValueError as exc:
                 raise FormatError(f"malformed number: {exc}", lineno)
             linenos.append(lineno)
@@ -301,9 +303,9 @@ def _read_lines(lines: list[str]) -> TouchstoneData:
     return TouchstoneData(header, freq, s)
 
 
-def _format_table(table: np.ndarray, sep: str) -> str:
+def _format_table(table: np.ndarray) -> str:
     """One line per row of a float table, each number formatted as _NUM does."""
-    row = sep.join(["%.16e"] * table.shape[1]) + "\n"
+    row = " ".join(["%.16e"] * table.shape[1]) + "\n"
     return "".join((row * len(chunk)) % tuple(chunk.ravel().tolist())
                    for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)))
 
@@ -336,7 +338,7 @@ def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
             mag = np.hypot(cols.real, cols.imag)
             table[:, 1::2] = 20.0 * np.log10(mag) if header.format == "DB" else mag
         table[:, 2::2] = np.degrees(np.arctan2(cols.imag, cols.real))
-    return header.option_line() + "\n" + _format_table(table, " ")
+    return header.option_line() + "\n" + _format_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +483,6 @@ def write_design_spec(spec: DesignSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # CSV
-
-def write_curve_csv(curve: ComplexCurve) -> str:
-    table = np.column_stack((curve.freq_hz, curve.values.real, curve.values.imag,
-                             curve.magnitude_db, curve.phase_deg))
-    return "frequency_hz,re,im,mag_db,phase_deg\n" + _format_table(table, ",")
-
 
 def write_metrics_csv(metrics: FilterMetrics) -> str:
     buf = io.StringIO()

@@ -200,12 +200,14 @@ def mbvd_from_targets(
             f"k2 must lie in (0, pi^2/8 ~ {K2_MAX:.4f}), got {k2:g}"
         )
     # On Python floats, an overflowing power or a zero divisor raises
-    # instead of printing a numpy warning, and a product that overflows
-    # gives inf, which MbvdParams rejects.
+    # instead of printing a numpy warning; a product that overflows gives
+    # an infinite cm, or an lm of 1/inf = 0, and is the same fault.
     fs, k2, c0, q = float(fs), float(k2), float(c0), float(q)
     try:
         cm = c0 * (1.0 / (1.0 - k2 / K2_MAX) - 1.0)
         lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
+        if not (math.isfinite(cm) and lm > 0.0):
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
         raise DomainError(
             f"no finite motional branch for fs = {fs:g} Hz, k2 = {k2:g}, c0 = {c0:g} F"

@@ -11,14 +11,7 @@ import numpy as np
 
 from .curves import ComplexCurve, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import (
-    MbvdParams,
-    _admittance_values,
-    _check_defined,
-    _jw,
-    _terms,
-    resonator_admittance,
-)
+from .mbvd import MbvdParams, _check_defined, _jw, _terms, resonator_admittance
 
 
 def _check_z0(z0: float, name: str = "reference impedance") -> None:
@@ -114,18 +107,6 @@ def _element(kind: ElementKind, y: np.ndarray) -> tuple:
     raise DomainError(f"unknown element kind {kind!r}")
 
 
-def _fold(chain: tuple, kind: ElementKind, y: np.ndarray) -> tuple:
-    """Chain matrix (a, b, c, d) times the element of kind with admittance y,
-    written out with the element's 1s and 0s."""
-    a, b, c, d = chain
-    if kind is ElementKind.SERIES:
-        z = 1.0 / y
-        return a, a * z + b, c, c * z + d
-    if kind is ElementKind.SHUNT:
-        return a + b * y, b, c + d * y, d
-    raise DomainError(f"unknown element kind {kind!r}")
-
-
 def _product(m: tuple, n: tuple) -> tuple:
     """Per-frequency 2x2 product m @ n of chain matrices held as (a, b, c, d)."""
     a1, b1, c1, d1 = m
@@ -145,27 +126,11 @@ def _stack(n: int, a, b, c, d) -> np.ndarray:
     return mats
 
 
-def _delta(a, b, c, d, z0: float):
-    """Denominator delta = a + b/z0 + c*z0 + d of the ABCD->S conversion."""
-    return a + b / z0 + c * z0 + d
-
-
 def _nonzero(freq_hz: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """delta, or SingularConversionError at the first frequency where it is 0."""
     if not delta.all():
         raise SingularConversionError(float(freq_hz[np.flatnonzero(delta == 0)[0]]))
     return delta
-
-
-def _to_s(freq_hz: np.ndarray, a, b, c, d, z0: float, delta: np.ndarray) -> np.ndarray:
-    """Scattering matrices at reference z0 of the chain matrices (a, b, c, d),
-    given their nonzero delta = _delta(a, b, c, d, z0)."""
-    bz, cz = b / z0, c * z0
-    return _stack(freq_hz.size,
-                  (a + bz - cz - d) / delta,
-                  2.0 * (a * d - b * c) / delta,
-                  2.0 / delta,
-                  (-a + bz - cz + d) / delta)
 
 
 def _unchecked(cls, **fields):
@@ -212,84 +177,75 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     """Convert chain matrices to scattering parameters at reference z0."""
     _check_z0(z0)
     f = block.freq_hz
-    chain = _entries(block.mats)
-    s = _to_s(f, *chain, z0, _nonzero(f, _delta(*chain, z0)))
+    a, b, c, d = _entries(block.mats)
+    bz, cz = b / z0, c * z0
+    delta = _nonzero(f, a + bz + cz + d)
+    s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
+               2.0 / delta, (-a + bz - cz + d) / delta)
     return SParameterBlock(f, s, z0=z0)
 
 
-def _chain(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> tuple:
-    """Chain matrix (a, b, c, d) of a ladder on a checked grid f, jw = _jw(f),
-    and its nonzero delta at the port impedance.
+def _rows(design: LadderDesign, f: np.ndarray, jw: np.ndarray, full: bool) -> tuple:
+    """The ladder's chain matrix M as the rows r+ = [1, z0] @ M = (P, Q) and,
+    with ``full``, r- = [1, -z0] @ M = (R, T), on a checked grid f with
+    jw = _jw(f), and its nonzero ABCD->S denominator delta = P + Q/z0.
 
-    Each distinct resonator (equal MbvdParams) is evaluated once, and each
-    element is folded into the chain.  Any non-finite entry, from a division
-    by zero or an overflow, makes delta non-finite, so only delta is checked;
-    only then are the entries checked and a lossless resonator sampled
-    exactly at a resonance named by _check_defined.
+    A series element of impedance z = den / num maps each row (p, q) to
+    (p, p*z + q), a shunt of admittance y = num / den to (p + q*y, q), so
+    each takes one division from _terms; each distinct (kind, resonator)
+    pair is evaluated once.  Any non-finite value, from a division by zero
+    or an overflow, makes delta non-finite, so only delta is checked.  There,
+    or where a series element is a short (z = 0), _check_defined names a
+    lossless resonator sampled exactly at a resonance, or the generic error
+    is raised; a zero delta is a SingularConversionError.
     """
-    admittances: dict[MbvdParams, np.ndarray] = {}
-    chain = None
+    values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
+    short = False
+    z0 = design.z0
+    p, q, r, t = 1.0, z0, 1.0, -z0
     with np.errstate(all="ignore"):
-        for kind, p in design.elements:
-            y = admittances.get(p)
-            if y is None:
-                y = admittances[p] = _admittance_values(p, jw)
-            chain = _element(kind, y) if chain is None else _fold(chain, kind, y)
-        delta = _delta(*chain, design.z0)
-    if not np.isfinite(delta).all() and not all(np.all(np.isfinite(v)) for v in chain):
-        for kind, p in design.elements:
-            _check_defined(p, f, inverted=kind is ElementKind.SERIES)
+        for kind, res in design.elements:
+            series = kind is ElementKind.SERIES
+            v = values.get((kind, res))
+            if v is None:
+                _, _, num, den = _terms(res, jw)
+                v = values[kind, res] = den / num if series else num / den
+                short = short or (series and not v.all())
+            if series:
+                q = p * v + q
+                if full:
+                    t = r * v + t
+            else:
+                p = p + q * v
+                if full:
+                    r = r + t * v
+        delta = p + q / z0
+    if short or not np.isfinite(delta).all():
+        for kind, res in design.elements:
+            _check_defined(res, f, inverted=kind is ElementKind.SERIES)
         raise DomainError("ABCD matrices contain non-finite entries")
-    return chain, _nonzero(f, delta)
+    return _nonzero(f, delta), p, q, r, t
 
 
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """Evaluate a ladder design to two-port S-parameters on a grid.
 
-    The grid is checked once; the chain matrices are carried as four
-    complex vectors a, b, c, d and updated elementwise.  Values that
-    overflow raise DomainError instead of giving non-finite S-parameters.
+    The grid is checked once, and the rows [1, z0] and [1, -z0] are carried
+    through the chain matrices (_rows).  With delta = P + Q/z0, S11 =
+    (R + T/z0) / delta, S22 = (Q/z0 - P) / delta and S21 = S12 = 2 / delta,
+    since every element's chain matrix has determinant 1 (Pozar, Microwave
+    Engineering, sec. 4.4).  Values that overflow raise DomainError instead
+    of giving non-finite S-parameters.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
+    z0 = design.z0
     with np.errstate(all="ignore"):
-        chain, delta = _chain(design, f, _jw(f))
-        s = _to_s(f, *chain, design.z0, delta)
+        delta, p, q, r, t = _rows(design, f, _jw(f), full=True)
+        s21 = 2.0 / delta
+        s = _stack(f.size, (r + t / z0) / delta, s21, s21, (q / z0 - p) / delta)
     if not np.isfinite(s).all():
         raise DomainError("S-parameters contain non-finite entries")
-    return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=design.z0)
-
-
-def _row_delta(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
-    """The delta of _chain alone, as the row vector [1, z0] carried through
-    the chain matrices and closed with [1, 1/z0]:
-    [1, z0] @ [[a, b], [c, d]] @ [1, 1/z0] = a + b/z0 + c*z0 + d.
-
-    A series element of impedance z = den / num maps the row (p, q) to
-    (p, p*z + q), a shunt of admittance y = num / den to (p + q*y, q), so
-    each takes one division from _terms.  Each distinct (kind, resonator)
-    pair is evaluated once.  Where delta is not finite or is zero, or a
-    series element is a short (z = 0, a division by zero in _chain), _chain
-    takes over: it names the fault or gives its own delta.
-    """
-    values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
-    short = False
-    p, q = 1.0, design.z0
-    with np.errstate(all="ignore"):
-        for kind, r in design.elements:
-            series = kind is ElementKind.SERIES
-            v = values.get((kind, r))
-            if v is None:
-                _, _, num, den = _terms(r, jw)
-                v = values[kind, r] = den / num if series else num / den
-                short = short or (series and not v.all())
-            if series:
-                q = p * v + q
-            else:
-                p = p + q * v
-        delta = p + q / design.z0
-    if short or not (np.isfinite(delta).all() and delta.all()):
-        return _chain(design, f, jw)[1]
-    return delta
+    return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=z0)
 
 
 _DB_OF_2 = 20.0 * math.log10(2.0)
@@ -298,7 +254,7 @@ _DB_OF_2 = 20.0 * math.log10(2.0)
 def _ladder_s21_db(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
     """|S21| in dB of a ladder on a checked grid f, jw = _jw(f), from delta
     alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|."""
-    return _DB_OF_2 - 20.0 * np.log10(np.abs(_row_delta(design, f, jw)))
+    return _DB_OF_2 - 20.0 * np.log10(np.abs(_rows(design, f, jw, full=False)[0]))
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:

@@ -14,7 +14,6 @@ from acoufilt import (
     mbvd_from_targets,
     resonator_admittance,
 )
-from acoufilt.curves import sorted_curve
 from acoufilt.errors import AcoufiltError, DomainError, SearchError, StructureError
 
 PARAM_NAMES = ("rm", "lm", "cm", "c0", "rs", "ls")
@@ -108,16 +107,6 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     assert result.converged
     assert len(points) > result.iterations
     assert len(set(points)) == len(points)
-
-
-def test_fit_invariant_to_sample_order():
-    rng = np.random.default_rng(9)
-    perm = rng.permutation(GRID.size)
-    shuffled = sorted_curve(GRID[perm], CURVE.values[perm])
-    a = fit_mbvd(CURVE, initial_guess(CURVE))
-    b = fit_mbvd(shuffled, initial_guess(shuffled))
-    for k in PARAM_NAMES:
-        assert getattr(a.params, k) == getattr(b.params, k)
 
 
 def test_refit_is_a_fixed_point():

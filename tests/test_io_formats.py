@@ -21,7 +21,6 @@ from acoufilt.io_formats import (
     read_ladder_design,
     read_resonators,
     read_touchstone,
-    write_curve_csv,
     write_design_spec,
     write_ladder_design,
     write_metrics_csv,
@@ -275,17 +274,6 @@ def test_spec_round_trip():
 def test_design_comments_and_blank_lines():
     text = "# a comment\n\n[filter]\nz0 = 50  # inline\n"
     assert parse_design_text(text) == {"filter": {"z0": 50.0}}
-
-
-def test_curve_csv_layout():
-    f = np.array([1e9, 2e9])
-    curve = ComplexCurve(f, np.array([1 + 0j, 0 + 1j]))
-    lines = write_curve_csv(curve).splitlines()
-    assert lines[0] == "frequency_hz,re,im,mag_db,phase_deg"
-    assert len(lines) == 3
-    row = lines[2].split(",")
-    assert float(row[2]) == 1.0
-    assert float(row[4]) == pytest.approx(90.0)
 
 
 def test_metrics_csv_layout():

@@ -9,6 +9,7 @@ from acoufilt import (
     ElementKind,
     ThicknessScaling,
     build_ladder_response,
+    mbvd_from_targets,
     passband_metrics,
     series_resonance,
     synthesize_ladder,
@@ -156,3 +157,13 @@ def test_spec_without_a_seed_circuit_is_a_domain_error(field, value):
     # float64 values must not print numpy overflow or divide warnings.
     with pytest.raises(DomainError):
         synthesize_ladder(dataclasses.replace(REFERENCE_SPEC, **{field: value}))
+
+
+def test_seed_whose_motional_inductance_underflows_names_the_branch():
+    # With z0 = 1e-300 the seed's c0 is about 6.8e288 F: (2*pi*fs)^2 * cm
+    # overflows to inf and lm = 1/inf = 0, an overflow of the placement,
+    # not a nonpositive element the caller gave.
+    with pytest.raises(DomainError, match="no finite motional branch"):
+        mbvd_from_targets(23.5e9, 0.46, 1e300, 50.0)
+    with pytest.raises(DomainError, match="no finite motional branch"):
+        synthesize_ladder(dataclasses.replace(REFERENCE_SPEC, z0=1e-300))
