@@ -193,11 +193,11 @@ def _rows(design: LadderDesign, f: np.ndarray, jw: np.ndarray, full: bool) -> tu
     A series element of impedance z = den / num maps each row (p, q) to
     (p, p*z + q), a shunt of admittance y = num / den to (p + q*y, q), so
     each takes one division from _terms; each distinct (kind, resonator)
-    pair is evaluated once.  Any non-finite value, from a division by zero
-    or an overflow, makes delta non-finite, so only delta is checked.  There,
-    or where a series element is a short (z = 0), _check_defined names a
-    lossless resonator sampled exactly at a resonance, or the generic error
-    is raised; a zero delta is a SingularConversionError.
+    pair is evaluated once.  Any non-finite value in r+, from a division by
+    zero or an overflow, makes delta non-finite, so only delta is checked.
+    There, or where a series element is a short (z = 0), _check_defined
+    names a lossless resonator sampled exactly at a resonance, or the
+    generic error is raised; a zero delta is a SingularConversionError.
     """
     values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
     short = False
