@@ -18,7 +18,7 @@ from . import fitting, io_formats, svgplot
 from .curves import MAX_POINTS, parse_grid_spec
 from .errors import AcoufiltError
 from .mbvd import MbvdParams
-from .metrics import DEFAULT_GUARD, METRIC_NAMES, passband_metrics
+from .metrics import DEFAULT_GUARD, METRIC_NAMES, _check_guard, passband_metrics
 from .network import (
     ElementKind,
     LadderDesign,
@@ -282,6 +282,10 @@ def main(argv=None) -> int:
     # rebound after it was built (by a tracing wrapper, say) is the one run.
     command = globals()[f"_cmd_{args.command}"]
     try:
+        # Checked before any input is read: sweep scores a row whose
+        # metrics fail as NaN, and would do so for every row.
+        if "guard" in args:
+            _check_guard(args.guard)
         return command(args)
     except (AcoufiltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

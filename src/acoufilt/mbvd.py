@@ -74,18 +74,32 @@ def _jw(f: np.ndarray) -> np.ndarray:
 
 
 def _terms(p: MbvdParams, jw):
-    """pm, ps, num and den of the admittance Y = num / den of p.
+    """pm, ps, num and den of the admittance Y = num / den of p (see
+    _circuit_terms)."""
+    return _circuit_terms(jw, p.rm, p.lm, p.cm, p.c0, p.rs, p.ls, p.r0)
+
+
+def _circuit_terms(jw, rm, lm, cm, c0, rs=0.0, ls=0.0, r0=0.0):
+    """pm, ps, num and den of the admittance Y = num / den of the circuit
+    with these element values, taken as they are.
 
     With s = jw, the motional branch is pm / (s*cm), the static branch
     ps / (s*c0) and their parallel admittance num / (pm*ps), so that
     Y = 1 / (rs + s*ls + pm*ps/num) = num / (pm*ps + (rs + s*ls)*num) takes
-    one division.  Without r0, ps is 1, and without rs and ls the routing
-    term is 0; skipping them gives the same values with fewer array passes.
+    one division.  Without r0, ps is 1 and is not formed, and without rs
+    and ls the routing term is 0; skipping them gives the same values with
+    fewer array passes.
     """
-    pm = (jw * p.lm + p.rm) * jw * p.cm + 1.0
-    ps = jw * p.r0 * p.c0 + 1.0 if p.r0 else 1.0
-    num = jw * (p.cm * ps + p.c0 * pm)
-    den = pm * ps + (p.rs + jw * p.ls) * num if p.rs or p.ls else pm * ps
+    pm = (jw * lm + rm) * jw * cm + 1.0
+    if r0:
+        ps = jw * r0 * c0 + 1.0
+        num = jw * (cm * ps + c0 * pm)
+        branches = pm * ps
+    else:
+        ps = 1.0
+        num = jw * (cm + c0 * pm)
+        branches = pm
+    den = branches + (rs + jw * ls) * num if rs or ls else branches
     return pm, ps, num, den
 
 
@@ -177,6 +191,37 @@ def coupling_k2(p: MbvdParams) -> float:
     return max(k2, 0.0)
 
 
+def _motional(fs: float, k2: float, c0: float, q: float) -> tuple[float, float, float]:
+    """Motional (rm, lm, cm) of mbvd_from_targets on floats, with no
+    MbvdParams built: the same DomainError or InfeasibleCouplingError, and a
+    DomainError for every value MbvdParams would reject."""
+    if not (fs > 0 and c0 > 0):
+        raise DomainError("fs and c0 must be positive")
+    if not q > 0:
+        raise DomainError("q must be positive")
+    if not 0.0 < k2 < K2_MAX:
+        raise InfeasibleCouplingError(
+            f"k2 must lie in (0, pi^2/8 ~ {K2_MAX:.4f}), got {k2:g}"
+        )
+    # On Python floats, an overflowing power or a zero divisor raises
+    # instead of printing a numpy warning; a product that overflows gives
+    # an infinite cm, lm or rm, or an lm of 1/inf = 0, and is the same
+    # fault.  An infinite c0 gives an infinite or NaN cm.
+    fs, k2, c0, q = float(fs), float(k2), float(c0), float(q)
+    try:
+        cm = c0 * (1.0 / (1.0 - k2 / K2_MAX) - 1.0)
+        lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
+        rm = 0.0 if math.isinf(q) else 2.0 * math.pi * fs * lm / q
+        if not (math.isfinite(cm) and 0.0 < lm < math.inf and math.isfinite(rm)):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"no finite motional branch for fs = {fs:g} Hz, k2 = {k2:g}, c0 = {c0:g} F, "
+            f"q = {q:g}"
+        ) from None
+    return rm, lm, cm
+
+
 def mbvd_from_targets(
     fs: float,
     k2: float,
@@ -191,29 +236,8 @@ def mbvd_from_targets(
     quality factor Q = 2*pi*fs*lm / rm.  Q = inf gives a lossless motional
     branch.
     """
-    if not (fs > 0 and c0 > 0):
-        raise DomainError("fs and c0 must be positive")
-    if not q > 0:
-        raise DomainError("q must be positive")
-    if not 0.0 < k2 < K2_MAX:
-        raise InfeasibleCouplingError(
-            f"k2 must lie in (0, pi^2/8 ~ {K2_MAX:.4f}), got {k2:g}"
-        )
-    # On Python floats, an overflowing power or a zero divisor raises
-    # instead of printing a numpy warning; a product that overflows gives
-    # an infinite cm, or an lm of 1/inf = 0, and is the same fault.
-    fs, k2, c0, q = float(fs), float(k2), float(c0), float(q)
-    try:
-        cm = c0 * (1.0 / (1.0 - k2 / K2_MAX) - 1.0)
-        lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
-        if not (math.isfinite(cm) and lm > 0.0):
-            raise OverflowError
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError(
-            f"no finite motional branch for fs = {fs:g} Hz, k2 = {k2:g}, c0 = {c0:g} F"
-        ) from None
-    rm = 0.0 if math.isinf(q) else 2.0 * math.pi * fs * lm / q
-    return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, rs=rs, ls=ls)
+    rm, lm, cm = _motional(fs, k2, c0, q)
+    return MbvdParams(rm=rm, lm=lm, cm=cm, c0=float(c0), rs=rs, ls=ls)
 
 
 def _peak_frequency(fun, f_lo: float, f_hi: float) -> float:

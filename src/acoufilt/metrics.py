@@ -117,16 +117,21 @@ def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterM
 
     The grid must be dense enough to bracket both the 3-dB and the 20-dB
     crossings, and the |S21| maximum must be interior.  ``guard`` is the
-    fractional offset from the 3-dB edges at which the stopband starts.
+    fractional offset from the 3-dB edges at which the stopband starts; it
+    must be nonnegative and finite.
     """
+    _check_guard(guard)
     return _metrics_from_db(s21.freq_hz, s21.magnitude_db, guard)
+
+
+def _check_guard(guard: float) -> None:
+    if not 0.0 <= guard < math.inf:
+        raise DomainError(f"guard must be nonnegative and finite, got {guard:g}")
 
 
 def _metrics_from_db(freq: np.ndarray, mag_db: np.ndarray, guard: float) -> FilterMetrics:
     """passband_metrics of the |S21| samples mag_db, in dB, on the checked
-    grid freq."""
-    if guard < 0:
-        raise DomainError("guard must be nonnegative")
+    grid freq, with a guard its callers have checked (_check_guard)."""
     peak_idx = int(mag_db.argmax())
     if peak_idx == 0 or peak_idx == freq.size - 1:
         raise DegeneratePassbandError("|S21| maximum sits on the grid boundary")

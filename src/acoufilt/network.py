@@ -185,62 +185,70 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     return SParameterBlock(f, s, z0=z0)
 
 
-def _rows(design: LadderDesign, f: np.ndarray, jw: np.ndarray, full: bool) -> tuple:
+def _rows(elements, z0: float, full: bool) -> tuple:
     """The ladder's chain matrix M as the rows r+ = [1, z0] @ M = (P, Q) and,
-    with ``full``, r- = [1, -z0] @ M = (R, T), on a checked grid f with
-    jw = _jw(f), and its nonzero ABCD->S denominator delta = P + Q/z0.
+    with ``full``, r- = [1, -z0] @ M = (R, T), after the ABCD->S denominator
+    delta = P + Q/z0: (delta, P, Q, R, T).
 
-    A series element of impedance z = den / num maps each row (p, q) to
-    (p, p*z + q), a shunt of admittance y = num / den to (p + q*y, q), so
-    each takes one division from _terms; each distinct (kind, resonator)
-    pair is evaluated once.  Any non-finite value in r+, from a division by
-    zero or an overflow, makes delta non-finite, so only delta is checked.
-    There, or where a series element is a short (z = 0), _check_defined
+    elements are (series, v) pairs in ladder order.  A series element of
+    impedance v = z maps each row (p, q) to (p, p*z + q), a shunt of
+    admittance v = y to (p + q*y, q).  Nothing is checked here, and callers
+    evaluate under np.errstate: any non-finite value in r+, from a division
+    by zero or an overflow, makes delta non-finite (see _undefined).
+    """
+    p, q, r, t = 1.0, z0, 1.0, -z0
+    for series, v in elements:
+        if series:
+            q = p * v + q
+            if full:
+                t = r * v + t
+        else:
+            p = p + q * v
+            if full:
+                r = r + t * v
+    return p + q / z0, p, q, r, t
+
+
+def _undefined(elements, delta: np.ndarray) -> bool:
+    """Whether the ladder of _rows has no response: delta is not finite, or
+    a series element is a short (z = 0)."""
+    return not np.isfinite(delta).all() or any(series and not v.all() for series, v in elements)
+
+
+def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
+    """Evaluate a ladder design to two-port S-parameters on a grid.
+
+    The grid is checked once, each distinct (kind, resonator) pair is
+    evaluated once through _terms, as z = den / num for a series element and
+    y = num / den for a shunt, and the rows [1, z0] and [1, -z0] are carried
+    through the chain matrices (_rows).  With delta = P + Q/z0, S11 =
+    (R + T/z0) / delta, S22 = (Q/z0 - P) / delta and S21 = S12 = 2 / delta,
+    since every element's chain matrix has determinant 1 (Pozar, Microwave
+    Engineering, sec. 4.4).  Where the ladder has no response, _check_defined
     names a lossless resonator sampled exactly at a resonance, or the
     generic error is raised; a zero delta is a SingularConversionError.
+    Values that overflow raise DomainError instead of giving non-finite
+    S-parameters.
     """
-    values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
-    short = False
+    f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     z0 = design.z0
-    p, q, r, t = 1.0, z0, 1.0, -z0
+    values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
     with np.errstate(all="ignore"):
+        jw = _jw(f)
+        elements = []
         for kind, res in design.elements:
             series = kind is ElementKind.SERIES
             v = values.get((kind, res))
             if v is None:
                 _, _, num, den = _terms(res, jw)
                 v = values[kind, res] = den / num if series else num / den
-                short = short or (series and not v.all())
-            if series:
-                q = p * v + q
-                if full:
-                    t = r * v + t
-            else:
-                p = p + q * v
-                if full:
-                    r = r + t * v
-        delta = p + q / z0
-    if short or not np.isfinite(delta).all():
-        for kind, res in design.elements:
-            _check_defined(res, f, inverted=kind is ElementKind.SERIES)
-        raise DomainError("ABCD matrices contain non-finite entries")
-    return _nonzero(f, delta), p, q, r, t
-
-
-def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
-    """Evaluate a ladder design to two-port S-parameters on a grid.
-
-    The grid is checked once, and the rows [1, z0] and [1, -z0] are carried
-    through the chain matrices (_rows).  With delta = P + Q/z0, S11 =
-    (R + T/z0) / delta, S22 = (Q/z0 - P) / delta and S21 = S12 = 2 / delta,
-    since every element's chain matrix has determinant 1 (Pozar, Microwave
-    Engineering, sec. 4.4).  Values that overflow raise DomainError instead
-    of giving non-finite S-parameters.
-    """
-    f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    z0 = design.z0
-    with np.errstate(all="ignore"):
-        delta, p, q, r, t = _rows(design, f, _jw(f), full=True)
+            elements.append((series, v))
+        delta, p, q, r, t = _rows(elements, z0, full=True)
+        if _undefined(elements, delta):
+            for kind, res in design.elements:
+                _check_defined(res, f, inverted=kind is ElementKind.SERIES)
+            raise DomainError("ABCD matrices contain non-finite entries")
+        _nonzero(f, delta)
         s21 = 2.0 / delta
         s = _stack(f.size, (r + t / z0) / delta, s21, s21, (q / z0 - p) / delta)
     if not np.isfinite(s).all():
@@ -251,10 +259,18 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
 _DB_OF_2 = 20.0 * math.log10(2.0)
 
 
-def _ladder_s21_db(design: LadderDesign, f: np.ndarray, jw: np.ndarray) -> np.ndarray:
-    """|S21| in dB of a ladder on a checked grid f, jw = _jw(f), from delta
-    alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|."""
-    return _DB_OF_2 - 20.0 * np.log10(np.abs(_rows(design, f, jw, full=False)[0]))
+def _ladder_s21_db(elements, z0: float) -> np.ndarray:
+    """|S21| in dB of the ladder of (series, v) elements (see _rows), from
+    delta alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|.
+
+    Called under np.errstate.  Where build_ladder_response of the same
+    elements names a fault in the chain (_undefined, or a zero delta), this
+    raises one generic DomainError.
+    """
+    delta = _rows(elements, z0, full=False)[0]
+    if _undefined(elements, delta) or not delta.all():
+        raise DomainError("the ladder has no finite response")
+    return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:

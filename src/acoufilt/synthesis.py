@@ -19,8 +19,8 @@ from scipy.optimize import minimize
 from . import metrics
 from .curves import validate_grid
 from .errors import AcoufiltError, DomainError
-from .mbvd import K2_MAX, _jw, mbvd_from_targets
-from .metrics import FilterMetrics, passband_metrics
+from .mbvd import K2_MAX, _circuit_terms, _jw, _motional, mbvd_from_targets
+from .metrics import FilterMetrics, _check_guard, passband_metrics
 from .network import LadderDesign, _ladder_s21_db, build_ladder_response, shunt_series_shunt
 
 # Synthesis scoring grid: wide enough to see OoB on both sides of the band.
@@ -75,8 +75,8 @@ class ThicknessScaling:
     t_ref: float
 
     def __post_init__(self):
-        if self.f_ref <= 0 or self.t_ref <= 0:
-            raise DomainError("reference frequency and thickness must be positive")
+        if not (0 < self.f_ref < math.inf and 0 < self.t_ref < math.inf):
+            raise DomainError("reference frequency and thickness must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class SynthesisResult:
 
 def thickness_scale(scaling: ThicknessScaling, t_new: float) -> float:
     """A1-mode frequency scales inversely with plate thickness."""
-    if t_new <= 0:
-        raise DomainError("thickness must be positive")
+    if not 0 < t_new < math.inf:
+        raise DomainError("thickness must be positive and finite")
     return scaling.f_ref * scaling.t_ref / t_new
 
 
@@ -103,6 +103,35 @@ def _design_from_x(x: np.ndarray, spec: DesignSpec) -> LadderDesign:
     series = mbvd_from_targets(fs_se, spec.k2, c0_se, spec.q, spec.rs, spec.ls)
     shunt = mbvd_from_targets(fs_sh, spec.k2, c0_sh, spec.q, spec.rs, spec.ls)
     return shunt_series_shunt(shunt, series, z0=spec.z0)
+
+
+def _s21_db(x: np.ndarray, spec: DesignSpec, jw: np.ndarray) -> np.ndarray:
+    """|S21| in dB of the ladder _design_from_x(x, spec) on the grid of
+    jw = _jw(f), from the floats of x with no design built: the series
+    impedance z = den / num and the shunt admittance y = num / den, once
+    each, through the one ladder kernel.  A DomainError where the placement
+    has no circuit or the ladder no response."""
+    fs_se, fs_sh, c0_se, c0_sh = x
+    k2, q, rs, ls = spec.k2, spec.q, spec.rs, spec.ls
+    rm_se, lm_se, cm_se = _motional(fs_se, k2, c0_se, q)
+    rm_sh, lm_sh, cm_sh = _motional(fs_sh, k2, c0_sh, q)
+    with np.errstate(all="ignore"):
+        _, _, num, den = _circuit_terms(jw, rm_se, lm_se, cm_se, c0_se, rs, ls)
+        z = den / num
+        _, _, num, den = _circuit_terms(jw, rm_sh, lm_sh, cm_sh, c0_sh, rs, ls)
+        y = num / den
+        return _ladder_s21_db(((False, y), (True, z), (False, y)), spec.z0)
+
+
+def _placement_score(x: np.ndarray, spec: DesignSpec, grid: np.ndarray, jw: np.ndarray,
+                     guard: float) -> float:
+    """The search's score of placement x on the scoring grid and its jw,
+    from |S21| in dB alone; a toolkit error anywhere is a failed evaluation."""
+    try:
+        m = metrics._metrics_from_db(grid, _s21_db(x, spec, jw), guard)
+    except AcoufiltError:
+        return _FAILED_EVAL_PENALTY
+    return _score(m, spec)
 
 
 def _score(m: FilterMetrics, spec: DesignSpec) -> float:
@@ -123,13 +152,26 @@ def _feasible(m: FilterMetrics, spec: DesignSpec) -> bool:
     )
 
 
+def _seed_placement(spec: DesignSpec) -> np.ndarray:
+    """Initial placement (fs_se, fs_sh, c0_se, c0_sh): shunt anti-resonance
+    on fc, series resonance on fc; shunt c0 presents |B| = 1/z0 at center,
+    series seeded at half of that."""
+    fs_sh0 = spec.fc_target * math.sqrt(1.0 - spec.k2 / K2_MAX)
+    fs_se0 = spec.fc_target
+    c0_sh0 = 1.0 / (2.0 * math.pi * spec.fc_target * spec.z0)
+    c0_se0 = 0.5 * c0_sh0
+    return np.array([fs_se0, fs_sh0, c0_se0, c0_sh0])
+
+
 def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
     """Search a shunt-series-shunt ladder meeting the spec.
 
     Always returns the best design found along with freshly recomputed
     metrics; ``feasible`` reports whether every target is met.  The search
     is fully deterministic: fixed initial simplex, fixed evaluation cap.
+    ``guard`` is passband_metrics' stopband guard, checked once here.
     """
+    _check_guard(guard)
     grid = validate_grid(np.linspace(_GRID_SPAN[0] * spec.fc_target,
                                      _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))
     jw = _jw(grid)
@@ -147,24 +189,11 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
     n_evals = 0
 
     def objective(u):
-        # Scores candidates on |S21| in dB alone, on the grid and jw built
-        # above; a toolkit error anywhere is a failed evaluation.
         nonlocal n_evals
         n_evals += 1
-        try:
-            design = _design_from_x(x0 * u, spec)
-            m = metrics._metrics_from_db(grid, _ladder_s21_db(design, grid, jw), guard)
-        except AcoufiltError:
-            return _FAILED_EVAL_PENALTY
-        return _score(m, spec)
+        return _placement_score(x0 * u, spec, grid, jw, guard)
 
-    # Initial placement: shunt anti-resonance on fc, series resonance on fc;
-    # shunt c0 presents |B| = 1/z0 at center, series seeded at half of that.
-    fs_sh0 = spec.fc_target * math.sqrt(1.0 - spec.k2 / K2_MAX)
-    fs_se0 = spec.fc_target
-    c0_sh0 = 1.0 / (2.0 * math.pi * spec.fc_target * spec.z0)
-    c0_se0 = 0.5 * c0_sh0
-    x0 = np.array([fs_se0, fs_sh0, c0_se0, c0_sh0])
+    x0 = _seed_placement(spec)
 
     if not spec.bandwidth_within_coupling():
         # The coupling cannot support the target bandwidth; skip the search

@@ -418,6 +418,27 @@ def test_simulate_of_non_finite_z0_is_exit_1(tmp_path, reference_design, capsys,
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("guard", ["nan", "inf", "-0.1"])
+@pytest.mark.parametrize("command", ["simulate", "synthesize", "metrics", "sweep"])
+def test_bad_guard_is_exit_1(tmp_path, reference_design, capsys, command, guard):
+    # Before any input is read: sweep would otherwise write NaN rows.
+    path, _ = reference_design
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["--design", str(path), "--grid", "1e10:4e10:101", "--out", f"{out}.s2p"],
+        "synthesize": ["--spec", str(path), "--out", str(out), "--grid", "1e10:4e10:101"],
+        "metrics": ["--input", str(path), "--out", str(out)],
+        "sweep": ["--design", str(path), "--param", "shunt.c0", "--range", "1e-13:2e-13:3",
+                  "--grid", "1e10:4e10:101", "--out", str(out)],
+    }[command]
+    rc = main([command, *argv, f"--guard={guard}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: guard must be nonnegative and finite")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--frobnicate"])

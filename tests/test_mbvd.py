@@ -155,6 +155,28 @@ def test_mbvd_from_targets_without_a_finite_branch_is_a_domain_error(fs, k2, c0)
         mbvd_from_targets(np.float64(fs), np.float64(k2), np.float64(c0), np.float64(40.0))
 
 
+@pytest.mark.parametrize("fs, c0, q", [(1e-160, 1.0, 50.0), (23.5e9, 1e300, 50.0),
+                                        (23.5e9, 1e-13, 1e-310), (20e9, math.inf, 40.0)])
+def test_overflowing_motional_branch_is_named(fs, c0, q):
+    # lm overflows to inf, lm underflows to 0, rm overflows, cm is inf.
+    with pytest.raises(DomainError, match="no finite motional branch"):
+        mbvd_from_targets(fs, 0.46, c0, q)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+
+
+@given(_POSITIVE, st.floats(0.0, K2_MAX, exclude_min=True, exclude_max=True), _POSITIVE,
+       _POSITIVE)
+def test_mbvd_from_targets_rejects_what_mbvd_params_would(fs, k2, c0, q):
+    # Positive targets, infinities included: the motional arithmetic names
+    # every branch MbvdParams would reject, so its checks never fire.
+    try:
+        mbvd_from_targets(fs, k2, c0, q)
+    except DomainError as exc:
+        assert str(exc).startswith("no finite motional branch")
+
+
 def test_perceived_resonance_unloaded_lossless_equals_fs():
     p = mbvd_from_targets(20e9, 0.42, 50e-15, math.inf)
     assert perceived_resonance(p) == pytest.approx(20e9, rel=1e-6)

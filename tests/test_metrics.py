@@ -71,6 +71,12 @@ def test_empty_stopband():
         passband_metrics(rlc_curve(0.55 * F0, 1.75 * F0), guard=0.9)
 
 
+@pytest.mark.parametrize("guard", [-0.1, math.nan, math.inf, -math.inf])
+def test_guard_must_be_nonnegative_and_finite(guard):
+    with pytest.raises(DomainError, match="guard must be nonnegative and finite"):
+        passband_metrics(rlc_curve(), guard=guard)
+
+
 def test_phase_rotation_invariance():
     base = rlc_curve()
     rotated = ComplexCurve(base.freq_hz, base.values * np.exp(1j * 1.234))

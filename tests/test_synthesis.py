@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acoufilt import (
     DesignSpec,
@@ -16,7 +18,9 @@ from acoufilt import (
     thickness_scale,
 )
 from acoufilt import metrics, synthesis
-from acoufilt.errors import DomainError
+from acoufilt.errors import AcoufiltError, DomainError
+from acoufilt.mbvd import _jw, _terms
+from acoufilt.network import _ladder_s21_db
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
 REFERENCE_SPEC = DesignSpec(
@@ -85,12 +89,94 @@ def test_self_consistency_on_secondary_spec():
     assert fresh == result.metrics
 
 
+def _scoring_grid(spec):
+    return np.linspace(_GRID_SPAN[0] * spec.fc_target, _GRID_SPAN[1] * spec.fc_target,
+                       _GRID_POINTS)
+
+
 def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_result):
     # The search must take the same path when every candidate is scored from
-    # |S21| in dB of the full two-port response.
-    monkeypatch.setattr(synthesis, "_ladder_s21_db",
-                        lambda design, f, jw: build_ladder_response(design, f).s21().magnitude_db)
+    # |S21| in dB of the full two-port response of its built design.
+    grid = _scoring_grid(REFERENCE_SPEC)
+    calls = []
+
+    def full_response_db(x, spec, jw):
+        calls.append(x)
+        design = synthesis._design_from_x(x, spec)
+        return build_ladder_response(design, grid).s21().magnitude_db
+
+    monkeypatch.setattr(synthesis, "_s21_db", full_response_db)
     assert synthesize_ladder(REFERENCE_SPEC) == reference_result
+    assert len(calls) == reference_result.evaluations
+
+
+def _kernel_db(design, grid):
+    """|S21| in dB of a built design through the ladder kernel, its elements
+    evaluated from their MbvdParams."""
+    jw = _jw(grid)
+    with np.errstate(all="ignore"):
+        elements = []
+        for kind, p in design.elements:
+            _, _, num, den = _terms(p, jw)
+            series = kind is ElementKind.SERIES
+            elements.append((series, den / num if series else num / den))
+        return _ladder_s21_db(elements, design.z0)
+
+
+def _full_response_db(design, grid):
+    return build_ladder_response(design, grid).s21().magnitude_db
+
+
+def _built_design_score(x, spec, grid, guard, s21_db):
+    """The score of placement x from its built design."""
+    try:
+        m = metrics._metrics_from_db(grid, s21_db(synthesis._design_from_x(x, spec), grid), guard)
+    except AcoufiltError:
+        return synthesis._FAILED_EVAL_PENALTY
+    return synthesis._score(m, spec)
+
+
+SCORED_SPECS = (
+    REFERENCE_SPEC,
+    dataclasses.replace(REFERENCE_SPEC, q=math.inf),
+    dataclasses.replace(REFERENCE_SPEC, rs=0.5, ls=20e-12, q=1e-300),
+    DesignSpec(fc_target=10e9, fbw_target=0.10, k2=0.42, q=200.0, oob_min_db=10.0,
+               il_max_db=1.0, rs=0.3, ls=5e-12),
+)
+
+
+@st.composite
+def seed_scales(draw):
+    """Factors u of the seed placement near 1, where most candidates score,
+    and sometimes one factor that leaves no circuit or no scoreable
+    passband."""
+    u = draw(st.lists(st.floats(0.6, 1.6), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        u[draw(st.integers(0, 3))] = draw(
+            st.floats(-0.5, 3.0) | st.sampled_from([0.0, 1e-300, 1e-160, 1e160, 1e300]))
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCORED_SPECS), seed_scales(),
+       st.sampled_from([0.0, 0.15]))
+@example(REFERENCE_SPEC, [1.0, 1.0, 1.0, 1.0], 0.15)
+@example(REFERENCE_SPEC, [1.0, 1.0, 1.0, 1e300], 0.15)
+@example(REFERENCE_SPEC, [1e-160, 1.0, 1.0, 1.0], 0.15)
+def test_float_path_score_matches_the_built_design(spec, u, guard):
+    # Bit for bit through the same kernel, with the failed-evaluation penalty
+    # at the same placements (the examples: the seed, a shunt c0 that
+    # overflows cm, a series lm that overflows).  From the full response,
+    # whose S21 = 2/delta rounds differently, the penalty falls at the same
+    # placements and the score agrees to rounding.
+    grid = _scoring_grid(spec)
+    with np.errstate(over="ignore"):  # x may hold inf: a placement without a circuit
+        x = synthesis._seed_placement(spec) * np.array(u)
+    got = synthesis._placement_score(x, spec, grid, _jw(grid), guard)
+    assert got.hex() == _built_design_score(x, spec, grid, guard, _kernel_db).hex()
+    full = _built_design_score(x, spec, grid, guard, _full_response_db)
+    assert (got == synthesis._FAILED_EVAL_PENALTY) == (full == synthesis._FAILED_EVAL_PENALTY)
+    assert got == pytest.approx(full, rel=1e-9, abs=1e-12)
 
 
 def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):
@@ -138,6 +224,24 @@ def test_thickness_scale():
         thickness_scale(scaling, 0.0)
     with pytest.raises(DomainError):
         ThicknessScaling(f_ref=0.0, t_ref=90e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_thickness_scaling_rejects_non_finite_values(value):
+    scaling = ThicknessScaling(f_ref=20e9, t_ref=90e-9)
+    for f_ref, t_ref in ((value, 90e-9), (20e9, value)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            ThicknessScaling(f_ref=f_ref, t_ref=t_ref)
+    with pytest.raises(DomainError, match="positive and finite"):
+        thickness_scale(scaling, value)
+
+
+@pytest.mark.parametrize("guard", [-0.1, math.nan, math.inf])
+def test_guard_is_checked_before_the_search(monkeypatch, guard):
+    # A non-finite guard once spent the search and returned infeasible.
+    monkeypatch.setattr(synthesis, "_placement_score", None)
+    with pytest.raises(DomainError, match="guard must be nonnegative and finite"):
+        synthesize_ladder(REFERENCE_SPEC, guard=guard)
 
 
 @pytest.mark.parametrize("field, value", [("q", 1e-300), ("ls", 1e300)])
