@@ -186,9 +186,9 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
 
 
 def _rows(elements, z0: float, full: bool) -> tuple:
-    """The ladder's chain matrix M as the rows r+ = [1, z0] @ M = (P, Q) and,
-    with ``full``, r- = [1, -z0] @ M = (R, T), after the ABCD->S denominator
-    delta = P + Q/z0: (delta, P, Q, R, T).
+    """(delta, P, Q, R, T): the ladder's chain matrix M as the rows
+    r+ = [1, z0] @ M = (P, Q) and, with ``full``, r- = [1, -z0] @ M = (R, T),
+    and its ABCD->S denominator delta = P + Q/z0.
 
     elements are (series, v) pairs in ladder order.  A series element of
     impedance v = z maps each row (p, q) to (p, p*z + q), a shunt of

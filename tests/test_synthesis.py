@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_network import kernel_s21_db
 
 from acoufilt import (
     DesignSpec,
@@ -19,8 +20,7 @@ from acoufilt import (
 )
 from acoufilt import metrics, synthesis
 from acoufilt.errors import AcoufiltError, DomainError
-from acoufilt.mbvd import _jw, _terms
-from acoufilt.network import _ladder_s21_db
+from acoufilt.mbvd import _jw
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
 REFERENCE_SPEC = DesignSpec(
@@ -94,6 +94,10 @@ def _scoring_grid(spec):
                        _GRID_POINTS)
 
 
+def _full_response_db(design, grid):
+    return build_ladder_response(design, grid).s21().magnitude_db
+
+
 def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_result):
     # The search must take the same path when every candidate is scored from
     # |S21| in dB of the full two-port response of its built design.
@@ -102,29 +106,11 @@ def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_r
 
     def full_response_db(x, spec, jw):
         calls.append(x)
-        design = synthesis._design_from_x(x, spec)
-        return build_ladder_response(design, grid).s21().magnitude_db
+        return _full_response_db(synthesis._design_from_x(x, spec), grid)
 
     monkeypatch.setattr(synthesis, "_s21_db", full_response_db)
     assert synthesize_ladder(REFERENCE_SPEC) == reference_result
     assert len(calls) == reference_result.evaluations
-
-
-def _kernel_db(design, grid):
-    """|S21| in dB of a built design through the ladder kernel, its elements
-    evaluated from their MbvdParams."""
-    jw = _jw(grid)
-    with np.errstate(all="ignore"):
-        elements = []
-        for kind, p in design.elements:
-            _, _, num, den = _terms(p, jw)
-            series = kind is ElementKind.SERIES
-            elements.append((series, den / num if series else num / den))
-        return _ladder_s21_db(elements, design.z0)
-
-
-def _full_response_db(design, grid):
-    return build_ladder_response(design, grid).s21().magnitude_db
 
 
 def _built_design_score(x, spec, grid, guard, s21_db):
@@ -173,7 +159,7 @@ def test_float_path_score_matches_the_built_design(spec, u, guard):
     with np.errstate(over="ignore"):  # x may hold inf: a placement without a circuit
         x = synthesis._seed_placement(spec) * np.array(u)
     got = synthesis._placement_score(x, spec, grid, _jw(grid), guard)
-    assert got.hex() == _built_design_score(x, spec, grid, guard, _kernel_db).hex()
+    assert got.hex() == _built_design_score(x, spec, grid, guard, kernel_s21_db).hex()
     full = _built_design_score(x, spec, grid, guard, _full_response_db)
     assert (got == synthesis._FAILED_EVAL_PENALTY) == (full == synthesis._FAILED_EVAL_PENALTY)
     assert got == pytest.approx(full, rel=1e-9, abs=1e-12)
