@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
-import io
 import math
 import os
 import sys
@@ -17,7 +15,6 @@ import numpy as np
 from . import fitting, io_formats, svgplot
 from .curves import MAX_POINTS, parse_grid_spec
 from .errors import AcoufiltError
-from .mbvd import MbvdParams
 from .metrics import DEFAULT_GUARD, METRIC_NAMES, _check_guard, passband_metrics
 from .network import (
     ElementKind,
@@ -111,20 +108,16 @@ def _cmd_fit(args) -> int:
 
 
 def _fit_report_csv(result: fitting.FitResult) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["quantity", "value"])
-    p = result.params
-    for key in ("rm", "lm", "cm", "c0", "rs", "ls", "r0"):
-        w.writerow([key, "{:.16e}".format(getattr(p, key))])
-    s = result.summary
-    for key, val in (("fs_hz", s.fs), ("fp_hz", s.fp), ("f_perceived_hz", s.f_perceived),
-                     ("k2", s.k2), ("q_antires", s.q_antires)):
-        w.writerow([key, "{:.16e}".format(val)])
-    w.writerow(["residual_norm", "{:.16e}".format(result.residual_norm)])
-    w.writerow(["iterations", str(result.iterations)])
-    w.writerow(["converged", str(result.converged).lower()])
-    return buf.getvalue()
+    p, s = result.params, result.summary
+    return io_formats.write_csv([
+        ("quantity", "value"),
+        *((key, getattr(p, key)) for key in io_formats._RESONATOR_KEYS),
+        ("fs_hz", s.fs), ("fp_hz", s.fp), ("f_perceived_hz", s.f_perceived),
+        ("k2", s.k2), ("q_antires", s.q_antires),
+        ("residual_norm", result.residual_norm),
+        ("iterations", str(result.iterations)),
+        ("converged", str(result.converged).lower()),
+    ])
 
 
 def _cmd_synthesize(args) -> int:
@@ -184,18 +177,11 @@ def _parse_value_range(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        section, key = args.param.split(".", 1)
-    except ValueError:
-        raise AcoufiltError(f"--param must be section.key, got {args.param!r}")
-    if section == "filter":
-        if key != "z0":
-            raise AcoufiltError("only filter.z0 can be swept")
-    elif section in ("series", "shunt"):
-        if key not in {field.name for field in dataclasses.fields(MbvdParams)}:
-            raise AcoufiltError(f"unknown resonator key {key!r}")
-    else:
-        raise AcoufiltError(f"cannot sweep section [{section}]")
+    section, _, key = args.param.partition(".")
+    if section == "spec" or key not in io_formats._SECTION_KEYS.get(section, ()):
+        raise AcoufiltError(f"--param must be series.KEY, shunt.KEY (KEY one of "
+                            f"{', '.join(io_formats._RESONATOR_KEYS)}) or filter.z0, "
+                            f"got {args.param!r}")
     base = io_formats.read_ladder_design(_read(args.design))
     values = _parse_value_range(args.range)
     grid = parse_grid_spec(args.grid)
@@ -208,18 +194,15 @@ def _cmd_sweep(args) -> int:
             (k, dataclasses.replace(p, **{key: value}) if k is kind else p)
             for k, p in base.elements))
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([args.param] + list(METRIC_NAMES))
+    rows = [(args.param, *METRIC_NAMES)]
     for value in values:
         block = build_ladder_response(design_at(float(value)), grid)
         try:
             m = passband_metrics(block.s21(), guard=args.guard)
-            row = ["{:.16e}".format(value)] + ["{:.16e}".format(v) for _, v in m.as_rows()]
+            rows.append((value, *(v for _, v in m.as_rows())))
         except AcoufiltError:
-            row = ["{:.16e}".format(value)] + ["nan"] * len(METRIC_NAMES)
-        w.writerow(row)
-    _write_outputs([(args.out, buf.getvalue())])
+            rows.append((value, *[math.nan] * len(METRIC_NAMES)))
+    _write_outputs([(args.out, io_formats.write_csv(rows))])
     return 0
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class ComplexCurve:
 
     freq_hz: np.ndarray
     values: np.ndarray
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         f = validate_grid(self.freq_hz)
@@ -58,10 +57,6 @@ class ComplexCurve:
     def magnitude_db(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return 20.0 * np.log10(np.abs(self.values))
-
-    @property
-    def phase_deg(self) -> np.ndarray:
-        return np.degrees(np.angle(self.values))
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ class TouchstoneData:
     def to_curve(self) -> ComplexCurve:
         if self.n_ports != 1:
             raise DomainError("to_curve requires one-port data")
-        return ComplexCurve(self.freq_hz, self.s[:, 0, 0], label="S11")
+        return ComplexCurve(self.freq_hz, self.s[:, 0, 0])
 
     def to_block(self) -> SParameterBlock:
         if self.n_ports != 2:
@@ -82,32 +83,31 @@ class TouchstoneData:
 
 
 def _parse_option_line(tokens: list[str], lineno: int) -> TouchstoneHeader:
-    unit, param, fmt, r = "GHz", "S", "MA", 50.0
-    i = 0
-    while i < len(tokens):
-        t = tokens[i]
-        tl = t.lower()
-        if tl in _FREQ_UNITS:
-            unit = t
-        elif t.upper() == "S":
-            param = "S"
-        elif t.upper() in ("Y", "Z", "H", "G"):
+    """The header an option line gives; an option it omits keeps the default."""
+    options = {}
+    it = iter(tokens)
+    for t in it:
+        u = t.upper()
+        if t.lower() in _FREQ_UNITS:
+            options["frequency_unit"] = t
+        elif u == "S":
+            options["parameter"] = u
+        elif u in ("Y", "Z", "H", "G"):
             raise FormatError(f"unsupported parameter type {t!r}", lineno)
-        elif t.upper() in _FORMATS:
-            fmt = t.upper()
-        elif t.upper() == "R":
-            if i + 1 >= len(tokens):
+        elif u in _FORMATS:
+            options["format"] = u
+        elif u == "R":
+            value = next(it, None)
+            if value is None:
                 raise FormatError("R option missing its resistance value", lineno)
             try:
-                r = float(tokens[i + 1])
+                options["reference_resistance"] = float(value)
             except ValueError:
-                raise FormatError(f"bad reference resistance {tokens[i + 1]!r}", lineno)
-            i += 1
+                raise FormatError(f"bad reference resistance {value!r}", lineno)
         else:
             raise FormatError(f"unknown option token {t!r}", lineno)
-        i += 1
     try:
-        return TouchstoneHeader(unit, param, fmt, r)
+        return TouchstoneHeader(**options)
     except DomainError as exc:
         raise FormatError(str(exc), lineno)
 
@@ -262,8 +262,6 @@ def _read_lines(lines: list[str]) -> TouchstoneData:
             if fields[0].startswith("#"):
                 if header is not None:
                     raise FormatError("duplicate option line", lineno)
-                if linenos:
-                    raise FormatError("option line after data", lineno)
                 header = _parse_option_line(" ".join(fields)[1:].split(), lineno)
                 scale = header.unit_scale
                 continue
@@ -352,6 +350,9 @@ _SECTION_KEYS = {
     "filter": ("z0",),
     "spec": ("fc", "fbw", "z0", "oob_min_db", "k2", "q", "rs", "ls", "il_max_db"),
 }
+# The [spec] keys that are not the name of their DesignSpec field; every
+# other key of a section is its field's name.
+_SPEC_FIELDS = {"fc": "fc_target", "fbw": "fbw_target"}
 
 
 def parse_design_text(text: str) -> dict[str, dict[str, float]]:
@@ -392,8 +393,7 @@ def _resonator_from_section(sec: dict[str, float], name: str) -> MbvdParams:
     missing = [k for k in _RESONATOR_REQUIRED if k not in sec]
     if missing:
         raise FormatError(f"section [{name}] missing keys: {', '.join(missing)}")
-    return MbvdParams(rm=sec["rm"], lm=sec["lm"], cm=sec["cm"], c0=sec["c0"],
-                      rs=sec["rs"], ls=sec["ls"], r0=sec.get("r0", 0.0))
+    return MbvdParams(**sec)
 
 
 def read_resonators(text: str) -> dict[str, MbvdParams]:
@@ -414,11 +414,10 @@ def read_ladder_design(text: str) -> LadderDesign:
     for name in ("series", "shunt"):
         if name not in sections:
             raise FormatError(f"missing [{name}] section for a ladder design")
-    z0 = sections.get("filter", {}).get("z0", 50.0)
     return shunt_series_shunt(
         _resonator_from_section(sections["shunt"], "shunt"),
         _resonator_from_section(sections["series"], "series"),
-        z0=z0,
+        **sections.get("filter", {}),
     )
 
 
@@ -431,17 +430,7 @@ def read_design_spec(text: str) -> DesignSpec:
     missing = [k for k in required if k not in sec]
     if missing:
         raise FormatError(f"section [spec] missing keys: {', '.join(missing)}")
-    return DesignSpec(
-        fc_target=sec["fc"],
-        fbw_target=sec["fbw"],
-        z0=sec.get("z0", 50.0),
-        oob_min_db=sec.get("oob_min_db", 12.0),
-        k2=sec["k2"],
-        q=sec["q"],
-        rs=sec.get("rs", 0.0),
-        ls=sec.get("ls", 0.0),
-        il_max_db=sec.get("il_max_db", 3.0),
-    )
+    return DesignSpec(**{_SPEC_FIELDS.get(k, k): v for k, v in sec.items()})
 
 
 def _resonator_lines(name: str, p: MbvdParams) -> list[str]:
@@ -472,22 +461,22 @@ def write_ladder_design(design: LadderDesign) -> str:
 
 
 def write_design_spec(spec: DesignSpec) -> str:
-    pairs = (
-        ("fc", spec.fc_target), ("fbw", spec.fbw_target), ("z0", spec.z0),
-        ("oob_min_db", spec.oob_min_db), ("k2", spec.k2), ("q", spec.q),
-        ("rs", spec.rs), ("ls", spec.ls), ("il_max_db", spec.il_max_db),
-    )
-    lines = ["[spec]"] + [f"{k} = {_NUM(v)}" for k, v in pairs]
+    lines = ["[spec]"] + [f"{k} = {_NUM(getattr(spec, _SPEC_FIELDS.get(k, k)))}"
+                          for k in _SECTION_KEYS["spec"]]
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # CSV
 
-def write_metrics_csv(metrics: FilterMetrics) -> str:
+def write_csv(rows: Iterable[Sequence[str | float]]) -> str:
+    """CSV text of rows of strings and numbers; each number is written as
+    _NUM writes it, NaN as nan."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["metric", "value"])
-    for name, value in metrics.as_rows():
-        w.writerow([name, _NUM(value)])
+    csv.writer(buf, lineterminator="\n").writerows(
+        [v if isinstance(v, str) else _NUM(v) for v in row] for row in rows)
     return buf.getvalue()
+
+
+def write_metrics_csv(metrics: FilterMetrics) -> str:
+    return write_csv([("metric", "value"), *metrics.as_rows()])

@@ -171,7 +171,7 @@ def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     """Input admittance of the full parasitic-loaded resonator on a grid."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    return ComplexCurve(f, _admittance_values(p, _jw(f)), label="Y")
+    return ComplexCurve(f, _admittance_values(p, _jw(f)))
 
 
 def series_resonance(p: MbvdParams) -> float:
@@ -187,8 +187,7 @@ def antiresonance(p: MbvdParams) -> float:
 def coupling_k2(p: MbvdParams) -> float:
     """Electromechanical coupling k2 = (pi^2/8) * (fp^2 - fs^2) / fp^2."""
     ratio = 1.0 + p.cm / p.c0  # (fp/fs)^2
-    k2 = K2_MAX * (1.0 - 1.0 / ratio)
-    return max(k2, 0.0)
+    return K2_MAX * (1.0 - 1.0 / ratio)
 
 
 def _motional(fs: float, k2: float, c0: float, q: float) -> tuple[float, float, float]:
@@ -260,17 +259,15 @@ def _peak_frequency(fun, f_lo: float, f_hi: float) -> float:
     return float(res.x)
 
 
-def perceived_resonance(p: MbvdParams, search_band: tuple[float, float] | None = None) -> float:
+def perceived_resonance(p: MbvdParams) -> float:
     """Frequency of the admittance-magnitude maximum of the loaded model.
 
     Routing inductance pulls this below the mechanical fs; with no parasitics
-    it coincides with fs.  The band must contain exactly one local maximum of
-    |Y|; the default band covers the mechanically driven peak only.
+    it coincides with fs.  The search band, fs / 100 to 1.02 fs, covers the
+    mechanically driven peak only.
     """
     fs = series_resonance(p)
-    if search_band is None:
-        search_band = (fs / 100.0, fs * 1.02)
-    f_lo, f_hi = search_band
+    f_lo, f_hi = fs / 100.0, fs * 1.02
     if not (0.0 < f_lo < f_hi):
         raise DomainError("search band must satisfy 0 < lo < hi")
     return _peak_frequency(lambda g: np.abs(_admittance_values(p, _jw(g))), f_lo, f_hi)

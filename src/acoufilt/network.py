@@ -61,12 +61,7 @@ class SParameterBlock:
 
     # The grid and the shape of s were checked when the block was built.
     def s21(self) -> ComplexCurve:
-        return _unchecked(ComplexCurve, freq_hz=self.freq_hz, values=self.s[:, 1, 0],
-                          label="S21")
-
-    def s11(self) -> ComplexCurve:
-        return _unchecked(ComplexCurve, freq_hz=self.freq_hz, values=self.s[:, 0, 0],
-                          label="S11")
+        return _unchecked(ComplexCurve, freq_hz=self.freq_hz, values=self.s[:, 1, 0])
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,7 @@ def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
     if not np.all(np.isfinite(s11)):
         _check_defined(p, y.freq_hz)
         raise DomainError("S11 contains non-finite entries")
-    return ComplexCurve(y.freq_hz, s11, label="S11")
+    return ComplexCurve(y.freq_hz, s11)
 
 
 def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:
@@ -300,4 +295,4 @@ def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:
         i = bad[0]
         raise DomainError(f"S11 = {s11.values[i]:.6g} at {s11.freq_hz[i]:.10g} Hz has no "
                           "finite admittance (S11 = -1 is a short circuit)")
-    return ComplexCurve(s11.freq_hz, y, label="Y")
+    return ComplexCurve(s11.freq_hz, y)

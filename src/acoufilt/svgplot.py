@@ -15,17 +15,19 @@ from .curves import ComplexCurve
 _W, _H = 800, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _FLOOR_DB = -80.0
+# Most tick intervals an axis is divided into.
+_TICKS = 6
 
 
-def _ticks(lo: float, hi: float, n_target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / n_target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= n_target:
+        if span / step <= _TICKS:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -36,7 +38,7 @@ def _ticks(lo: float, hi: float, n_target: int = 6) -> list[float]:
     return ticks
 
 
-def s21_magnitude_svg(curve: ComplexCurve, title: str = "S21 magnitude") -> str:
+def s21_magnitude_svg(curve: ComplexCurve) -> str:
     """Single polyline of |S21| in dB versus frequency in GHz, with ticks."""
     f_ghz = curve.freq_hz / 1e9
     db = np.maximum(curve.magnitude_db, _FLOOR_DB)
@@ -81,6 +83,6 @@ def s21_magnitude_svg(curve: ComplexCurve, title: str = "S21 magnitude") -> str:
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.5"/>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_MT - 6}" '
-                 f'font-size="13" text-anchor="middle">{title}</text>')
+                 f'font-size="13" text-anchor="middle">S21 magnitude</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

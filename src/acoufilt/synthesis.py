@@ -20,7 +20,7 @@ from . import metrics
 from .curves import validate_grid
 from .errors import AcoufiltError, DomainError
 from .mbvd import K2_MAX, _circuit_terms, _jw, _motional, mbvd_from_targets
-from .metrics import FilterMetrics, _check_guard, passband_metrics
+from .metrics import DEFAULT_GUARD, FilterMetrics, _check_guard, passband_metrics
 from .network import LadderDesign, _ladder_s21_db, build_ladder_response, shunt_series_shunt
 
 # Synthesis scoring grid: wide enough to see OoB on both sides of the band.
@@ -94,7 +94,10 @@ def thickness_scale(scaling: ThicknessScaling, t_new: float) -> float:
     """A1-mode frequency scales inversely with plate thickness."""
     if not 0 < t_new < math.inf:
         raise DomainError("thickness must be positive and finite")
-    return scaling.f_ref * scaling.t_ref / t_new
+    f = scaling.f_ref * scaling.t_ref / t_new
+    if not 0 < f < math.inf:
+        raise DomainError(f"scaled frequency {f:g} Hz is not positive and finite")
+    return f
 
 
 def _design_from_x(x: np.ndarray, spec: DesignSpec) -> LadderDesign:
@@ -163,7 +166,7 @@ def _seed_placement(spec: DesignSpec) -> np.ndarray:
     return np.array([fs_se0, fs_sh0, c0_se0, c0_sh0])
 
 
-def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
+def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> SynthesisResult:
     """Search a shunt-series-shunt ladder meeting the spec.
 
     Always returns the best design found along with freshly recomputed
@@ -194,38 +197,31 @@ def synthesize_ladder(spec: DesignSpec, guard: float = 0.15) -> SynthesisResult:
         return _placement_score(x0 * u, spec, grid, jw, guard)
 
     x0 = _seed_placement(spec)
-
-    if not spec.bandwidth_within_coupling():
-        # The coupling cannot support the target bandwidth; skip the search
-        # and report the seed placement as the (infeasible) best effort.
-        design, m = evaluate(x0)
-        cost = _score(m, spec) if m is not None else math.inf
-        return SynthesisResult(design, m, False, cost, n_evals)
-
-    # The search runs on u = x / x0, so hertz and farads share one scale.
-    simplex = np.vstack([np.ones(4), np.eye(4) * 0.05 + 1.0])
-
-    res = minimize(
-        objective,
-        np.ones(4),
-        method="Nelder-Mead",
-        options={
-            "initial_simplex": simplex,
-            "maxfev": _MAX_EVALS,
-            "xatol": _XATOL,
-            "fatol": _FATOL,
-            "adaptive": False,
-        },
-    )
-
-    try:
-        design, m = evaluate(x0 * res.x)
-    except AcoufiltError:  # the search ended on a placement without a circuit
-        m = None
+    m = None
+    if spec.bandwidth_within_coupling():
+        # The search runs on u = x / x0, so hertz and farads share one scale.
+        simplex = np.vstack([np.ones(4), np.eye(4) * 0.05 + 1.0])
+        res = minimize(
+            objective,
+            np.ones(4),
+            method="Nelder-Mead",
+            options={
+                "initial_simplex": simplex,
+                "maxfev": _MAX_EVALS,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
+                "adaptive": False,
+            },
+        )
+        try:
+            design, m = evaluate(x0 * res.x)
+        except AcoufiltError:  # the search ended on a placement without a circuit
+            pass
+    feasible = m is not None and _feasible(m, spec)
     if m is None:
-        # Fall back to the seed placement if the search wandered off the
-        # cliff; a seed without a circuit raises its error here.
+        # The seed placement is the (infeasible) best effort when the coupling
+        # cannot support the target bandwidth or the search ended where no
+        # passband is scoreable; a seed without a circuit raises its error here.
         design, m = evaluate(x0)
-        cost = _score(m, spec) if m is not None else math.inf
-        return SynthesisResult(design, m, False, cost, n_evals)
-    return SynthesisResult(design, m, _feasible(m, spec), _score(m, spec), n_evals)
+    cost = _score(m, spec) if m is not None else math.inf
+    return SynthesisResult(design, m, feasible, cost, n_evals)

@@ -94,6 +94,24 @@ def test_fit_end_to_end(tmp_path):
     assert report.read_text().startswith("quantity,value")
 
 
+def test_fit_report_layout(tmp_path):
+    truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
+    s1p = tmp_path / "res.s1p"
+    s1p.write_text(io_formats.write_touchstone(
+        acoufilt.one_port_s11(truth, np.linspace(5e9, 1e11, 3001))))
+    report = tmp_path / "fit.csv"
+    assert main(["fit", "--input", str(s1p), "--out", str(tmp_path / "fit.kv"),
+                 "--report", str(report)]) == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()]
+    assert [name for name, _ in rows] == [
+        "quantity", "rm", "lm", "cm", "c0", "rs", "ls", "r0", "fs_hz", "fp_hz",
+        "f_perceived_hz", "k2", "q_antires", "residual_norm", "iterations", "converged"]
+    assert rows[0] == ["quantity", "value"]
+    for _, value in rows[1:-2]:
+        assert value == "{:.16e}".format(float(value))
+    assert rows[-2][1].isdigit() and rows[-1][1] in ("true", "false")
+
+
 def test_synthesize_writes_design_and_flag(tmp_path, capsys):
     spec = acoufilt.DesignSpec(10e9, 0.10, 50.0, 10.0, 0.42, 200.0, 0.0, 0.0, 1.0)
     spec_kv = tmp_path / "spec.kv"
@@ -147,6 +165,19 @@ def test_sweep_rows_match_the_library(tmp_path, reference_design):
         for row, d in zip(rows, designs):
             m = acoufilt.passband_metrics(acoufilt.build_ladder_response(d, grid).s21())
             assert row.split(",")[1:] == ["{:.16e}".format(v) for _, v in m.as_rows()]
+
+
+def test_sweep_row_whose_metrics_fail_reads_nan(tmp_path, reference_design):
+    # Some series routing inductances leave no scoreable passband.
+    path, _ = reference_design
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--design", str(path), "--param", "series.ls",
+               "--range", "0:5e-9:7", "--grid", "1e9:4e10:401", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["{:.16e}".format(v) for v in np.linspace(0, 5e-9, 7)]
+    failed = [row for row in rows if "nan" in row[1:]]
+    assert failed and all(row[1:] == ["nan"] * len(METRIC_NAMES) for row in failed)
 
 
 @pytest.mark.parametrize("param", ["shunt.bogus", "filter.rm", "spec.fc", "shunt"])

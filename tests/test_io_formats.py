@@ -69,6 +69,14 @@ def test_default_header_is_ghz_s_ma_50():
     assert data.freq_hz[0] == 1e9
 
 
+@pytest.mark.parametrize("line, header", [
+    ("#", TouchstoneHeader()),
+    ("# R 1e3 khz", TouchstoneHeader("khz", "S", "MA", 1000.0)),
+])
+def test_option_line_omissions_take_the_header_defaults(line, header):
+    assert read_touchstone(f"{line}\n1.0 1.0 0.0\n").header == header
+
+
 def test_comments_are_ignored():
     text = "! leading comment\n# GHz S RI R 50\n1.0 0.1 0.2 ! inline\n"
     data = read_touchstone(text)
@@ -269,6 +277,11 @@ def test_resonator_round_trip():
 def test_spec_round_trip():
     spec = DesignSpec(23.5e9, 0.16, 50.0, 12.0, 0.46, 50.0, 0.1, 1e-11, 1.6)
     assert read_design_spec(write_design_spec(spec)) == spec
+
+
+def test_spec_omitted_keys_take_the_spec_defaults():
+    text = "[spec]\nfc = 2.35e10\nfbw = 0.16\nk2 = 0.42\nq = 80\n"
+    assert read_design_spec(text) == DesignSpec(2.35e10, 0.16, k2=0.42, q=80.0)
 
 
 def test_design_comments_and_blank_lines():

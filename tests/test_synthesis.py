@@ -222,6 +222,15 @@ def test_thickness_scaling_rejects_non_finite_values(value):
         thickness_scale(scaling, value)
 
 
+@pytest.mark.parametrize("f_ref, t_ref, t_new", [(1e300, 1e300, 1.0), (1e-300, 1e-300, 1.0),
+                                                  (1e10, 1e-7, 1e-320)])
+def test_thickness_scale_rejects_a_result_that_is_not_positive_and_finite(f_ref, t_ref,
+                                                                            t_new):
+    # f_ref * t_ref / t_new over- or underflows: inf, 0.0 and inf.
+    with pytest.raises(DomainError, match="not positive and finite"):
+        thickness_scale(ThicknessScaling(f_ref, t_ref), t_new)
+
+
 @pytest.mark.parametrize("guard", [-0.1, math.nan, math.inf])
 def test_guard_is_checked_before_the_search(monkeypatch, guard):
     # A non-finite guard once spent the search and returned infeasible.
