@@ -19,7 +19,13 @@ from acoufilt import (
     summarize,
 )
 from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
-from acoufilt.mbvd import K2_MAX, _admittance_values, _jw, _peak_frequency, admittance_log_jacobian
+from acoufilt.mbvd import (
+    K2_MAX,
+    _admittance_values,
+    _jw,
+    _peak_frequency,
+    admittance_log_jacobian,
+)
 
 # Resonator derived from (fs 20 GHz, k2 0.42, c0 50 fF, Q 40); the closed
 # forms give cm 25.81 fF, lm 2.4537 nH, rm 7.709 ohm.
