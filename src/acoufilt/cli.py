@@ -65,14 +65,14 @@ def _cmd_simulate(args) -> int:
     text = _read(args.design)
     outputs: list[tuple[str, str]] = []
     if args.out.endswith(".s1p"):
-        resonators = io_formats.read_resonators(text)
+        sections = io_formats.parse_design_text(text)
+        resonators = io_formats._resonators(sections)
         if len(resonators) != 1:
             raise AcoufiltError(
                 "one-port output requires a design file with exactly one resonator section"
             )
         ((_, params),) = resonators.items()
-        sections = io_formats.parse_design_text(text)
-        z0 = sections.get("filter", {}).get("z0", 50.0)
+        z0 = sections.get("filter", {}).get("z0", LadderDesign.z0)
         s11 = one_port_s11(params, grid, z0=z0)
         header = io_formats.TouchstoneHeader("Hz", "S", "RI", z0)
         outputs.append((args.out, io_formats.write_touchstone(s11, header)))

@@ -2,13 +2,13 @@
 
 A structure-based initial guess (resonance peak, the most prominent
 anti-resonance dip above it, and the EM self-resonance above that) seeds a
-MINPACK Levenberg-Marquardt search over log-parameters, so positivity can
-never be violated.  The search is unbounded; a trial point with a
-log-parameter beyond +-_LOG_BOUND gets an infinite residual, which the
-search rejects as no reduction and answers with a shorter step.  Residuals
-are the concatenated real and imaginary parts of the admittance, by default
-weighted by 1/|Y| so the deep anti-resonance counts as much as the resonance
-peak.
+MINPACK Levenberg-Marquardt search (lmder, through scipy's ``leastsq``)
+over log-parameters, so positivity can never be violated.  The search is
+unbounded; a trial point with a log-parameter beyond +-_LOG_BOUND gets an
+infinite residual, which the search rejects as no reduction and answers
+with a shorter step.  Residuals are the concatenated real and imaginary
+parts of the admittance, by default weighted by 1/|Y| so the deep
+anti-resonance counts as much as the resonance peak.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 from scipy.signal import find_peaks
 
 from .curves import ComplexCurve
@@ -141,14 +141,15 @@ def _check_finite(curve: ComplexCurve) -> None:
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of the MBVD model to a complex admittance sweep.
 
-    scipy's MINPACK Levenberg-Marquardt method (``least_squares`` with
-    ``method="lm"``) works on the log-parameters, without bounds, with the
-    analytic Jacobian of the model; ``max_iterations`` caps its residual
-    evaluations.  A trial point with a log-parameter beyond +-_LOG_BOUND has
-    an infinite residual, so the search rejects it and shortens its step.
-    The static loss r0 is not fitted and comes back as zero.  Reaching the
-    cap gives a non-converged result, not an exception; parameters without a
-    resonance, converged or not, raise SearchError.
+    MINPACK's Levenberg-Marquardt lmder, called through scipy's ``leastsq``,
+    works on the log-parameters, without bounds, with the analytic Jacobian
+    of the model handed over column-major (one row per log-parameter, as
+    lmder stores it); ``max_iterations`` caps its residual evaluations.  A
+    trial point with a log-parameter beyond +-_LOG_BOUND has an infinite
+    residual, so the search rejects it and shortens its step.  The static
+    loss r0 is not fitted and comes back as zero.  Reaching the cap gives a
+    non-converged result, not an exception; parameters without a resonance,
+    converged or not, raise SearchError.
     """
     n_free = len(_FIT_PARAMS)
     if len(curve) < n_free + 1:
@@ -183,7 +184,7 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     def jacobian(x):
         p, pm, ps, _, den, y = model(x)
         jac = _log_jacobian(p, s, pm, ps, den, y) * w
-        return np.concatenate([jac.real, jac.imag], axis=1).T
+        return np.concatenate([jac.real, jac.imag], axis=1)
 
     x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
     # Trial steps far from the data can overflow; lm counts a non-finite
@@ -192,10 +193,12 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         r0 = residual(x0)
         if not math.isfinite(float(r0 @ r0)):
             raise DomainError("weighted residual at the initial guess is not finite")
-        res = least_squares(residual, x0, jac=jacobian, method="lm", x_scale="jac",
-                            ftol=_TOL, xtol=_TOL, gtol=_TOL, max_nfev=opts.max_iterations)
-    params = _unpack(res.x)
-    converged = bool(res.status > 0)
+        x, _, info, _, ier = leastsq(residual, x0, Dfun=jacobian, col_deriv=True,
+                                     full_output=True, ftol=_TOL, xtol=_TOL, gtol=_TOL,
+                                     maxfev=opts.max_iterations)
+    params = _unpack(x)
+    # MINPACK's info 1-4 are the convergence tests; 5 is the evaluation cap.
+    converged = ier in (1, 2, 3, 4)
     try:
         summary = summarize(params)
     except SearchError as exc:
@@ -204,14 +207,14 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
                 f"MBVD fit converged to parameters without a resonance ({exc})"
             ) from exc
         raise SearchError(
-            f"MBVD fit diverged: stopped after {res.nfev} of at most "
+            f"MBVD fit diverged: stopped after {info['nfev']} of at most "
             f"{opts.max_iterations} residual evaluations at parameters without "
             f"a resonance ({exc})"
         ) from exc
     return FitResult(
         params=params,
-        residual_norm=float(np.linalg.norm(res.fun)),
-        iterations=int(res.njev),
+        residual_norm=float(np.linalg.norm(info["fvec"])),
+        iterations=int(info["njev"]),
         converged=converged,
         summary=summary,
     )

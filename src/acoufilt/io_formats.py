@@ -13,7 +13,7 @@ import io
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -321,8 +321,9 @@ def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
     else:
         freq, s = data.freq_hz, data.s
     if header is None:
-        z0 = data.z0 if isinstance(data, SParameterBlock) else 50.0
-        header = TouchstoneHeader("Hz", "S", "RI", z0)
+        header = TouchstoneHeader("Hz", "S", "RI")
+        if isinstance(data, SParameterBlock):
+            header = replace(header, reference_resistance=data.z0)
     # v1 order S11 S21 S12 S22: each 2x2 matrix column by column.
     cols = s.transpose(0, 2, 1).reshape(len(freq), s.shape[1] ** 2)
     table = np.empty((len(freq), 1 + 2 * cols.shape[1]))
@@ -398,7 +399,10 @@ def _resonator_from_section(sec: dict[str, float], name: str) -> MbvdParams:
 
 def read_resonators(text: str) -> dict[str, MbvdParams]:
     """All resonator sections of a design file, keyed by section name."""
-    sections = parse_design_text(text)
+    return _resonators(parse_design_text(text))
+
+
+def _resonators(sections: dict[str, dict[str, float]]) -> dict[str, MbvdParams]:
     out = {}
     for name in ("series", "shunt"):
         if name in sections:

@@ -175,8 +175,17 @@ def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
 
 
 def series_resonance(p: MbvdParams) -> float:
-    """Mechanical series resonance fs = 1 / (2*pi*sqrt(lm*cm))."""
-    return 1.0 / (2.0 * math.pi * math.sqrt(p.lm * p.cm))
+    """Mechanical series resonance fs = 1 / (2*pi*sqrt(lm*cm)).
+
+    An lm*cm that over- or underflows leaves no finite, nonzero fs and is a
+    DomainError.
+    """
+    lc = p.lm * p.cm
+    if not 0.0 < lc < math.inf:
+        raise DomainError(
+            f"lm*cm = {p.lm:g} H * {p.cm:g} F over- or underflows: no finite series resonance"
+        )
+    return 1.0 / (2.0 * math.pi * math.sqrt(lc))
 
 
 def antiresonance(p: MbvdParams) -> float:
@@ -267,10 +276,8 @@ def perceived_resonance(p: MbvdParams) -> float:
     mechanically driven peak only.
     """
     fs = series_resonance(p)
-    f_lo, f_hi = fs / 100.0, fs * 1.02
-    if not (0.0 < f_lo < f_hi):
-        raise DomainError("search band must satisfy 0 < lo < hi")
-    return _peak_frequency(lambda g: np.abs(_admittance_values(p, _jw(g))), f_lo, f_hi)
+    return _peak_frequency(lambda g: np.abs(_admittance_values(p, _jw(g))),
+                           fs / 100.0, fs * 1.02)
 
 
 def q_at_antiresonance(p: MbvdParams) -> float:

@@ -76,6 +76,19 @@ def test_metrics_on_through_line_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, z0", [("", 50.0), ("[filter]\nz0 = 75\n\n", 75.0)])
+def test_one_port_simulate_takes_z0_from_the_design(tmp_path, section, z0):
+    p = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    design = tmp_path / "res.kv"
+    design.write_text(section + io_formats.write_resonator(p, "shunt"))
+    out = tmp_path / "res.s1p"
+    assert main(["simulate", "--design", str(design), "--grid", "5e9:1e11:5",
+                 "--out", str(out)]) == 0
+    s11 = acoufilt.one_port_s11(p, parse_grid_spec("5e9:1e11:5"), z0=z0)
+    assert out.read_text() == io_formats.write_touchstone(
+        s11, io_formats.TouchstoneHeader("Hz", "S", "RI", z0))
+
+
 def test_fit_end_to_end(tmp_path):
     truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
     res_kv = tmp_path / "res.kv"

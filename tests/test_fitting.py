@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from acoufilt import (
     ComplexCurve,
@@ -64,11 +65,16 @@ def test_fit_round_trip_noiseless():
     assert max(rel_errors(result.params).values()) < 1e-3
 
 
-def test_fit_round_trip_with_seeded_noise():
+def _seeded_noisy_curve():
+    """The criterion-4 sweep with 1 % complex noise from seed 42."""
     rng = np.random.default_rng(42)
     noise = 1.0 + 0.01 * (rng.standard_normal(GRID.size)
                           + 1j * rng.standard_normal(GRID.size))
-    noisy = ComplexCurve(GRID, CURVE.values * noise)
+    return ComplexCurve(GRID, CURVE.values * noise)
+
+
+def test_fit_round_trip_with_seeded_noise():
+    noisy = _seeded_noisy_curve()
     result = fit_mbvd(noisy, initial_guess(noisy))
     assert result.converged
     assert max(rel_errors(result.params).values()) < 0.02
@@ -107,6 +113,32 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     assert result.converged
     assert len(points) > result.iterations
     assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("noisy, max_iterations", [(False, 200), (True, 200), (False, 5)])
+def test_leastsq_takes_the_steps_of_least_squares_lm(monkeypatch, noisy, max_iterations):
+    # leastsq and least_squares(method="lm", x_scale="jac") both run MINPACK
+    # lmder with factor 100 and diag=None; the fit's column-major Jacobian,
+    # transposed, is the row-major one least_squares expects.
+    curve = _seeded_noisy_curve() if noisy else CURVE
+    runs = []
+    leastsq = fitting.leastsq
+
+    def spy(func, x0, **kw):
+        out = leastsq(func, x0, **kw)
+        ref = least_squares(func, x0, jac=lambda x: kw["Dfun"](x).T, method="lm",
+                            x_scale="jac", ftol=kw["ftol"], xtol=kw["xtol"],
+                            gtol=kw["gtol"], max_nfev=kw["maxfev"])
+        runs.append((out, ref))
+        return out
+
+    monkeypatch.setattr(fitting, "leastsq", spy)
+    result = fit_mbvd(curve, initial_guess(curve), FitOptions(max_iterations=max_iterations))
+    (((x, _, info, _, _), ref),) = runs
+    assert x.tobytes() == ref.x.tobytes()
+    assert (info["nfev"], info["njev"]) == (ref.nfev, ref.njev)
+    assert info["fvec"].tobytes() == ref.fun.tobytes()
+    assert result.converged == (ref.status > 0) == (max_iterations == 200)
 
 
 def test_refit_is_a_fixed_point():
@@ -159,6 +191,7 @@ def test_overflowing_weighted_residual_is_domain_error():
     values[100] = 1e-200
     with pytest.raises(DomainError):
         fit_mbvd(ComplexCurve(GRID, values), TRUTH)
+
 
 def _runaway_sweep(seed, index):
     """Sweep ``index`` of 254 drawn from generator ``seed``: truths around the

@@ -222,6 +222,16 @@ def test_touchstone_db_reads_minus_inf_as_zero():
     assert list(read_touchstone(text).s[:, 0, 0]) == [0.0, 0.5]
 
 
+def test_touchstone_default_headers():
+    # Written without a header: RI in hertz, at the block's z0 or, for a
+    # one-port curve, at the header's default reference resistance.
+    f = np.array([1e9, 2e9])
+    curve = ComplexCurve(f, np.array([0.25, 0.5j]))
+    block = SParameterBlock(f, np.full((2, 2, 2), 0.5 + 0j), z0=75.0)
+    assert write_touchstone(curve).splitlines()[0] == "# Hz S RI R 50"
+    assert write_touchstone(block).splitlines()[0] == "# Hz S RI R 75"
+
+
 def test_readme_spec_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)

@@ -90,6 +90,16 @@ def test_series_resonance_examples():
     assert series_resonance(unit) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
 
 
+@pytest.mark.parametrize("lm, cm", [(1e-200, 1e-200), (1e200, 1e200)])
+def test_lm_cm_product_out_of_range_is_named(lm, cm):
+    # lm*cm underflows to 0 (fs would divide by zero) or overflows to inf
+    # (fs would be 0); every figure built on fs names the product.
+    p = MbvdParams(1.0, lm, cm, 1e-13)
+    for figure in (series_resonance, antiresonance, perceived_resonance, summarize):
+        with pytest.raises(DomainError, match=r"^lm\*cm = .* over- or underflows"):
+            figure(p)
+
+
 def test_antiresonance_examples():
     p = mbvd_from_targets(20.00e9, 0.42, 50e-15, math.inf)
     assert p.cm / p.c0 == pytest.approx(0.5160, rel=2e-3)
