@@ -3,28 +3,24 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import fitting, io_formats, svgplot
-from .curves import MAX_POINTS, parse_grid_spec
+from .curves import _parse_range_spec, parse_grid_spec
 from .errors import AcoufiltError
 from .metrics import DEFAULT_GUARD, METRIC_NAMES, _check_guard, passband_metrics
 from .network import (
-    ElementKind,
     LadderDesign,
     admittance_from_s11,
     build_ladder_response,
     one_port_s11,
 )
-# Unused here since sweep replaces elements by kind; perfbench/spans.py still
-# traces the canonical ladder constructor under this name.
+# Unused here since sweep builds designs through io_formats; perfbench/spans.py
+# still traces the canonical ladder constructor under this name.
 from .network import shunt_series_shunt  # noqa: F401
 from .synthesis import synthesize_ladder
 
@@ -61,10 +57,13 @@ def _read(path: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    one_port = args.out.endswith(".s1p")
+    if one_port and args.metrics:
+        raise AcoufiltError("--metrics applies to two-port simulation only")
     grid = parse_grid_spec(args.grid)
     text = _read(args.design)
     outputs: list[tuple[str, str]] = []
-    if args.out.endswith(".s1p"):
+    if one_port:
         sections = io_formats.parse_design_text(text)
         resonators = io_formats._resonators(sections)
         if len(resonators) != 1:
@@ -76,8 +75,6 @@ def _cmd_simulate(args) -> int:
         s11 = one_port_s11(params, grid, z0=z0)
         header = io_formats.TouchstoneHeader("Hz", "S", "RI", z0)
         outputs.append((args.out, io_formats.write_touchstone(s11, header)))
-        if args.metrics:
-            raise AcoufiltError("--metrics applies to two-port simulation only")
     else:
         design = io_formats.read_ladder_design(text)
         block = build_ladder_response(design, grid)
@@ -161,42 +158,22 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _parse_value_range(spec: str) -> np.ndarray:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise AcoufiltError(f"--range must be a:b:n, got {spec!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise AcoufiltError(f"bad --range {spec!r}: {exc}")
-    if n < 1 or not (a <= b and math.isfinite(b - a)):
-        raise AcoufiltError("--range requires finite a <= b and n >= 1")
-    if n > MAX_POINTS:
-        raise AcoufiltError(f"--range count must be at most {MAX_POINTS}")
-    return np.linspace(a, b, n)
-
-
 def _cmd_sweep(args) -> int:
     section, _, key = args.param.partition(".")
     if section == "spec" or key not in io_formats._SECTION_KEYS.get(section, ()):
         raise AcoufiltError(f"--param must be series.KEY, shunt.KEY (KEY one of "
                             f"{', '.join(io_formats._RESONATOR_KEYS)}) or filter.z0, "
                             f"got {args.param!r}")
-    base = io_formats.read_ladder_design(_read(args.design))
-    values = _parse_value_range(args.range)
+    sections = io_formats.parse_design_text(_read(args.design))
+    io_formats._ladder_design(sections)
+    values = _parse_range_spec(args.range)
     grid = parse_grid_spec(args.grid)
-
-    def design_at(value: float) -> LadderDesign:
-        if section == "filter":
-            return dataclasses.replace(base, z0=value)
-        kind = ElementKind(section)
-        return dataclasses.replace(base, elements=tuple(
-            (k, dataclasses.replace(p, **{key: value}) if k is kind else p)
-            for k, p in base.elements))
+    swept = sections.setdefault(section, {})
 
     rows = [(args.param, *METRIC_NAMES)]
     for value in values:
-        block = build_ladder_response(design_at(float(value)), grid)
+        swept[key] = float(value)
+        block = build_ladder_response(io_formats._ladder_design(sections), grid)
         try:
             m = passband_metrics(block.s21(), guard=args.guard)
             rows.append((value, *(v for _, v in m.as_rows())))

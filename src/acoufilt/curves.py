@@ -1,4 +1,4 @@
-"""Frequency grids and complex-valued frequency sweeps."""
+"""Frequency grids, the ``a:b:n`` specs of grids and ranges, and complex sweeps."""
 
 from __future__ import annotations
 
@@ -59,20 +59,34 @@ class ComplexCurve:
             return 20.0 * np.log10(np.abs(self.values))
 
 
-def parse_grid_spec(spec: str) -> np.ndarray:
-    """Parse a ``start:stop:count`` grid spec (hertz) into a linear grid."""
+def _split_spec(spec: str, name: str) -> tuple[float, float, int]:
+    """The floats a, b and the int n of an ``a:b:n`` spec, with n at most
+    MAX_POINTS; ``name`` begins each error message."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise DomainError(f"grid spec {spec!r} is not of the form start:stop:count")
+        raise DomainError(f"{name} spec {spec!r} is not of the form start:stop:count")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise DomainError(f"grid spec {spec!r}: {exc}") from None
+        raise DomainError(f"{name} spec {spec!r}: {exc}") from None
+    if n > MAX_POINTS:
+        raise DomainError(f"{name} count must be at most {MAX_POINTS}")
+    return a, b, n
+
+
+def parse_grid_spec(spec: str) -> np.ndarray:
+    """Parse a ``start:stop:count`` grid spec (hertz) into a linear grid."""
+    start, stop, count = _split_spec(spec, "grid")
     if count < 2:
         raise DomainError("grid count must be at least 2")
-    if count > MAX_POINTS:
-        raise DomainError(f"grid count must be at most {MAX_POINTS}")
     if not (0.0 < start < stop < math.inf):
         raise DomainError("grid requires 0 < start < stop < inf")
     return np.linspace(start, stop, count)
+
+
+def _parse_range_spec(spec: str) -> np.ndarray:
+    """Parse the ``a:b:n`` values of a swept parameter (a ``--range``)."""
+    a, b, n = _split_spec(spec, "--range")
+    if n < 1 or not (a <= b and math.isfinite(b - a)):
+        raise DomainError("--range requires finite a <= b and n >= 1")
+    return np.linspace(a, b, n)

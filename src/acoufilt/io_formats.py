@@ -1,8 +1,11 @@
 """Serialization: Touchstone v1, key-value design files, and CSV reports.
 
-Readers reject malformed input instead of repairing it, and every error
-carries the offending line number.  Writers emit 17 significant digits so
-write-then-read is an identity to better than 1e-12 relative.
+Readers reject malformed input instead of repairing it; an error names the
+offending line, or the missing section or key.  read_touchstone reads the
+option line once for both data paths.  One key table (_SECTION_KEYS,
+_REQUIRED) serves the design-file readers, which build from parsed sections
+(_build), and the writers (_write_sections).  Writers emit 17 significant
+digits so write-then-read is an identity to better than 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -210,25 +213,23 @@ def read_touchstone(text: str) -> TouchstoneData:
     offending line.
     """
     lines = text.splitlines()
-    return _read_table(lines) or _read_lines(lines)
+    # The first non-blank line is the option line, or a data line of a file
+    # without one; lines[start:] are the lines after the option line.
+    start = next((i for i, raw in enumerate(lines) if raw.split("!", 1)[0].split()), len(lines))
+    header = TouchstoneHeader()
+    option = lines[start].split("!", 1)[0].strip() if start < len(lines) else ""
+    if option.startswith("#"):
+        header = _parse_option_line(option[1:].split(), start + 1)
+        start += 1
+    return _read_table(header, lines, start) or _read_lines(header, lines, start)
 
 
-def _read_table(lines: list[str]) -> TouchstoneData | None:
-    """The data of a file without noise block or error, or None.
+def _read_table(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData | None:
+    """The data of lines[start:] without noise block or error, or None.
 
     None hands the file to the line walk; loadtxt's C parser reads a subset
     of what float() reads, to the same bits.
     """
-    for start, raw in enumerate(lines):
-        fields = raw.split("!", 1)[0].split()
-        if fields:
-            break
-    else:
-        return None
-    header = TouchstoneHeader()
-    if fields[0].startswith("#"):
-        header = _parse_option_line(" ".join(fields)[1:].split(), start + 1)
-        start += 1
     try:
         # An input without data rows warns; the line walk reads it.
         with warnings.catch_warnings():
@@ -244,30 +245,22 @@ def _read_table(lines: list[str]) -> TouchstoneData | None:
     return None if cols is None else TouchstoneData(header, *cols)
 
 
-def _read_lines(lines: list[str]) -> TouchstoneData:
-    """The line walk: one pass over the lines checks their layout and
+def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData:
+    """The line walk over lines[start:]: one pass checks their layout and
     collects the numbers, which are then checked and converted by column;
     an error names the first offending line either way."""
-    header: TouchstoneHeader | None = None
-    scale = 1.0
+    scale = header.unit_scale
     width = 0  # columns of an S-data row: 3 (one-port) or 9 (two-port)
     nums = array.array("d")
     linenos: list[int] = []
     noise_freqs: list[float] = []
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(lines[start:], start=start + 1):
             fields = raw.split("!", 1)[0].split()
             if not fields:
                 continue
             if fields[0].startswith("#"):
-                if header is not None:
-                    raise FormatError("duplicate option line", lineno)
-                header = _parse_option_line(" ".join(fields)[1:].split(), lineno)
-                scale = header.unit_scale
-                continue
-            if header is None:
-                header = TouchstoneHeader()
-                scale = header.unit_scale
+                raise FormatError("duplicate option line", lineno)
             first = None  # the first field of a two-port row, converted once
             if width == 9 and (
                 noise_freqs or (first := _number(fields[0], lineno)) * scale <= nums[-9] * scale
@@ -294,9 +287,6 @@ def _read_lines(lines: list[str]) -> TouchstoneData:
         if linenos:
             _columns(header, np.frombuffer(nums).reshape(-1, width), linenos, lines)
         raise
-
-    if header is None:
-        header = TouchstoneHeader()
     freq, s = _columns(header, np.frombuffer(nums).reshape(-1, width or 3), linenos, lines)
     return TouchstoneData(header, freq, s)
 
@@ -344,16 +334,21 @@ def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
 # Key-value design files
 
 _RESONATOR_KEYS = ("rm", "lm", "cm", "c0", "rs", "ls", "r0")
-_RESONATOR_REQUIRED = ("rm", "lm", "cm", "c0", "rs", "ls")
 _SECTION_KEYS = {
     "series": _RESONATOR_KEYS,
     "shunt": _RESONATOR_KEYS,
     "filter": ("z0",),
     "spec": ("fc", "fbw", "z0", "oob_min_db", "k2", "q", "rs", "ls", "il_max_db"),
 }
-# The [spec] keys that are not the name of their DesignSpec field; every
+# The keys a section must give; every other key takes its field's default.
+_REQUIRED = {
+    "series": _RESONATOR_KEYS[:-1],
+    "shunt": _RESONATOR_KEYS[:-1],
+    "spec": ("fc", "fbw", "k2", "q"),
+}
+# The keys that are not the name of their field (both in [spec]); every
 # other key of a section is its field's name.
-_SPEC_FIELDS = {"fc": "fc_target", "fbw": "fbw_target"}
+_FIELDS = {"fc": "fc_target", "fbw": "fbw_target"}
 
 
 def parse_design_text(text: str) -> dict[str, dict[str, float]]:
@@ -390,11 +385,17 @@ def parse_design_text(text: str) -> dict[str, dict[str, float]]:
     return sections
 
 
-def _resonator_from_section(sec: dict[str, float], name: str) -> MbvdParams:
-    missing = [k for k in _RESONATOR_REQUIRED if k not in sec]
+def _build(sections: dict[str, dict[str, float]], name: str) -> MbvdParams | DesignSpec:
+    """The resonator of a [series] or [shunt] section, or the DesignSpec of
+    [spec], from the parsed sections of a design file."""
+    if name not in sections:
+        raise FormatError(f"missing [{name}] section")
+    sec = sections[name]
+    missing = [k for k in _REQUIRED[name] if k not in sec]
     if missing:
         raise FormatError(f"section [{name}] missing keys: {', '.join(missing)}")
-    return MbvdParams(**sec)
+    cls = DesignSpec if name == "spec" else MbvdParams
+    return cls(**{_FIELDS.get(k, k): v for k, v in sec.items()})
 
 
 def read_resonators(text: str) -> dict[str, MbvdParams]:
@@ -403,10 +404,7 @@ def read_resonators(text: str) -> dict[str, MbvdParams]:
 
 
 def _resonators(sections: dict[str, dict[str, float]]) -> dict[str, MbvdParams]:
-    out = {}
-    for name in ("series", "shunt"):
-        if name in sections:
-            out[name] = _resonator_from_section(sections[name], name)
+    out = {name: _build(sections, name) for name in ("series", "shunt") if name in sections}
     if not out:
         raise FormatError("no [series] or [shunt] section found")
     return out
@@ -414,40 +412,32 @@ def _resonators(sections: dict[str, dict[str, float]]) -> dict[str, MbvdParams]:
 
 def read_ladder_design(text: str) -> LadderDesign:
     """A shunt-series-shunt ladder from a file with both resonator sections."""
-    sections = parse_design_text(text)
-    for name in ("series", "shunt"):
-        if name not in sections:
-            raise FormatError(f"missing [{name}] section for a ladder design")
-    return shunt_series_shunt(
-        _resonator_from_section(sections["shunt"], "shunt"),
-        _resonator_from_section(sections["series"], "series"),
-        **sections.get("filter", {}),
-    )
+    return _ladder_design(parse_design_text(text))
+
+
+def _ladder_design(sections: dict[str, dict[str, float]]) -> LadderDesign:
+    """The ladder of parsed design-file sections; [series] is checked first."""
+    series = _build(sections, "series")
+    return shunt_series_shunt(_build(sections, "shunt"), series, **sections.get("filter", {}))
 
 
 def read_design_spec(text: str) -> DesignSpec:
-    sections = parse_design_text(text)
-    if "spec" not in sections:
-        raise FormatError("missing [spec] section")
-    sec = sections["spec"]
-    required = ("fc", "fbw", "k2", "q")
-    missing = [k for k in required if k not in sec]
-    if missing:
-        raise FormatError(f"section [spec] missing keys: {', '.join(missing)}")
-    return DesignSpec(**{_SPEC_FIELDS.get(k, k): v for k, v in sec.items()})
+    return _build(parse_design_text(text), "spec")
 
 
-def _resonator_lines(name: str, p: MbvdParams) -> list[str]:
-    lines = [f"[{name}]"]
-    for key in _RESONATOR_KEYS:
-        lines.append(f"{key} = {_NUM(getattr(p, key))}")
-    return lines
+def _write_sections(*sections: tuple[str, object]) -> str:
+    """Design-file text of (name, obj) sections, a blank line between them:
+    each key of section [name] with the value of its field of obj."""
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {_NUM(getattr(obj, _FIELDS.get(key, key)))}\n"
+                                for key in _SECTION_KEYS[name])
+        for name, obj in sections)
 
 
 def write_resonator(p: MbvdParams, section: str = "series") -> str:
     if section not in ("series", "shunt"):
         raise DomainError("resonator section must be 'series' or 'shunt'")
-    return "\n".join(_resonator_lines(section, p)) + "\n"
+    return _write_sections((section, p))
 
 
 def write_ladder_design(design: LadderDesign) -> str:
@@ -455,19 +445,12 @@ def write_ladder_design(design: LadderDesign) -> str:
     kinds = tuple(kind for kind, _ in design.elements)
     if kinds != (ElementKind.SHUNT, ElementKind.SERIES, ElementKind.SHUNT):
         raise DomainError("only shunt-series-shunt ladders have a file representation")
-    shunt = design.elements[0][1]
-    series = design.elements[1][1]
-    lines = ["[filter]", f"z0 = {_NUM(design.z0)}", ""]
-    lines += _resonator_lines("series", series)
-    lines.append("")
-    lines += _resonator_lines("shunt", shunt)
-    return "\n".join(lines) + "\n"
+    return _write_sections(("filter", design), ("series", design.elements[1][1]),
+                           ("shunt", design.elements[0][1]))
 
 
 def write_design_spec(spec: DesignSpec) -> str:
-    lines = ["[spec]"] + [f"{k} = {_NUM(getattr(spec, _SPEC_FIELDS.get(k, k)))}"
-                          for k in _SECTION_KEYS["spec"]]
-    return "\n".join(lines) + "\n"
+    return _write_sections(("spec", spec))
 
 
 # ---------------------------------------------------------------------------

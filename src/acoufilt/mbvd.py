@@ -169,9 +169,15 @@ def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
 
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
-    """Input admittance of the full parasitic-loaded resonator on a grid."""
+    """Input admittance of the full parasitic-loaded resonator on a grid; a
+    division by zero (see _check_defined) or an overflow is a DomainError."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    return ComplexCurve(f, _admittance_values(p, _jw(f)))
+    with np.errstate(all="ignore"):
+        y = _admittance_values(p, _jw(f))
+    if not np.isfinite(y).all():
+        _check_defined(p, f, inverted=False)
+        raise DomainError("admittance contains non-finite entries")
+    return ComplexCurve(f, y)
 
 
 def series_resonance(p: MbvdParams) -> float:
@@ -189,8 +195,12 @@ def series_resonance(p: MbvdParams) -> float:
 
 
 def antiresonance(p: MbvdParams) -> float:
-    """Anti-resonance fp = fs * sqrt(1 + cm/c0) of the unloaded circuit."""
-    return series_resonance(p) * math.sqrt(1.0 + p.cm / p.c0)
+    """Anti-resonance fp = fs * sqrt(1 + cm/c0) of the unloaded circuit; a
+    cm/c0 so large that fp overflows is a DomainError."""
+    fp = series_resonance(p) * math.sqrt(1.0 + p.cm / p.c0)
+    if fp == math.inf:
+        raise DomainError(f"cm/c0 = {p.cm:g} F / {p.c0:g} F overflows: no finite anti-resonance")
+    return fp
 
 
 def coupling_k2(p: MbvdParams) -> float:
@@ -290,8 +300,11 @@ def q_at_antiresonance(p: MbvdParams) -> float:
     """
     if p.lossless():
         return math.inf
+    fp = antiresonance(p)
+    if 2.0 * fp == math.inf:
+        raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
     f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, _jw(g))),
-                            series_resonance(p) * 0.5, antiresonance(p) * 2.0)
+                            series_resonance(p) * 0.5, fp * 2.0)
     w = 2.0 * math.pi * f_max
     s = 1j * w
     pm, ps, num, den = _terms(p, s)

@@ -137,9 +137,15 @@ def _unchecked(cls, **fields):
 
 
 def element_abcd(kind: ElementKind, p: MbvdParams, freq_hz) -> AbcdBlock:
-    """ABCD block of one resonator used as a series or shunt element."""
+    """ABCD block of one resonator used as a series or shunt element; a
+    series element whose 1 / y is not finite is a DomainError."""
     y = resonator_admittance(p, freq_hz)
-    return AbcdBlock(y.freq_hz, _stack(len(y), *_element(kind, y.values)))
+    with np.errstate(all="ignore"):
+        mats = _stack(len(y), *_element(kind, y.values))
+    if not np.isfinite(mats).all():
+        _check_defined(p, y.freq_hz)
+        raise DomainError("ABCD matrices contain non-finite entries")
+    return _unchecked(AbcdBlock, freq_hz=y.freq_hz, mats=mats)
 
 
 def identity_block(freq_hz) -> AbcdBlock:

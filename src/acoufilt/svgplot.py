@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .curves import ComplexCurve
+from .errors import DomainError
 
 _W, _H = 800, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
@@ -20,9 +21,8 @@ _TICKS = 6
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
+    """Multiples in [lo, hi], lo < hi, of a round step of at least span / _TICKS."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -32,17 +32,23 @@ def _ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + 1e-9 * span:
+    # A step below half the spacing of floats at t would not advance it.
+    while t <= hi + 1e-9 * span and t + step > t:
         ticks.append(round(t / step) * step)
         t += step
     return ticks
 
 
 def s21_magnitude_svg(curve: ComplexCurve) -> str:
-    """Single polyline of |S21| in dB versus frequency in GHz, with ticks."""
+    """Single polyline of |S21| in dB versus frequency in GHz, with ticks; a
+    zero frequency span or a non-finite |S21| is a DomainError."""
     f_ghz = curve.freq_hz / 1e9
-    db = np.maximum(curve.magnitude_db, _FLOOR_DB)
     x_lo, x_hi = float(f_ghz[0]), float(f_ghz[-1])
+    if not x_hi > x_lo:
+        raise DomainError("cannot plot a curve whose frequency span is zero in GHz")
+    db = np.maximum(curve.magnitude_db, _FLOOR_DB)
+    if not np.isfinite(db).all():
+        raise DomainError("cannot plot a curve with a non-finite |S21|")
     y_lo = float(math.floor(db.min() / 10.0) * 10.0)
     y_hi = float(math.ceil(db.max() / 10.0) * 10.0)
     if y_hi == y_lo:

@@ -230,6 +230,44 @@ def test_repeated_runs_byte_identical(tmp_path, reference_design):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("argv, err", [
+    # one-port output of a design with both resonator sections
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:11", "--out", "{tmp}/o.s1p"],
+     "error: one-port output requires a design file with exactly one resonator section\n"),
+    # --metrics of a one-port run is refused before the design is read
+    (["simulate", "--design", "{tmp}/none.kv", "--grid", "1e9:4e10:11", "--out",
+      "{tmp}/o.s1p", "--metrics", "{tmp}/m.csv"],
+     "error: --metrics applies to two-port simulation only\n"),
+    # a --range of two parts
+    (["sweep", "--design", "{design}", "--param", "shunt.c0", "--range", "1e-13:2e-13",
+      "--grid", "1e9:4e10:11", "--out", "{tmp}/o.csv"],
+     "error: --range spec '1e-13:2e-13' is not of the form start:stop:count\n"),
+    # --out names a directory: the rename fails after the temp file is written
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:11", "--out", "{tmp}"],
+     "error: [Errno "),
+], ids=["one-port-of-a-ladder", "one-port-metrics", "malformed-range", "out-is-a-directory"])
+def test_rejected_runs_leave_no_files(tmp_path, reference_design, capsys, argv, err):
+    path, _ = reference_design
+    before = sorted(tmp_path.iterdir())
+    rc = main([a.format(design=path, tmp=tmp_path) for a in argv])
+    assert rc == 1
+    message = capsys.readouterr().err
+    assert message.startswith(err) and message.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_metrics_without_out_writes_to_stdout(tmp_path, reference_design, capsys):
+    path, design = reference_design
+    s2p = tmp_path / "filter.s2p"
+    assert main(["simulate", "--design", str(path), "--grid", "1e9:4e10:801",
+                 "--out", str(s2p)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--input", str(s2p)]) == 0
+    block = acoufilt.build_ladder_response(design, parse_grid_spec("1e9:4e10:801"))
+    expected = io_formats.write_metrics_csv(acoufilt.passband_metrics(block.s21()))
+    assert capsys.readouterr().out == expected
+
+
 def test_missing_input_is_exit_1(tmp_path, capsys):
     rc = main(["metrics", "--input", str(tmp_path / "nope.s2p")])
     assert rc == 1

@@ -45,6 +45,28 @@ def test_initial_guess_pure_capacitor_is_structure_error():
         initial_guess(ComplexCurve(f, y))
 
 
+def _motional_branch_only(f):
+    # The clean resonator without c0: |Y| peaks at fs and falls from there.
+    p = mbvd_from_targets(20e9, 0.42, 50e-15, 40.0)
+    s = 2j * math.pi * f
+    return ComplexCurve(f, 1.0 / (p.rm + s * p.lm + 1.0 / (s * p.cm)))
+
+
+def _inductive_tail(f):
+    # The conjugate has the same |Y| but a negative susceptance below fs.
+    y = resonator_admittance(mbvd_from_targets(20e9, 0.42, 50e-15, 40.0), f)
+    return ComplexCurve(f, np.conj(y.values))
+
+
+@pytest.mark.parametrize("curve, match", [
+    (_motional_branch_only, "no admittance minimum above the resonance peak"),
+    (_inductive_tail, "low-frequency tail is not capacitive"),
+])
+def test_initial_guess_names_the_missing_structure(curve, match):
+    with pytest.raises(StructureError, match=match):
+        initial_guess(curve(np.geomspace(5e9, 60e9, 3001)))
+
+
 def test_initial_guess_ls_from_em_resonance():
     # EM self-resonance of ls = 100 pH against c0 sits near 70 GHz, inside
     # the sweep, and seeds ls within a factor of two.

@@ -8,12 +8,14 @@ import pytest
 from acoufilt import (
     ComplexCurve,
     DesignSpec,
+    ElementKind,
+    LadderDesign,
     MbvdParams,
     SParameterBlock,
     mbvd_from_targets,
     shunt_series_shunt,
 )
-from acoufilt.errors import FormatError
+from acoufilt.errors import DomainError, FormatError
 from acoufilt.io_formats import (
     TouchstoneHeader,
     parse_design_text,
@@ -314,3 +316,42 @@ def test_locale_independent_number_parse():
     with pytest.raises(FormatError):
         parse_design_text("[filter]\nz0 = 1,5\n")
     assert math.isclose(parse_design_text("[filter]\nz0 = 1.5\n")["filter"]["z0"], 1.5)
+
+
+_RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: TouchstoneHeader(frequency_unit="THz"), DomainError, "unknown frequency unit"),
+    (lambda: TouchstoneHeader(parameter="Y"), DomainError, "only S-parameter"),
+    (lambda: TouchstoneHeader(format="XY"), DomainError, "unknown Touchstone format"),
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS).to_curve(), DomainError,
+     "to_curve requires one-port data"),
+    (lambda: read_touchstone("# GHz Y RI\n1 0 0\n"), FormatError,
+     "^line 1: unsupported parameter type 'Y'$"),
+    (lambda: read_touchstone("# GHz S RI R\n1 0 0\n"), FormatError,
+     "^line 1: R option missing its resistance value$"),
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 nan 0.3 45.0 0.2\n"),
+     FormatError, "^line 4: non-finite number 'nan'$"),
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "-1.0 0.8 0.3 45.0 0.2\n"),
+     FormatError, "^line 4: non-positive frequency$"),
+    (lambda: read_touchstone("1 0 0 0 0 0 0 0 0\n\n2 0 0\n"), FormatError,
+     "^line 3: inconsistent column count$"),
+    (lambda: write_resonator(_RESONATOR, section="x"), DomainError,
+     "resonator section must be 'series' or 'shunt'"),
+    (lambda: write_ladder_design(LadderDesign(((ElementKind.SERIES, _RESONATOR),))), DomainError,
+     "only shunt-series-shunt ladders"),
+], ids=["header-unit", "header-parameter", "header-format", "to-curve-two-port",
+        "option-y", "option-r-without-value", "noise-non-finite", "noise-non-positive",
+        "inconsistent-columns", "resonator-section", "non-canonical-ladder"])
+def test_io_rejections(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_ladder_design_names_its_first_fault_in_file_order():
+    # Both sections lack keys: [series], written first, is named.
+    with pytest.raises(FormatError, match=r"^section \[series\] missing keys: lm, "):
+        read_ladder_design("[series]\nrm = 1\n[shunt]\nrm = 1\nlm = 1\n")
+    with pytest.raises(FormatError, match=r"^missing \[series\] section$"):
+        read_ladder_design("[filter]\nz0 = 50\n")

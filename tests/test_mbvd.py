@@ -156,6 +156,26 @@ def test_mbvd_from_targets_infinite_q_is_lossless():
     assert p.rm == 0.0
 
 
+def test_cm_c0_ratio_out_of_range_is_named():
+    # cm/c0 = 1e350 overflows, so fp = fs*sqrt(1 + cm/c0) does; every figure
+    # built on fp names the ratio, and the Q search does not start.
+    p = MbvdParams(1.0, 1e-150, 1e150, 1e-200)
+    for figure in (antiresonance, q_at_antiresonance, summarize):
+        with pytest.raises(DomainError, match=r"^cm/c0 = .* overflows"):
+            figure(p)
+    # fs = 1.0026e160 Hz and cm/c0 = 1e296: fp = 1.0026e308 Hz is finite,
+    # but the Q search band up to 2*fp is not.
+    p = MbvdParams(1.0, (2 * math.pi * 1e160) ** -2 / 1e-20, 1e-20, 1e-316)
+    assert antiresonance(p) == pytest.approx(1.0026346717e308)
+    with pytest.raises(DomainError, match=r"^2\*fp overflows"):
+        q_at_antiresonance(p)
+
+
+def test_mbvd_from_targets_rejects_a_non_positive_q():
+    with pytest.raises(DomainError, match="q must be positive"):
+        mbvd_from_targets(20e9, 0.42, 50e-15, 0.0)
+
+
 def test_mbvd_from_targets_rejects_excess_coupling():
     with pytest.raises(InfeasibleCouplingError):
         mbvd_from_targets(20e9, K2_MAX, 50e-15, 40.0)

@@ -218,6 +218,8 @@ def test_lossless_resonance_on_the_grid_is_named(fs, f, name):
     design = LadderDesign(((ElementKind.SERIES, p),), z0=50.0)
     with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
         build_ladder_response(design, [f])
+    with pytest.raises(DomainError, match=f"lossless resonator .* {name}"):
+        element_abcd(ElementKind.SERIES, p, [f])
 
 
 @pytest.mark.parametrize("fs, f, name", LOSSLESS_HITS)
@@ -233,6 +235,7 @@ def test_lossless_shunt_at_its_anti_resonance_is_open():
     fs, f, _ = LOSSLESS_HITS[0]
     p = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
     assert resonator_admittance(p, [f]).values[0] == 0
+    assert element_abcd(ElementKind.SHUNT, p, [f]).mats[0, 1, 0] == 0
     s = build_ladder_response(LadderDesign(((ElementKind.SHUNT, p),), z0=50.0), [f]).s
     assert s[0, 1, 0] == 1 and s[0, 0, 0] == 0
 
@@ -267,6 +270,10 @@ def test_exact_series_resonance_on_the_grid_is_named(kind):
         build_ladder_response(LadderDesign(((kind, _EXACT_FS),), z0=50.0), [1e10])
     with pytest.raises(DomainError, match=match):
         one_port_s11(_EXACT_FS, [1e10])
+    with pytest.raises(DomainError, match=match):
+        resonator_admittance(_EXACT_FS, [1e10])
+    with pytest.raises(DomainError, match=match):
+        element_abcd(kind, _EXACT_FS, [1e10])
     # An open shunt at its anti-resonance on the same grid is not the error.
     fs, f, _ = LOSSLESS_HITS[0]
     shunt = mbvd_from_targets(fs, 0.4, 1e-13, math.inf)
@@ -456,6 +463,11 @@ def test_s21_db_path_matches_build_ladder_response(case):
     assert np.all(np.abs(db - ref) <= 1e-12)
 
 
+# Grids on which the admittance itself overflows; on the others only a
+# series element's impedance 1 / y does.
+_ADMITTANCE_OVERFLOWS = ("1e150:1e160:3", "1e300:1e308:3")
+
+
 @pytest.mark.parametrize("grid", ["1e150:1e160:3", "1e300:1e308:3", "1e-300:1e-299:3"])
 def test_overflowing_ladder_response_is_named(grid):
     # Warnings are errors here: no numpy warning and no non-finite S.
@@ -465,3 +477,25 @@ def test_overflowing_ladder_response_is_named(grid):
         build_ladder_response(design, parse_grid_spec(grid))
     with pytest.raises(DomainError, match="non-finite entries"):
         one_port_s11(p, parse_grid_spec(grid))
+    with pytest.raises(DomainError, match="non-finite entries"):
+        element_abcd(ElementKind.SERIES, p, parse_grid_spec(grid))
+    if grid in _ADMITTANCE_OVERFLOWS:
+        with pytest.raises(DomainError, match="admittance contains non-finite entries"):
+            resonator_admittance(p, parse_grid_spec(grid))
+    else:
+        assert np.isfinite(resonator_admittance(p, parse_grid_spec(grid)).values).all()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: AbcdBlock(GRID[:2], np.zeros((2, 2))), "ABCD matrices must have shape"),
+    (lambda: AbcdBlock(GRID[:1], np.full((1, 2, 2), np.nan)), "non-finite entries"),
+    (lambda: SParameterBlock(GRID[:2], np.zeros((2, 2))), "S matrices must have shape"),
+    (lambda: LadderDesign(()), "at least one element"),
+    (lambda: LadderDesign((("series", mbvd_from_targets(20e9, 0.42, 50e-15, 40)),)),
+     r"\(ElementKind, MbvdParams\) pairs"),
+    (lambda: element_abcd("series", mbvd_from_targets(20e9, 0.42, 50e-15, 40), GRID),
+     "unknown element kind 'series'"),
+], ids=["abcd-shape", "abcd-non-finite", "s-shape", "empty-ladder", "bad-pair", "unknown-kind"])
+def test_malformed_network_objects_are_rejected(build, match):
+    with pytest.raises(DomainError, match=match):
+        build()
