@@ -31,6 +31,14 @@ def validate_grid(freq_hz: np.ndarray) -> np.ndarray:
     return f
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass from fields known to be valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ComplexCurve:
     """Complex samples (admittance or an S-parameter entry) on a frequency grid."""

@@ -1,14 +1,16 @@
 """Extraction of MBVD parameters from a one-port admittance sweep.
 
-A structure-based initial guess (resonance peak, the most prominent
-anti-resonance dip above it, and the EM self-resonance above that) seeds a
-MINPACK Levenberg-Marquardt search (lmder, through scipy's ``leastsq``)
-over log-parameters, so positivity can never be violated.  The search is
-unbounded; a trial point with a log-parameter beyond +-_LOG_BOUND gets an
-infinite residual, which the search rejects as no reduction and answers
-with a shorter step.  Residuals are the concatenated real and imaginary
-parts of the admittance, by default weighted by 1/|Y| so the deep
-anti-resonance counts as much as the resonance peak.
+The MBVD admittance is a rational function of s of fixed degree (see
+mbvd.rational_coefficients).  A linear least-squares fit of its seven
+coefficients to the sweep, reweighted once, gives the six parameters in
+closed form, and they seed a MINPACK Levenberg-Marquardt search (lmder,
+through ``leastsq``) over log-parameters, so positivity can never be
+violated.  The search is unbounded; a trial point with a log-parameter
+beyond +-_LOG_BOUND gets an infinite residual, which the search rejects as
+no reduction and answers with a shorter step.  Residuals are the
+concatenated real and imaginary parts of the admittance, by default
+weighted by 1/|Y| so the deep anti-resonance counts as much as the
+resonance peak.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import leastsq
-from scipy.signal import find_peaks
 
 from .curves import ComplexCurve
 from .errors import DomainError, SearchError, StructureError
@@ -31,14 +32,17 @@ from .mbvd import resonator_admittance  # noqa: F401
 _FIT_PARAMS = ("rm", "lm", "cm", "c0", "rs", "ls")
 # Positive floor standing in for "exactly zero" in log-space.
 _LOG_FLOOR = 1e-30
+# Where a zero rm, rs or ls starts, relative to its scale (see _pack).
+_ZERO_START = 1e-7
 # Largest |log-parameter| a trial point may have: beyond it exp() nears
 # overflow, so the residual there is +inf and the step is rejected.  Generous
 # for any physical value.
 _LOG_BOUND = 300.0
 # ftol, xtol and gtol of the least-squares search.
 _TOL = 1e-10
-_RS_SEED_OHM = 0.5
-_LS_SEED_H = 1e-13  # used when no EM self-resonance is visible in the sweep
+# Singular values of the rational fit's rows below this fraction of the
+# largest count as zero, as in lstsq's default for the full rows.
+_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,70 +66,115 @@ class FitResult:
     summary: ResonatorSummary
 
 
-def _peak_indices(mag: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the |Y| peaks and valleys, and the valleys' prominences."""
-    span = float(mag.max() - mag.min())
-    prom = 0.01 * span
-    peaks, _ = find_peaks(mag, prominence=prom)
-    valleys, props = find_peaks(-mag, prominence=prom)
-    return peaks, valleys, props["prominences"]
+def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a1, a2, a3, b1, b2, b3, b4 of num(t) / den(t) fitted to the samples
+    y at t = j*x, in two linear least-squares passes.
+
+    num(t) - y*den(t) = 0 at every sample is linear in the seven
+    coefficients (Levy 1959).  Its real and imaginary rows are built from
+    the powers of x, with j^k folded into their signs.  The first pass
+    weights each row by 1/|y|, the second by 1/|y*den| of the first
+    (Sanathanan-Koerner 1963), so that its residual approximates the fit's
+    own relative error |num/den - y| / |y|.  Each pass reduces the weighted
+    rows and right-hand side to 8 x 8 by Householder QR and solves the
+    7 x 7 part by SVD, as lstsq on the full rows would.
+    """
+    n = x.size
+    g, b = y.real, y.imag
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x2 * x2
+    # Columns a1, a2, a3, b1, b2, b3, b4 and the right-hand side, one per
+    # row of ``cols``, of Re and then Im of
+    # a1*t + a2*t^2 + a3*t^3 - y*(b1*t + b2*t^2 + b3*t^3 + b4*t^4) = y.
+    cols = np.zeros((8, 2 * n))
+    re, im = cols[:, :n], cols[:, n:]
+    re[1], re[3], re[4], re[5], re[6], re[7] = -x2, x * b, x2 * g, -x3 * b, -x4 * g, g
+    im[0], im[2], im[3], im[4], im[5], im[6], im[7] = x, -x3, -x * g, x2 * b, x3 * g, -x4 * b, b
+    # The weights of the first pass, then the factor 1/|den| of the second.
+    # A zero (or subnormal) sample, or a zero of den on the grid, has no
+    # finite weight, and the pass leaves its rows out.
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / np.abs(y)
+    for _ in range(2):
+        w[np.isinf(w)] = 0.0
+        cols *= np.concatenate([w, w])
+        r = np.linalg.qr(cols.T, mode="r")
+        coef, _, rank, _ = np.linalg.lstsq(r[:7, :7], r[:7, 7], rcond=_RCOND)
+        if rank < 7:
+            raise StructureError(
+                f"the sweep fixes only {rank} of the 7 coefficients of a resonator "
+                "with static capacitance and routing parasitics"
+            )
+        b1, b2, b3, b4 = coef[3:]
+        with np.errstate(divide="ignore", over="ignore"):
+            w = 1.0 / np.hypot(1.0 - b2 * x2 + b4 * x4, b1 * x - b3 * x3)
+    return coef
 
 
 def initial_guess(curve: ComplexCurve) -> MbvdParams:
-    """Heuristic MBVD seed from the visible resonance structure of |Y|.
+    """MBVD seed from a rational fit of the admittance sweep.
 
-    Needs at least one |Y| maximum followed by one |Y| minimum.  Of the
-    minima above the first maximum, the most prominent is the anti-resonance,
-    so a noise dip next to the resonance is not taken for it.  A further
-    maximum above the anti-resonance, when present, seeds the routing
-    inductance from the EM self-resonance against c0.
+    With t = s / w0 and w0 = 2*pi*sqrt(f_first*f_last), Y = num(t) / den(t)
+    for the coefficients of mbvd.rational_coefficients (r0 = 0), which
+    _rational_fit finds by linear least squares.  The six parameters follow
+    in closed form, in the scaled units L = w0*lm and so on: ls = b4/a3,
+    rs = (b3 - ls*a2)/a3, rm*C = b1 - rs*a1, L*C = b2 - rs*a2 - ls*a1,
+    C0 = a3/(L*C), C = a1 - C0 (_params_from_coefficients).  An rm, rs or
+    ls that comes out non-positive is seeded as 0; an lm, cm or c0 that is
+    not positive and finite, or coefficients the sweep does not fix, are a
+    StructureError.
     """
     _check_finite(curve)
     f = curve.freq_hz
-    mag = curve.magnitude
     if f.size < 8:
         raise StructureError("too few samples to identify resonance structure")
+    f0 = math.sqrt(f[0] * f[-1])
+    return _params_from_coefficients(_rational_fit(f / f0, curve.values), 2.0 * math.pi * f0)
 
-    peaks, valleys, valley_prom = _peak_indices(mag)
-    if peaks.size == 0:
-        raise StructureError("no admittance maximum found (no resonance in band)")
-    i_fs = int(peaks[0])
-    later = valleys > i_fs
-    if not later.any():
-        raise StructureError("no admittance minimum above the resonance peak")
-    i_fp = int(valleys[later][np.argmax(valley_prom[later])])
 
-    fs = float(f[i_fs])
-    fp = float(f[i_fp])
+def _params_from_coefficients(coef: np.ndarray, w0: float) -> MbvdParams:
+    """The parameters (r0 = 0) whose rational_coefficients(p, w0) are
+    coef = (a1, a2, a3, b1, b2, b3, b4), by the closed form of initial_guess.
 
-    # Well below resonance the one-port looks like c0 + cm in parallel; split
-    # that total using the resonance spacing, since cm/c0 = (fp/fs)^2 - 1.
-    n_low = max(f.size // 10, 2)
-    c_total = float(np.median(curve.values[:n_low].imag / (2.0 * math.pi * f[:n_low])))
-    if c_total <= 0:
-        raise StructureError("low-frequency tail is not capacitive")
+    An rm, rs or ls at or below zero, round-off about a zero as a rule, is
+    taken as 0 (a NaN one comes with a NaN c0); an lm, cm or c0 that is not
+    positive and finite, or an rm, rs or ls that is not finite, is a
+    StructureError.
+    """
+    a1, a2, a3, b1, b2, b3, b4 = (np.float64(c) for c in coef)
+    # On numpy scalars a zero divisor gives inf or NaN, which the checks
+    # below name.
+    with np.errstate(all="ignore"):
+        ls = _nonnegative(b4 / a3)
+        rs = _nonnegative((b3 - ls * a2) / a3)
+        lc = b2 - rs * a2 - ls * a1
+        c0 = a3 / lc
+        cm = a1 - c0
+        lm = lc / cm
+        rm = _nonnegative((b1 - rs * a1) / cm)
+        values = {"c0": c0 / w0, "cm": cm / w0, "lm": lm / w0, "rm": rm, "rs": rs, "ls": ls / w0}
+    for name, v in values.items():
+        if not 0.0 < v < math.inf and not (v == 0.0 and name in ("rm", "rs", "ls")):
+            raise StructureError(f"the rational fit of the sweep gives {name} = {v:g}")
+    return MbvdParams(**{k: float(v) for k, v in values.items()})
 
-    ratio = (fp / fs) ** 2 - 1.0
-    if ratio <= 0:
-        raise StructureError("anti-resonance not above resonance")
-    c0 = c_total / (1.0 + ratio)
-    cm = c0 * ratio
-    lm = 1.0 / ((2.0 * math.pi * fs) ** 2 * cm)
-    rm = 1.0 / float(mag[i_fs])
 
-    em_peaks = peaks[peaks > i_fp]
-    if em_peaks.size:
-        f_em = float(f[int(em_peaks[0])])
-        ls = 1.0 / ((2.0 * math.pi * f_em) ** 2 * c0)
-    else:
-        # EM self-resonance above the sweep: its frequency exceeds the top of
-        # the grid, which upper-bounds ls against c0.  Seed at half the bound.
-        ls = max(0.5 / ((2.0 * math.pi * float(f[-1])) ** 2 * c0), _LS_SEED_H)
-    return MbvdParams(rm=rm, lm=lm, cm=cm, c0=c0, rs=_RS_SEED_OHM, ls=ls)
+def _nonnegative(v):
+    """v if it is positive, else 0 (NaN included)."""
+    return v if v > 0 else 0.0
 
 
 def _pack(p: MbvdParams) -> np.ndarray:
-    vals = [getattr(p, k) for k in _FIT_PARAMS]
+    """Log-parameters of p.  A zero rm or rs starts at _ZERO_START times the
+    motional impedance sqrt(lm/cm), and a zero ls at _ZERO_START * lm: at
+    _LOG_FLOOR its Jacobian column all but vanishes, lmder's column scaling
+    then allows it unbounded steps, and the search stops on rejected trials
+    (seen on noisy sweeps of lossless resonators)."""
+    z = math.sqrt(p.lm / p.cm)
+    scale = {"rm": z, "rs": z, "ls": p.lm}
+    # lm, cm and c0 are positive, so only rm, rs and ls can take the scale.
+    vals = [getattr(p, k) or _ZERO_START * scale[k] for k in _FIT_PARAMS]
     return np.log(np.maximum(np.asarray(vals, dtype=float), _LOG_FLOOR))
 
 
@@ -141,7 +190,7 @@ def _check_finite(curve: ComplexCurve) -> None:
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of the MBVD model to a complex admittance sweep.
 
-    MINPACK's Levenberg-Marquardt lmder, called through scipy's ``leastsq``,
+    MINPACK's Levenberg-Marquardt lmder, called through ``leastsq``,
     works on the log-parameters, without bounds, with the analytic Jacobian
     of the model handed over column-major (one row per log-parameter, as
     lmder stores it); ``max_iterations`` caps its residual evaluations.  A
@@ -161,18 +210,20 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         w = np.ones(len(curve))
     s = _jw(curve.freq_hz)
     out_of_range = np.full(2 * len(curve), np.inf)
-    # The model at the last point evaluated, (p, pm, ps, num, den, y), and
-    # that point's bytes.  lm asks for the Jacobian at the point whose
-    # residual it has just evaluated, so the two share one evaluation.
-    last_key = last = None
+    # The model at the last point evaluated, (p, pm, ps, num, den, y), that
+    # point's bytes, and its Jacobian once asked for.  lm asks for the
+    # Jacobian at the point whose residual it has just evaluated, so the two
+    # share one evaluation; leastsq's shape check and lmder's first
+    # iteration both ask for the Jacobian at x0, which is built once.
+    last_key = last = last_jac = None
 
     def model(x):
-        nonlocal last_key, last
+        nonlocal last_key, last, last_jac
         key = x.tobytes()
         if key != last_key:
             p = _unpack(x)
             pm, ps, num, den = _terms(p, s)
-            last_key, last = key, (p, pm, ps, num, den, num / den)
+            last_key, last, last_jac = key, (p, pm, ps, num, den, num / den), None
         return last
 
     def residual(x):
@@ -182,9 +233,14 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         return np.concatenate([d.real * w, d.imag * w])
 
     def jacobian(x):
+        nonlocal last_jac
         p, pm, ps, _, den, y = model(x)
-        jac = _log_jacobian(p, s, pm, ps, den, y) * w
-        return np.concatenate([jac.real, jac.imag], axis=1)
+        if last_jac is None:
+            jac = _log_jacobian(p, s, pm, ps, den, y) * w
+            last_jac = np.concatenate([jac.real, jac.imag], axis=1)
+            # Handed out once per call: a caller that writes to it raises.
+            last_jac.flags.writeable = False
+        return last_jac
 
     x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
     # Trial steps far from the data can overflow; lm counts a non-finite

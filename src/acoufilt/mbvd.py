@@ -5,6 +5,11 @@ capacitance (optionally lossy), the combination loaded by series routing
 resistance and inductance.  High-coupling A1-mode devices additionally show
 an EM self-resonance formed by the routing inductance against the static
 capacitance; both effects are captured by the same lumped circuit.
+
+Multiplied out, the admittance is a rational function of s of fixed
+degree (rational_coefficients).  The fit's seed is a linear fit of its
+coefficients, and the perceived resonance and the Q frequency are the
+extrema of |Y|, found from the real roots of a polynomial of degree 6.
 """
 
 from __future__ import annotations
@@ -13,17 +18,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .curves import ComplexCurve, validate_grid
+from .curves import ComplexCurve, _unchecked, validate_grid
 from .errors import DomainError, InfeasibleCouplingError, SearchError
 
 # Upper bound of the coupling definition k2 = (pi^2/8) * (fp^2 - fs^2) / fp^2.
 K2_MAX = math.pi**2 / 8.0
 
-# Dense-scan density used before the bounded scalar refinement.
-_SCAN_POINTS_PER_DECADE = 2001
-_PEAK_REL_TOL = 1e-9
+# Largest |Im x| / |x| of a root of the stationary-point polynomial taken as
+# real; a near-real pair of a saddle only adds a candidate that loses.
+_REAL_ROOT_TOL = 1e-6
+# j^k = _J_SIGNS[k] * (j if k is odd), and the exponents 0, 1, 2, ...
+_J_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+_POWERS = np.arange(5.0)
+_POWERS7 = np.arange(7.0)
+_EPS = np.finfo(float).eps
 _UNDEFINED = "lossless resonator sampled exactly at its {}, {:.10g} Hz: its {} is undefined there"
 
 
@@ -177,7 +186,7 @@ def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     if not np.isfinite(y).all():
         _check_defined(p, f, inverted=False)
         raise DomainError("admittance contains non-finite entries")
-    return ComplexCurve(f, y)
+    return _unchecked(ComplexCurve, freq_hz=f, values=y)
 
 
 def series_resonance(p: MbvdParams) -> float:
@@ -258,24 +267,108 @@ def mbvd_from_targets(
     return MbvdParams(rm=rm, lm=lm, cm=cm, c0=float(c0), rs=rs, ls=ls)
 
 
-def _peak_frequency(fun, f_lo: float, f_hi: float) -> float:
-    """Frequency of the interior maximum of a vectorized function of f.
+def rational_coefficients(p: MbvdParams, w0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending coefficients of Y = num(t) / den(t) in t = s / w0.
 
-    A geometric dense scan brackets the largest sample between its two
-    neighbours; bounded Brent search refines the maximum inside them.
+    num = a1*t + a2*t^2 + a3*t^3 and den = 1 + b1*t + b2*t^2 + b3*t^3 +
+    b4*t^4 are _circuit_terms multiplied out.  In t every inductance and
+    capacitance is w0 times its value in s, so with L = w0*lm, C = w0*cm,
+    C0 = w0*c0 and Ls = w0*ls: a1 = C0 + C, a2 = C0*C*(rm + r0),
+    a3 = C0*L*C, b1 = rm*C + r0*C0 + rs*a1, b2 = L*C + rm*C*r0*C0 + rs*a2 +
+    Ls*a1, b3 = L*C*r0*C0 + rs*a3 + Ls*a2 and b4 = Ls*a3.  A w0 near the
+    resonances keeps the coefficients near 1.  Python floats overflow to inf
+    without a warning.
     """
-    decades = math.log10(f_hi / f_lo)
-    n = max(int(_SCAN_POINTS_PER_DECADE * decades) + 2, 64)
-    grid = np.geomspace(f_lo, f_hi, n)
-    i = int(np.argmax(fun(grid)))
-    if i == 0 or i == n - 1:
+    w0 = float(w0)
+    lm, cm, c0, ls = w0 * p.lm, w0 * p.cm, w0 * p.c0, w0 * p.ls
+    rm, rs, r0 = float(p.rm), float(p.rs), float(p.r0)
+    lc = lm * cm
+    a1 = c0 + cm
+    a2 = c0 * cm * (rm + r0)
+    a3 = c0 * lc
+    num = np.array([0.0, a1, a2, a3])
+    den = np.array([1.0, rm * cm + r0 * c0 + rs * a1, lc + rm * cm * r0 * c0 + rs * a2 + ls * a1,
+                    lc * r0 * c0 + rs * a3 + ls * a2, ls * a3])
+    return num, den
+
+
+def _normalized(c: np.ndarray) -> np.ndarray:
+    """c scaled by a power of two to a largest |coefficient| in [0.5, 1).
+
+    The scaling is exact and moves no extremum of |Y|, and it keeps the
+    squares and products of the coefficients from overflowing.  Coefficients
+    that overflowed in the map stay inf or NaN.
+    """
+    return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
+
+
+def _squared_magnitude(c: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` coefficients in x = u^2 of |c(j*u)|^2 for real ascending c.
+
+    With j^k = (-1)^(k//2) * (j if k is odd), c(j*u) = E(x) + j*u*O(x), where
+    E and O take the signed even and odd coefficients, so |c|^2 = E^2 + x*O^2.
+    """
+    c = c * _J_SIGNS[:c.size]
+    out = np.zeros(size)
+    e2, o2 = np.convolve(c[0::2], c[0::2]), np.convolve(c[1::2], c[1::2])
+    out[:e2.size] += e2
+    out[1:o2.size + 1] += o2
+    return out
+
+
+def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool) -> float:
+    """Frequency of the interior maximum (or minimum) of |Y| of p on
+    [lo*fs, hi*fs].
+
+    With t = s / (2*pi*fs) and x = (f/fs)^2, |Y|^2 = A(x) / B(x) for the
+    polynomials A (degree 3) and B (degree 4) of the coefficient map, and
+    its stationary points are the real roots of D = A'B - AB' (degree 6).
+    A root is a maximum of |Y| where D' = A''B - AB'' < 0 and a minimum
+    where D' > 0; each such root in the band gets one Newton step on D,
+    evaluated from A and B.  The roots, then the two band ends, are
+    compared on |num / den|, and a band end that wins is a SearchError.  A
+    pole of a lossless resonator (B = 0) is a maximum root where |Y| is inf.
+    Coefficients that overflow in the map are a DomainError.
+    """
+    with np.errstate(all="ignore"):
+        num, den = (_normalized(c) for c in rational_coefficients(p, 2.0 * math.pi * fs))
+        # Columns A, B, A', B', A'', B'', ascending.
+        polys = np.zeros((5, 6))
+        polys[:4, 0] = _squared_magnitude(num, 4)
+        polys[:, 1] = _squared_magnitude(den, 5)
+        polys[:4, 2:4] = polys[1:, :2] * _POWERS[1:, None]
+        polys[:3, 4:] = polys[1:4, 2:4] * _POWERS[1:4, None]
+        if not np.isfinite(polys).all():
+            raise DomainError(
+                f"the rational coefficients of Y overflow: no closed-form extremum on "
+                f"[{lo * fs:g}, {hi * fs:g}] Hz"
+            )
+        a, b, da, db = polys[:4, 0], polys[:, 1], polys[:3, 2], polys[:4, 3]
+        x_lo, x_hi = lo * lo, hi * hi
+        d = np.convolve(da, b) - np.convolve(a, db)
+        # Leading terms below rounding over the whole band only add roots far
+        # outside it, and their huge companion entries spoil the others.
+        size = np.abs(d) * x_hi ** _POWERS7
+        keep = np.flatnonzero(size > _EPS * size.max())
+        r = np.roots(d[:keep[-1] + 1][::-1]) if keep.size else np.empty(0)
+        x = r.real[(np.abs(r.imag) <= _REAL_ROOT_TOL * np.abs(r))
+                   & (x_lo < r.real) & (r.real < x_hi)]
+        av, bv, dav, dbv, ddav, ddbv = (x[:, None] ** _POWERS @ polys).T
+        slope = ddav * bv - av * ddbv
+        polished = x - (dav * bv - av * dbv) / slope
+        x = np.where((x_lo < polished) & (polished < x_hi), polished, x)
+        # Ties go to the first candidate: an interior extremum over a band end.
+        x = np.concatenate([x[slope < 0 if largest else slope > 0], [x_lo, x_hi]])
+        # |Y| from num and den at t = j*sqrt(x): near a pole, B in powers of
+        # x loses its sign to rounding, and |den| does not.
+        t = (1j * np.sqrt(x))[:, None] ** _POWERS
+        mag = np.abs(t[:, :4] @ num) / np.abs(t @ den)
+    i = int(np.argmax(mag) if largest else np.argmin(mag))
+    if i >= x.size - 2:
         raise SearchError(
-            f"no interior maximum in [{f_lo:g}, {f_hi:g}] Hz (peak on boundary)"
+            f"no interior maximum in [{lo * fs:g}, {hi * fs:g}] Hz (peak on boundary)"
         )
-    res = minimize_scalar(lambda f: -float(fun(np.array([f]))[0]),
-                          bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                          options={"xatol": _PEAK_REL_TOL * grid[i]})
-    return float(res.x)
+    return fs * math.sqrt(x[i])
 
 
 def perceived_resonance(p: MbvdParams) -> float:
@@ -285,9 +378,7 @@ def perceived_resonance(p: MbvdParams) -> float:
     it coincides with fs.  The search band, fs / 100 to 1.02 fs, covers the
     mechanically driven peak only.
     """
-    fs = series_resonance(p)
-    return _peak_frequency(lambda g: np.abs(_admittance_values(p, _jw(g))),
-                           fs / 100.0, fs * 1.02)
+    return _band_extremum(p, series_resonance(p), 0.01, 1.02, largest=True)
 
 
 def q_at_antiresonance(p: MbvdParams) -> float:
@@ -303,8 +394,8 @@ def q_at_antiresonance(p: MbvdParams) -> float:
     fp = antiresonance(p)
     if 2.0 * fp == math.inf:
         raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
-    f_max = _peak_frequency(lambda g: 1.0 / np.abs(_admittance_values(p, _jw(g))),
-                            series_resonance(p) * 0.5, fp * 2.0)
+    fs = series_resonance(p)
+    f_max = _band_extremum(p, fs, 0.5, 2.0 * fp / fs, largest=False)
     w = 2.0 * math.pi * f_max
     s = 1j * w
     pm, ps, num, den = _terms(p, s)

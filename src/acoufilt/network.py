@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import ComplexCurve, validate_grid
+from .curves import ComplexCurve, _unchecked, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
 from .mbvd import MbvdParams, _check_defined, _jw, _terms, resonator_admittance
 
@@ -126,14 +126,6 @@ def _nonzero(freq_hz: np.ndarray, delta: np.ndarray) -> np.ndarray:
     if not delta.all():
         raise SingularConversionError(float(freq_hz[np.flatnonzero(delta == 0)[0]]))
     return delta
-
-
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass from fields known to be valid."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def element_abcd(kind: ElementKind, p: MbvdParams, freq_hz) -> AbcdBlock:

@@ -21,10 +21,9 @@ from acoufilt import (
 from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
 from acoufilt.mbvd import (
     K2_MAX,
-    _admittance_values,
     _jw,
-    _peak_frequency,
     admittance_log_jacobian,
+    rational_coefficients,
 )
 
 # Resonator derived from (fs 20 GHz, k2 0.42, c0 50 fF, Q 40); the closed
@@ -240,8 +239,51 @@ def test_perceived_resonance_monotone_in_ls():
 
 
 def test_perceived_resonance_no_interior_maximum():
-    with pytest.raises(SearchError):
-        _peak_frequency(lambda g: np.abs(_admittance_values(REF, _jw(g))), 1e6, 1e7)
+    # A 1 mH routing inductance resonates with c0 + cm near 18 MHz, below the
+    # band fs/100 .. 1.02*fs, so |Y| falls across the whole band.
+    with pytest.raises(SearchError, match=r"no interior maximum in \[2e\+08, 2\.04e\+10\] Hz"):
+        perceived_resonance(dataclasses.replace(REF, ls=1e-3))
+
+
+@given(lossy_resonators())
+def test_perceived_resonance_matches_dense_grid_oracle_for_random_resonators(p):
+    fs = series_resonance(p)
+    grid = np.geomspace(fs / 100.0, fs * 1.02, 400001)
+    mags = np.abs(resonator_admittance(p, grid).values)
+    i = int(np.argmax(mags))
+    assert 0 < i < grid.size - 1
+    f = perceived_resonance(p)
+    assert f == pytest.approx(grid[i], rel=1e-4)
+    # No grid point beats the closed-form maximum beyond rounding.
+    assert abs(resonator_admittance(p, [f]).values[0]) >= mags[i] * (1.0 - 1e-12)
+
+
+def test_flat_peak_is_found_and_the_q_band_overflow_named():
+    # Q = 2*pi*fs*lm/rm is about 1e-141, so |Y| equals 1/rm to every digit
+    # across the band; the stationary point at fs is still exact.  The Q
+    # search band up to 2*fp overflows, and summarize names that.
+    p = MbvdParams(1.0, (2 * math.pi * 1e160) ** -2 / 1e-20, 1e-20, 1e-316)
+    assert perceived_resonance(p) == pytest.approx(series_resonance(p), rel=1e-12)
+    with pytest.raises(DomainError, match=r"^2\*fp overflows"):
+        summarize(p)
+
+
+def test_overflowing_rational_form_is_a_domain_error():
+    # ls*w0 = 1e300 H * 2*pi*1.6 GHz overflows in the coefficient map.
+    p = MbvdParams(1.0, 1e-10, 1e-10, 1e-13, ls=1e300)
+    for figure in (perceived_resonance, q_at_antiresonance, summarize):
+        with pytest.raises(DomainError, match=r"rational coefficients of Y overflow"):
+            figure(p)
+
+
+def test_rational_coefficients_reproduce_the_admittance():
+    p = dataclasses.replace(REF, rs=0.5, ls=100e-12, r0=0.3)
+    f = np.geomspace(1e9, 100e9, 301)
+    w0 = 2.0 * math.pi * 20e9
+    num, den = rational_coefficients(p, w0)
+    t = _jw(f) / w0
+    y = np.polynomial.polynomial.polyval(t, num) / np.polynomial.polynomial.polyval(t, den)
+    assert np.allclose(y, resonator_admittance(p, f).values, rtol=1e-12, atol=0.0)
 
 
 def test_q_lossless_sentinel():

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "acoufilt"
@@ -30,3 +33,20 @@ def test_no_unused_imports():
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(path)]
     assert found == []
+
+
+def test_fitting_loads_no_scipy_signal_and_mbvd_binds_no_scipy_name():
+    # In a fresh interpreter, since this session may have imported anything.
+    code = (
+        "import sys, types\n"
+        "import acoufilt.fitting, acoufilt.mbvd\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+        "bound = [name for name, value in vars(acoufilt.mbvd).items()\n"
+        "         if (value.__name__ if isinstance(value, types.ModuleType)\n"
+        "             else getattr(value, '__module__', None) or '').startswith('scipy')]\n"
+        "assert bound == [], bound\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
