@@ -142,7 +142,7 @@ def _params_from_coefficients(coef: np.ndarray, w0: float) -> MbvdParams:
     positive and finite, or an rm, rs or ls that is not finite, is a
     StructureError.
     """
-    a1, a2, a3, b1, b2, b3, b4 = (np.float64(c) for c in coef)
+    a1, a2, a3, b1, b2, b3, b4 = coef
     # On numpy scalars a zero divisor gives inf or NaN, which the checks
     # below name.
     with np.errstate(all="ignore"):

@@ -83,8 +83,8 @@ def test_initial_guess_leaves_out_a_zero_sample():
 
 
 def test_initial_guess_ls_from_em_resonance():
-    # EM self-resonance of ls = 100 pH against c0 sits near 70 GHz, inside
-    # the sweep, and seeds ls within a factor of two.
+    # The routing inductance of 100 pH is one of the fitted coefficients
+    # (b4 = ls*a3), so the seed has it within a factor of two and closer.
     guess = initial_guess(CURVE)
     assert TRUTH.ls / 2 <= guess.ls <= TRUTH.ls * 2
 
