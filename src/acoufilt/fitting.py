@@ -30,8 +30,6 @@ from .mbvd import resonator_admittance  # noqa: F401
 
 # Fitted parameters, in MbvdParams order; r0 is held at zero.
 _FIT_PARAMS = ("rm", "lm", "cm", "c0", "rs", "ls")
-# Positive floor standing in for "exactly zero" in log-space.
-_LOG_FLOOR = 1e-30
 # Where a zero rm, rs or ls starts, relative to its scale (see _pack).
 _ZERO_START = 1e-7
 # Largest |log-parameter| a trial point may have: beyond it exp() nears
@@ -75,7 +73,9 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the powers of x, with j^k folded into their signs.  The first pass
     weights each row by 1/|y|, the second by 1/|y*den| of the first
     (Sanathanan-Koerner 1963), so that its residual approximates the fit's
-    own relative error |num/den - y| / |y|.  Each pass reduces the weighted
+    own relative error |num/den - y| / |y|.  A sample with |y| at or below
+    _RCOND times the largest, whose weight would swamp the rank test, and a
+    zero of den on the grid are left out.  Each pass reduces the weighted
     rows and right-hand side to 8 x 8 by Householder QR and solves the
     7 x 7 part by SVD, as lstsq on the full rows would.
     """
@@ -92,10 +92,9 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     re[1], re[3], re[4], re[5], re[6], re[7] = -x2, x * b, x2 * g, -x3 * b, -x4 * g, g
     im[0], im[2], im[3], im[4], im[5], im[6], im[7] = x, -x3, -x * g, x2 * b, x3 * g, -x4 * b, b
     # The weights of the first pass, then the factor 1/|den| of the second.
-    # A zero (or subnormal) sample, or a zero of den on the grid, has no
-    # finite weight, and the pass leaves its rows out.
+    mag = np.abs(y)
     with np.errstate(divide="ignore", over="ignore"):
-        w = 1.0 / np.abs(y)
+        w = np.where(mag > _RCOND * mag.max(), 1.0 / mag, 0.0)
     for _ in range(2):
         w[np.isinf(w)] = 0.0
         cols *= np.concatenate([w, w])
@@ -166,16 +165,18 @@ def _nonnegative(v):
 
 
 def _pack(p: MbvdParams) -> np.ndarray:
-    """Log-parameters of p.  A zero rm or rs starts at _ZERO_START times the
-    motional impedance sqrt(lm/cm), and a zero ls at _ZERO_START * lm: at
-    _LOG_FLOOR its Jacobian column all but vanishes, lmder's column scaling
+    """Log-parameters of p, clipped to +-_LOG_BOUND (a start that underflows
+    lands on the bound).  A zero rm or rs starts at _ZERO_START times the
+    motional impedance sqrt(lm/cm), and a zero ls at _ZERO_START * lm:
+    nearer zero its Jacobian column all but vanishes, lmder's column scaling
     then allows it unbounded steps, and the search stops on rejected trials
     (seen on noisy sweeps of lossless resonators)."""
     z = math.sqrt(p.lm / p.cm)
     scale = {"rm": z, "rs": z, "ls": p.lm}
     # lm, cm and c0 are positive, so only rm, rs and ls can take the scale.
     vals = [getattr(p, k) or _ZERO_START * scale[k] for k in _FIT_PARAMS]
-    return np.log(np.maximum(np.asarray(vals, dtype=float), _LOG_FLOOR))
+    with np.errstate(divide="ignore"):
+        return np.clip(np.log(vals), -_LOG_BOUND, _LOG_BOUND)
 
 
 def _unpack(x: np.ndarray) -> MbvdParams:
@@ -242,7 +243,7 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
             last_jac.flags.writeable = False
         return last_jac
 
-    x0 = np.clip(_pack(init), -_LOG_BOUND, _LOG_BOUND)
+    x0 = _pack(init)
     # Trial steps far from the data can overflow; lm counts a non-finite
     # residual as no reduction and shortens its step.  The start must be finite.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

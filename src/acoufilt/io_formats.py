@@ -10,7 +10,6 @@ digits so write-then-read is an identity to better than 1e-12 relative.
 
 from __future__ import annotations
 
-import array
 import csv
 import io
 import math
@@ -247,11 +246,11 @@ def _read_table(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
 
 def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData:
     """The line walk over lines[start:]: one pass checks their layout and
-    collects the numbers, which are then checked and converted by column;
-    an error names the first offending line either way."""
+    collects the rows of numbers, which are then checked and converted by
+    column; an error names the first offending line either way."""
     scale = header.unit_scale
     width = 0  # columns of an S-data row: 3 (one-port) or 9 (two-port)
-    nums = array.array("d")
+    rows: list[list[float]] = []
     linenos: list[int] = []
     noise_freqs: list[float] = []
     try:
@@ -261,9 +260,8 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
                 continue
             if fields[0].startswith("#"):
                 raise FormatError("duplicate option line", lineno)
-            first = None  # the first field of a two-port row, converted once
             if width == 9 and (
-                noise_freqs or (first := _number(fields[0], lineno)) * scale <= nums[-9] * scale
+                noise_freqs or _number(fields[0], lineno) * scale <= rows[-1][0] * scale
             ):
                 noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
                 continue
@@ -276,18 +274,17 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
                     raise FormatError("inconsistent column count", lineno)
                 width = len(fields)
             try:
-                nums.fromlist([first, *map(float, fields[1:])] if first is not None
-                              else list(map(float, fields)))
+                rows.append([float(tok) for tok in fields])
             except ValueError as exc:
                 raise FormatError(f"malformed number: {exc}", lineno)
             linenos.append(lineno)
     except FormatError:
         # A row before the failing line may hold a value error found only
         # by the column checks; the earlier line is the one to report.
-        if linenos:
-            _columns(header, np.frombuffer(nums).reshape(-1, width), linenos, lines)
+        if rows:
+            _columns(header, np.array(rows), linenos, lines)
         raise
-    freq, s = _columns(header, np.frombuffer(nums).reshape(-1, width or 3), linenos, lines)
+    freq, s = _columns(header, np.array(rows).reshape(-1, width or 3), linenos, lines)
     return TouchstoneData(header, freq, s)
 
 

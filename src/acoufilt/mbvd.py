@@ -28,8 +28,8 @@ K2_MAX = math.pi**2 / 8.0
 # Largest |Im x| / |x| of a root of the stationary-point polynomial taken as
 # real; a near-real pair of a saddle only adds a candidate that loses.
 _REAL_ROOT_TOL = 1e-6
-# j^k = _J_SIGNS[k] * (j if k is odd), and the exponents 0, 1, 2, ...
-_J_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+# The exact powers j^0 .. j^4, and the exponents 0, 1, 2, ...
+_J_POWERS = np.array([1.0, 1j, -1.0, -1j, 1.0])
 _POWERS = np.arange(5.0)
 _POWERS7 = np.arange(7.0)
 _EPS = np.finfo(float).eps
@@ -112,12 +112,6 @@ def _circuit_terms(jw, rm, lm, cm, c0, rs=0.0, ls=0.0, r0=0.0):
     return pm, ps, num, den
 
 
-def _admittance_values(p: MbvdParams, jw: np.ndarray) -> np.ndarray:
-    """Admittance of p from jw = _jw(f); callers on one grid share jw."""
-    _, _, num, den = _terms(p, jw)
-    return num / den
-
-
 def _check_defined(p: MbvdParams, f: np.ndarray, inverted: bool = True) -> None:
     """Raise DomainError where the admittance of p, or with ``inverted`` its
     impedance 1 / Y, is a division by zero.
@@ -182,7 +176,8 @@ def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     division by zero (see _check_defined) or an overflow is a DomainError."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     with np.errstate(all="ignore"):
-        y = _admittance_values(p, _jw(f))
+        _, _, num, den = _terms(p, _jw(f))
+        y = num / den
     if not np.isfinite(y).all():
         _check_defined(p, f, inverted=False)
         raise DomainError("admittance contains non-finite entries")
@@ -302,40 +297,37 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return np.ldexp(c, -math.frexp(float(np.max(np.abs(c))))[1])
 
 
-def _squared_magnitude(c: np.ndarray, size: int) -> np.ndarray:
-    """The ``size`` coefficients in x = u^2 of |c(j*u)|^2 for real ascending c.
+def _squared_magnitude(c: np.ndarray) -> np.ndarray:
+    """The coefficients in x = u^2 of |c(j*u)|^2 for real ascending c.
 
-    With j^k = (-1)^(k//2) * (j if k is odd), c(j*u) = E(x) + j*u*O(x), where
-    E and O take the signed even and odd coefficients, so |c|^2 = E^2 + x*O^2.
+    c(j*u) has the coefficients cj = c * j^k in u, and |c|^2 = c * conj(c)
+    those of cj convolved with conj(cj), whose odd powers of u cancel.
     """
-    c = c * _J_SIGNS[:c.size]
-    out = np.zeros(size)
-    e2, o2 = np.convolve(c[0::2], c[0::2]), np.convolve(c[1::2], c[1::2])
-    out[:e2.size] += e2
-    out[1:o2.size + 1] += o2
-    return out
+    cj = c * _J_POWERS[:c.size]
+    return np.convolve(cj, cj.conj())[::2].real
 
 
-def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool) -> float:
+def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool) -> tuple:
     """Frequency of the interior maximum (or minimum) of |Y| of p on
-    [lo*fs, hi*fs].
+    [lo*fs, hi*fs], with the num and den coefficients of Y in t = s / (2*pi*fs)
+    that it was found from, each scaled by a power of two (_normalized).
 
-    With t = s / (2*pi*fs) and x = (f/fs)^2, |Y|^2 = A(x) / B(x) for the
-    polynomials A (degree 3) and B (degree 4) of the coefficient map, and
-    its stationary points are the real roots of D = A'B - AB' (degree 6).
-    A root is a maximum of |Y| where D' = A''B - AB'' < 0 and a minimum
-    where D' > 0; each such root in the band gets one Newton step on D,
-    evaluated from A and B.  The roots, then the two band ends, are
-    compared on |num / den|, and a band end that wins is a SearchError.  A
-    pole of a lossless resonator (B = 0) is a maximum root where |Y| is inf.
-    Coefficients that overflow in the map are a DomainError.
+    With x = (f/fs)^2, |Y|^2 = A(x) / B(x) for the polynomials A (degree 3)
+    and B (degree 4) of the coefficient map, and its stationary points are
+    the real roots of D = A'B - AB' (degree 6).  A root is a maximum of |Y|
+    where D' = A''B - AB'' < 0 and a minimum where D' > 0; each such root in
+    the band gets one Newton step on D, evaluated from A and B.  The roots,
+    then the two band ends, are compared on |num / den|, and a band end that
+    wins is a SearchError.  A pole of a lossless resonator (B = 0) is a
+    maximum root where |Y| is inf.  Coefficients that overflow in the map
+    are a DomainError.
     """
     with np.errstate(all="ignore"):
         num, den = (_normalized(c) for c in rational_coefficients(p, 2.0 * math.pi * fs))
         # Columns A, B, A', B', A'', B'', ascending.
         polys = np.zeros((5, 6))
-        polys[:4, 0] = _squared_magnitude(num, 4)
-        polys[:, 1] = _squared_magnitude(den, 5)
+        polys[:4, 0] = _squared_magnitude(num)
+        polys[:, 1] = _squared_magnitude(den)
         polys[:4, 2:4] = polys[1:, :2] * _POWERS[1:, None]
         polys[:3, 4:] = polys[1:4, 2:4] * _POWERS[1:4, None]
         if not np.isfinite(polys).all():
@@ -361,14 +353,14 @@ def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool
         x = np.concatenate([x[slope < 0 if largest else slope > 0], [x_lo, x_hi]])
         # |Y| from num and den at t = j*sqrt(x): near a pole, B in powers of
         # x loses its sign to rounding, and |den| does not.
-        t = (1j * np.sqrt(x))[:, None] ** _POWERS
+        t = np.sqrt(x)[:, None] ** _POWERS * _J_POWERS
         mag = np.abs(t[:, :4] @ num) / np.abs(t @ den)
     i = int(np.argmax(mag) if largest else np.argmin(mag))
     if i >= x.size - 2:
         raise SearchError(
             f"no interior maximum in [{lo * fs:g}, {hi * fs:g}] Hz (peak on boundary)"
         )
-    return fs * math.sqrt(x[i])
+    return fs * math.sqrt(x[i]), num, den
 
 
 def perceived_resonance(p: MbvdParams) -> float:
@@ -378,16 +370,18 @@ def perceived_resonance(p: MbvdParams) -> float:
     it coincides with fs.  The search band, fs / 100 to 1.02 fs, covers the
     mechanically driven peak only.
     """
-    return _band_extremum(p, series_resonance(p), 0.01, 1.02, largest=True)
+    return _band_extremum(p, series_resonance(p), 0.01, 1.02, largest=True)[0]
 
 
 def q_at_antiresonance(p: MbvdParams) -> float:
     """Phase-derivative quality factor at the impedance-magnitude maximum.
 
-    Q = (w/2) * |d(phase Z)/dw| = (w/2) * |Re(Z'/Z)| with Z = den / num and
-    ' = d/ds, s = j*w, so Z'/Z = den'/den - num'/num in closed form.  A
-    fully lossless resonator has no finite Q; the sentinel value inf is
-    returned for that case.
+    Q = (w/2) * |d(phase Z)/dw| with Z = den / num.  In t = s / (2*pi*fs),
+    the variable of the coefficients that _band_extremum returns with the
+    maximum, and at t = j*u, u = f/fs, that is
+    Q = (u/2) * |Re(den'/den - num'/num)| with ' = d/dt.  A fully lossless
+    resonator has no finite Q; the sentinel value inf is returned for that
+    case.
     """
     if p.lossless():
         return math.inf
@@ -395,16 +389,12 @@ def q_at_antiresonance(p: MbvdParams) -> float:
     if 2.0 * fp == math.inf:
         raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
     fs = series_resonance(p)
-    f_max = _band_extremum(p, fs, 0.5, 2.0 * fp / fs, largest=False)
-    w = 2.0 * math.pi * f_max
-    s = 1j * w
-    pm, ps, num, den = _terms(p, s)
-    # d/ds of pm, ps, num and den.
-    dpm = 2.0 * s * p.lm * p.cm + p.rm * p.cm
-    dps = p.r0 * p.c0
-    dnum = p.cm * ps + p.c0 * pm + s * (p.cm * dps + p.c0 * dpm)
-    dden = dpm * ps + pm * dps + p.ls * num + (p.rs + s * p.ls) * dnum
-    return 0.5 * w * abs((dden / den - dnum / num).real)
+    f, num, den = _band_extremum(p, fs, 0.5, 2.0 * fp / fs, largest=False)
+    u = f / fs
+    t = u ** _POWERS * _J_POWERS
+    n, dn = t[:4] @ num, t[:3] @ (num[1:] * _POWERS[1:4])
+    d, dd = t @ den, t[:4] @ (den[1:] * _POWERS[1:])
+    return 0.5 * u * abs((dd / d - dn / n).real)
 
 
 def summarize(p: MbvdParams) -> ResonatorSummary:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,14 +103,6 @@ def _element(kind: ElementKind, y: np.ndarray) -> tuple:
     raise DomainError(f"unknown element kind {kind!r}")
 
 
-def _product(m: tuple, n: tuple) -> tuple:
-    """Per-frequency 2x2 product m @ n of chain matrices held as (a, b, c, d)."""
-    a1, b1, c1, d1 = m
-    a2, b2, c2, d2 = n
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-
 def _entries(mats: np.ndarray) -> tuple:
     return mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
 
@@ -146,7 +139,8 @@ def identity_block(freq_hz) -> AbcdBlock:
 
 
 def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
-    """Left-to-right per-frequency matrix product of two-port blocks.
+    """Left-to-right per-frequency matrix product of two-port blocks, by
+    np.matmul on their (n, 2, 2) stacks, into a new array.
 
     All blocks must share one exact grid; no resampling is ever performed.
     An empty sequence needs an explicit grid and yields the identity.
@@ -160,10 +154,8 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
     for b in blocks[1:]:
         if b.freq_hz.shape != ref.shape or not np.array_equal(b.freq_hz, ref):
             raise GridAlignmentError("cascaded blocks are on different frequency grids")
-    chain = _entries(blocks[0].mats)
-    for b in blocks[1:]:
-        chain = _product(chain, _entries(b.mats))
-    return AbcdBlock(ref, _stack(ref.size, *chain))
+    mats = functools.reduce(np.matmul, [b.mats for b in blocks[1:]], blocks[0].mats.copy())
+    return AbcdBlock(ref, mats)
 
 
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:

@@ -189,20 +189,13 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
         except AcoufiltError:
             return design, None
 
-    n_evals = 0
-
-    def objective(u):
-        nonlocal n_evals
-        n_evals += 1
-        return _placement_score(x0 * u, spec, grid, jw, guard)
-
     x0 = _seed_placement(spec)
-    m = None
+    m, n_evals = None, 0
     if spec.bandwidth_within_coupling():
         # The search runs on u = x / x0, so hertz and farads share one scale.
         simplex = np.vstack([np.ones(4), np.eye(4) * 0.05 + 1.0])
         res = minimize(
-            objective,
+            lambda u: _placement_score(x0 * u, spec, grid, jw, guard),
             np.ones(4),
             method="Nelder-Mead",
             options={
@@ -213,6 +206,7 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
                 "adaptive": False,
             },
         )
+        n_evals = res.nfev
         try:
             design, m = evaluate(x0 * res.x)
         except AcoufiltError:  # the search ended on a placement without a circuit

@@ -82,6 +82,21 @@ def test_initial_guess_leaves_out_a_zero_sample():
     assert max(rel_errors(guess).values()) < 1e-6
 
 
+@pytest.mark.parametrize("tiny", [1e-300, 1e-100, 1e-20])
+def test_initial_guess_leaves_out_a_tiny_sample(tiny):
+    # Its weight 1/|Y| would swamp the rank test: a sample at or below
+    # 1e-12 of the largest |Y| is left out like a zero one.  The uniform
+    # fit, which the sample does not dominate, converges from that seed.
+    values = CURVE.values.copy()
+    values[100] = tiny
+    curve = ComplexCurve(GRID, values)
+    guess = initial_guess(curve)
+    assert max(rel_errors(guess).values()) < 1e-9
+    result = fit_mbvd(curve, guess, FitOptions(weight_mode="uniform"))
+    assert result.converged
+    assert max(rel_errors(result.params).values()) < 1e-3
+
+
 def test_initial_guess_ls_from_em_resonance():
     # The routing inductance of 100 pH is one of the fitted coefficients
     # (b4 = ls*a3), so the seed has it within a factor of two and closer.

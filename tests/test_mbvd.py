@@ -21,6 +21,7 @@ from acoufilt import (
 from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
 from acoufilt.mbvd import (
     K2_MAX,
+    _band_extremum,
     _jw,
     admittance_log_jacobian,
     rational_coefficients,
@@ -315,6 +316,34 @@ def test_q_matches_dense_grid_oracle_for_random_resonators(p):
     i = int(np.argmax(np.abs(z)))
     assert 0 < i < grid.size - 1
     assert q_at_antiresonance(p) == pytest.approx(q_grid[i], rel=1e-3)
+
+
+def _branch_q(p, f):
+    """Q at f from the one-division terms of the admittance differentiated
+    by hand, ' = d/ds: Q = (w/2) * |Re(den'/den - num'/num)|."""
+    w = 2.0 * math.pi * f
+    s = 1j * w
+    pm = (s * p.lm + p.rm) * s * p.cm + 1.0
+    ps = s * p.r0 * p.c0 + 1.0
+    num = s * (p.cm * ps + p.c0 * pm)
+    den = pm * ps + (p.rs + s * p.ls) * num
+    dpm = 2.0 * s * p.lm * p.cm + p.rm * p.cm
+    dps = p.r0 * p.c0
+    dnum = p.cm * ps + p.c0 * pm + s * (p.cm * dps + p.c0 * dpm)
+    dden = dpm * ps + pm * dps + p.ls * num + (p.rs + s * p.ls) * dnum
+    return 0.5 * w * abs((dden / den - dnum / num).real)
+
+
+@given(st.builds(
+    lambda fs, k2, c0, q, rs, ls, r0: dataclasses.replace(
+        mbvd_from_targets(fs, k2, c0, q, rs=rs, ls=ls), r0=r0),
+    st.floats(5e9, 40e9), st.floats(0.2, 0.7), st.floats(2e-14, 2e-13), st.floats(30.0, 500.0),
+    st.floats(0.0, 1.0) | st.just(0.0), st.floats(0.0, 2e-11) | st.just(0.0),
+    st.floats(0.0, 0.5) | st.just(0.0)))
+def test_q_matches_the_branch_form_at_the_same_frequency(p):
+    fs = series_resonance(p)
+    f = _band_extremum(p, fs, 0.5, 2.0 * antiresonance(p) / fs, largest=False)[0]
+    assert q_at_antiresonance(p) == pytest.approx(_branch_q(p, f), rel=1e-10)
 
 
 @given(lossy_resonators())

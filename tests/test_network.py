@@ -99,6 +99,7 @@ def test_cascade_empty_and_singleton():
         cascade([])
     x = _series_z_block(3 + 4j)
     assert np.array_equal(cascade([x]).mats, x.mats)
+    assert not np.shares_memory(cascade([x]).mats, x.mats)
 
 
 def test_cascade_of_series_impedances_adds():

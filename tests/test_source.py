@@ -1,12 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "acoufilt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "acoufilt"
 
 
 def _unused_imports(path):
@@ -50,3 +52,18 @@ def test_fitting_loads_no_scipy_signal_and_mbvd_binds_no_scipy_name():
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_every_name_the_tracer_patches_exists():
+    # perfbench/spans.py replaces these names to time the layers, and a
+    # missing one breaks only a traced bench run.  It imports only the
+    # standard library, so its source is executed here without importing
+    # perfbench or writing a cache next to it.
+    path = ROOT / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    targets = [(module, attr) for module, attr, _, _ in spans["TARGETS"]]
+    missing = [f"acoufilt.{module}.{attr}" for module, attr in targets
+               if not hasattr(importlib.import_module(f"acoufilt.{module}"), attr)]
+    assert targets
+    assert missing == []
