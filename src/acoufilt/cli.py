@@ -119,8 +119,8 @@ def _fit_report_csv(result: fitting.FitResult) -> str:
 
 def _cmd_synthesize(args) -> int:
     spec = io_formats.read_design_spec(_read(args.spec))
-    result = synthesize_ladder(spec, guard=args.guard)
     grid = parse_grid_spec(args.grid)
+    result = synthesize_ladder(spec, guard=args.guard)
     block = build_ladder_response(result.design, grid)
     outputs = [(args.out, io_formats.write_ladder_design(result.design))]
     if args.touchstone:

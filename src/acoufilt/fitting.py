@@ -195,7 +195,7 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     works on the log-parameters, without bounds, with the analytic Jacobian
     of the model handed over column-major (one row per log-parameter, as
     lmder stores it); ``max_iterations`` caps its residual evaluations.  A
-    trial point with a log-parameter beyond +-_LOG_BOUND has an infinite
+    trial point with a log-parameter beyond +-_LOG_BOUND or NaN has an infinite
     residual, so the search rejects it and shortens its step.  The static
     loss r0 is not fitted and comes back as zero.  Reaching the cap gives a
     non-converged result, not an exception; parameters without a resonance,
@@ -228,7 +228,8 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         return last
 
     def residual(x):
-        if np.max(np.abs(x)) > _LOG_BOUND:
+        # Written so that a NaN trial point is out of range too.
+        if not np.max(np.abs(x)) <= _LOG_BOUND:
             return out_of_range
         d = model(x)[-1] - curve.values
         return np.concatenate([d.real * w, d.imag * w])

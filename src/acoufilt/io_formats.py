@@ -121,46 +121,41 @@ def _number(token: str, lineno: int) -> float:
         raise FormatError(f"malformed number: {exc}", lineno)
 
 
-def _noise_row(fields: list[str], header: TouchstoneHeader, lineno: int,
-               previous: list[float]) -> float:
-    """Check one noise-parameter row and return its frequency in hertz.
+def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
+              previous_hz: float | None, s_data: bool) -> tuple[float, list[float]]:
+    """The frequency in hertz and the numbers of one data row, checked.
 
-    A row is frequency, NFmin (dB), |Gamma_opt|, angle of Gamma_opt and the
-    normalized noise resistance: five finite numbers.
+    A row fails if a number is not finite, its frequency overflows in
+    hertz, is not positive or does not exceed previous_hz, or (S data in DB
+    format) a magnitude overflows; the first check it fails names it.  An
+    S-data magnitude of -inf dB is an exact zero, as the DB writer gives it.
     """
-    if len(fields) != 5:
-        raise FormatError(
-            f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
-        )
     nums = [_number(tok, lineno) for tok in fields]
-    for tok, v in zip(fields, nums):
-        if not math.isfinite(v):
-            raise FormatError(f"non-finite number {tok!r}", lineno)
+    db = s_data and header.format == "DB"
+    if not all(map(math.isfinite, nums)):
+        for i, (tok, v) in enumerate(zip(fields, nums)):
+            if not (math.isfinite(v) or (db and i % 2 == 1 and v == -math.inf)):
+                raise FormatError(f"non-finite number {tok!r}", lineno)
     f_hz = nums[0] * header.unit_scale
     if not math.isfinite(f_hz):
         raise FormatError("frequency overflows when scaled to hertz", lineno)
     if f_hz <= 0:
         raise FormatError("non-positive frequency", lineno)
-    if previous and f_hz <= previous[-1]:
+    if previous_hz is not None and f_hz <= previous_hz:
         raise FormatError("frequencies must be strictly increasing", lineno)
-    return f_hz
+    # No magnitude up to 6000 dB (1e300) overflows; above it, the arithmetic
+    # of _columns decides, so that it accepts every row checked here.
+    if db and max(nums[1::2]) > 6000.0:
+        with np.errstate(over="ignore"):
+            if not np.isfinite(10.0 ** (np.array(nums[1::2]) / 20.0)).all():
+                raise FormatError("DB magnitude overflows", lineno)
+    return f_hz, nums
 
 
-# Messages of the row checks after the first, in the order they are tried.
-_ROW_CHECKS = ("frequency overflows when scaled to hertz", "non-positive frequency",
-               "frequencies must be strictly increasing", "DB magnitude overflows")
-
-
-def _columns(header: TouchstoneHeader, table: np.ndarray, linenos: list[int] | None = None,
-             lines: list[str] | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Frequencies in hertz and S matrices of the data rows, checked by column.
-
-    A row fails if a number is not finite (-inf dB excepted), its frequency
-    overflows in hertz, is not positive or does not exceed the previous
-    row's, or a DB magnitude overflows.  The first failing row is reported
-    with its line number and the first check it fails, in that order;
-    without line numbers a failing row gives None.
-    """
+def _columns(header: TouchstoneHeader,
+             table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Frequencies in hertz and S matrices of the data rows, or None if a
+    row fails a check of _data_row (checked here by column)."""
     n, width = table.shape
     a, b = table[:, 1::2], table[:, 2::2]
     raw_bad = ~np.isfinite(table)
@@ -170,21 +165,9 @@ def _columns(header: TouchstoneHeader, table: np.ndarray, linenos: list[int] | N
     with np.errstate(over="ignore"):
         f = table[:, 0] * header.unit_scale
         mag = 10.0 ** (a / 20.0) if header.format == "DB" else a
-    not_increasing = np.zeros(n, dtype=bool)
-    not_increasing[1:] = f[1:] <= f[:-1]
-    bad = np.column_stack((raw_bad.any(axis=1), ~np.isfinite(f), f <= 0, not_increasing,
-                           ~np.isfinite(mag).all(axis=1)))
-    rows = np.flatnonzero(bad.any(axis=1))
-    if rows.size:
-        if linenos is None:
-            return None
-        row = rows[0]
-        check = int(np.argmax(bad[row]))
-        lineno = linenos[row]
-        if check == 0:
-            fields = lines[lineno - 1].split("!", 1)[0].split()
-            raise FormatError(f"non-finite number {fields[np.argmax(raw_bad[row])]!r}", lineno)
-        raise FormatError(_ROW_CHECKS[check - 1], lineno)
+    if (raw_bad.any() or not np.isfinite(f).all() or (f <= 0).any()
+            or (f[1:] <= f[:-1]).any() or not np.isfinite(mag).all()):
+        return None
     if header.format == "RI":
         re, im = a, b
     else:
@@ -208,8 +191,8 @@ def read_touchstone(text: str) -> TouchstoneData:
 
     A well-formed file is read by one np.loadtxt call after its option line.
     Every other file (a noise block, an error, no data, a token only float()
-    reads, such as 1_0) is read by the line walk, which names the first
-    offending line.
+    reads, such as 1_0) is read by the line walk, which checks each row as
+    it reads it and so names the first offending line.
     """
     lines = text.splitlines()
     # The first non-blank line is the option line, or a data line of a file
@@ -245,47 +228,41 @@ def _read_table(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
 
 
 def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData:
-    """The line walk over lines[start:]: one pass checks their layout and
-    collects the rows of numbers, which are then checked and converted by
-    column; an error names the first offending line either way."""
+    """The line walk over lines[start:]: each line's layout and numbers are
+    checked as it is read, so an error names the first offending line."""
     scale = header.unit_scale
     width = 0  # columns of an S-data row: 3 (one-port) or 9 (two-port)
     rows: list[list[float]] = []
-    linenos: list[int] = []
-    noise_freqs: list[float] = []
-    try:
-        for lineno, raw in enumerate(lines[start:], start=start + 1):
-            fields = raw.split("!", 1)[0].split()
-            if not fields:
-                continue
-            if fields[0].startswith("#"):
-                raise FormatError("duplicate option line", lineno)
-            if width == 9 and (
-                noise_freqs or _number(fields[0], lineno) * scale <= rows[-1][0] * scale
-            ):
-                noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
-                continue
-            if len(fields) != width:
-                if len(fields) not in (3, 9):
-                    raise FormatError(
-                        f"expected 3 (1-port) or 9 (2-port) columns, got {len(fields)}", lineno
-                    )
-                if width:
-                    raise FormatError("inconsistent column count", lineno)
-                width = len(fields)
-            try:
-                rows.append([float(tok) for tok in fields])
-            except ValueError as exc:
-                raise FormatError(f"malformed number: {exc}", lineno)
-            linenos.append(lineno)
-    except FormatError:
-        # A row before the failing line may hold a value error found only
-        # by the column checks; the earlier line is the one to report.
-        if rows:
-            _columns(header, np.array(rows), linenos, lines)
-        raise
-    freq, s = _columns(header, np.array(rows).reshape(-1, width or 3), linenos, lines)
-    return TouchstoneData(header, freq, s)
+    last_hz = noise_hz = None  # frequency of the last S-data and noise row
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        fields = raw.split("!", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0].startswith("#"):
+            raise FormatError("duplicate option line", lineno)
+        if width == 9 and (noise_hz is not None or _number(fields[0], lineno) * scale <= last_hz):
+            # A noise row: frequency, NFmin (dB), |Gamma_opt|, angle of
+            # Gamma_opt and the normalized noise resistance.
+            if len(fields) != 5:
+                raise FormatError(
+                    f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
+                )
+            noise_hz = _data_row(fields, header, lineno, noise_hz, s_data=False)[0]
+            continue
+        if len(fields) != width:
+            if len(fields) not in (3, 9):
+                raise FormatError(
+                    f"expected 3 (1-port) or 9 (2-port) columns, got {len(fields)}", lineno
+                )
+            if width:
+                raise FormatError("inconsistent column count", lineno)
+            width = len(fields)
+        last_hz, nums = _data_row(fields, header, lineno, last_hz, s_data=True)
+        rows.append(nums)
+    cols = _columns(header, np.array(rows).reshape(-1, width or 3))
+    if cols is None:
+        raise AssertionError("_columns refused rows that _data_row accepted")
+    return TouchstoneData(header, *cols)
 
 
 def _format_table(table: np.ndarray) -> str:

@@ -170,32 +170,27 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     return SParameterBlock(f, s, z0=z0)
 
 
-def _rows(elements, z0: float, full: bool) -> tuple:
-    """(delta, P, Q, R, T): the ladder's chain matrix M as the rows
-    r+ = [1, z0] @ M = (P, Q) and, with ``full``, r- = [1, -z0] @ M = (R, T),
-    and its ABCD->S denominator delta = P + Q/z0.
+def _row(elements, p, q) -> tuple:
+    """The row (p, q) @ M of the ladder's chain matrix M.
 
     elements are (series, v) pairs in ladder order.  A series element of
     impedance v = z maps each row (p, q) to (p, p*z + q), a shunt of
-    admittance v = y to (p + q*y, q).  Nothing is checked here, and callers
-    evaluate under np.errstate: any non-finite value in r+, from a division
-    by zero or an overflow, makes delta non-finite (see _undefined).
+    admittance v = y to (p + q*y, q).  The row [1, z0] @ M = (P, Q) gives
+    the ABCD->S denominator delta = P + Q/z0.  Nothing is checked here, and
+    callers evaluate under np.errstate: any non-finite value in that row,
+    from a division by zero or an overflow, makes delta non-finite (see
+    _undefined).
     """
-    p, q, r, t = 1.0, z0, 1.0, -z0
     for series, v in elements:
         if series:
             q = p * v + q
-            if full:
-                t = r * v + t
         else:
             p = p + q * v
-            if full:
-                r = r + t * v
-    return p + q / z0, p, q, r, t
+    return p, q
 
 
 def _undefined(elements, delta: np.ndarray) -> bool:
-    """Whether the ladder of _rows has no response: delta is not finite, or
+    """Whether the ladder of _row has no response: delta is not finite, or
     a series element is a short (z = 0)."""
     return not np.isfinite(delta).all() or any(series and not v.all() for series, v in elements)
 
@@ -205,13 +200,14 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
 
     The grid is checked once, each distinct (kind, resonator) pair is
     evaluated once through _terms, as z = den / num for a series element and
-    y = num / den for a shunt, and the rows [1, z0] and [1, -z0] are carried
-    through the chain matrices (_rows).  With delta = P + Q/z0, S11 =
-    (R + T/z0) / delta, S22 = (Q/z0 - P) / delta and S21 = S12 = 2 / delta,
-    since every element's chain matrix has determinant 1 (Pozar, Microwave
-    Engineering, sec. 4.4).  Where the ladder has no response, _check_defined
-    names a lossless resonator sampled exactly at a resonance, or the
-    generic error is raised; a zero delta is a SingularConversionError.
+    y = num / den for a shunt, and the rows [1, z0] and, once delta is
+    checked, [1, -z0] are carried through the chain matrices (_row).  With
+    delta = P + Q/z0, S11 = (R + T/z0) / delta, S22 = (Q/z0 - P) / delta
+    and S21 = S12 = 2 / delta, since every element's chain matrix has
+    determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  Where the
+    ladder has no response, _check_defined names a lossless resonator
+    sampled exactly at a resonance, or the generic error is raised; a zero
+    delta is a SingularConversionError.
     Values that overflow raise DomainError instead of giving non-finite
     S-parameters.
     """
@@ -228,12 +224,14 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
                 _, _, num, den = _terms(res, jw)
                 v = values[kind, res] = den / num if series else num / den
             elements.append((series, v))
-        delta, p, q, r, t = _rows(elements, z0, full=True)
+        p, q = _row(elements, 1.0, z0)
+        delta = p + q / z0
         if _undefined(elements, delta):
             for kind, res in design.elements:
                 _check_defined(res, f, inverted=kind is ElementKind.SERIES)
             raise DomainError("ABCD matrices contain non-finite entries")
         _nonzero(f, delta)
+        r, t = _row(elements, 1.0, -z0)
         s21 = 2.0 / delta
         s = _stack(f.size, (r + t / z0) / delta, s21, s21, (q / z0 - p) / delta)
     if not np.isfinite(s).all():
@@ -245,14 +243,15 @@ _DB_OF_2 = 20.0 * math.log10(2.0)
 
 
 def _ladder_s21_db(elements, z0: float) -> np.ndarray:
-    """|S21| in dB of the ladder of (series, v) elements (see _rows), from
+    """|S21| in dB of the ladder of (series, v) elements (see _row), from
     delta alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|.
 
     Called under np.errstate.  Where build_ladder_response of the same
     elements names a fault in the chain (_undefined, or a zero delta), this
     raises one generic DomainError.
     """
-    delta = _rows(elements, z0, full=False)[0]
+    p, q = _row(elements, 1.0, z0)
+    delta = p + q / z0
     if _undefined(elements, delta) or not delta.all():
         raise DomainError("the ladder has no finite response")
     return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))

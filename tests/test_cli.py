@@ -13,7 +13,7 @@ from test_design_file_properties import _VALID_LINES, design_texts
 from test_touchstone_properties import ALPHABET, rarely, touchstone_texts
 
 import acoufilt
-from acoufilt import io_formats
+from acoufilt import cli, io_formats
 from acoufilt.cli import main
 from acoufilt.curves import MAX_POINTS, parse_grid_spec
 from acoufilt.errors import DomainError
@@ -457,6 +457,23 @@ def test_counts_above_the_bound_are_rejected_before_allocation(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"at most {MAX_POINTS}" in err
     assert err.count("\n") == 1
+
+
+def test_synthesize_checks_the_grid_before_the_search(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "spec.kv"
+    spec.write_text(io_formats.write_design_spec(acoufilt.DesignSpec(23.5e9, 0.16, k2=0.46, q=50)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the search ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "synthesize_ladder", fail)
+    rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "d.kv"),
+               "--grid", "1e10:4e10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid spec '1e10:4e10'")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "d.kv").exists()
 
 
 def test_grid_count_bound_is_inclusive():

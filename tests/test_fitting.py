@@ -206,6 +206,19 @@ def test_leastsq_takes_the_steps_of_least_squares_lm(monkeypatch, noisy, max_ite
     assert result.converged == (ref.status > 0) == (max_iterations == 200)
 
 
+def test_nan_trial_point_has_an_infinite_residual(monkeypatch):
+    # lmder can step to a NaN point; the residual must reject it, not hand
+    # it to the model.
+    leastsq = fitting.leastsq
+
+    def spy(func, x0, **kw):
+        assert np.all(func(np.full(6, np.nan)) == np.inf)
+        return leastsq(func, x0, **kw)
+
+    monkeypatch.setattr(fitting, "leastsq", spy)
+    assert fit_mbvd(CURVE, TRUTH).converged
+
+
 def test_refit_is_a_fixed_point():
     first = fit_mbvd(CURVE, initial_guess(CURVE))
     second = fit_mbvd(CURVE, first.params)

@@ -331,6 +331,11 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
      "^line 1: unsupported parameter type 'Y'$"),
     (lambda: read_touchstone("# GHz S RI R\n1 0 0\n"), FormatError,
      "^line 1: R option missing its resistance value$"),
+    (lambda: read_touchstone("# GHz S MA R fifty\n1 0 0\n"), FormatError,
+     "^line 1: bad reference resistance 'fifty'$"),
+    # the first field of a two-port row is read to tell a noise row
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS.replace("2.0", "1..0")),
+     FormatError, "^line 3: malformed number: could not convert string to float: '1..0'$"),
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 nan 0.3 45.0 0.2\n"),
      FormatError, "^line 4: non-finite number 'nan'$"),
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "-1.0 0.8 0.3 45.0 0.2\n"),
@@ -342,7 +347,8 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
     (lambda: write_ladder_design(LadderDesign(((ElementKind.SERIES, _RESONATOR),))), DomainError,
      "only shunt-series-shunt ladders"),
 ], ids=["header-unit", "header-parameter", "header-format", "to-curve-two-port",
-        "option-y", "option-r-without-value", "noise-non-finite", "noise-non-positive",
+        "option-y", "option-r-without-value", "option-r-not-a-number",
+        "two-port-first-field-malformed", "noise-non-finite", "noise-non-positive",
         "inconsistent-columns", "resonator-section", "non-canonical-ladder"])
 def test_io_rejections(call, error, match):
     with pytest.raises(error, match=match):

@@ -1,6 +1,7 @@
 """The |S21| SVG plot on curves it cannot or can barely draw."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,3 +36,12 @@ def test_frequency_span_of_one_float_spacing_is_drawn():
 def test_zero_magnitude_is_drawn_at_the_floor():
     svg = s21_magnitude_svg(ComplexCurve([1e9, 2e9], [0.0, 1.0]))
     assert ">-80<" in svg
+
+
+def test_flat_curve_is_drawn_on_a_ten_db_axis():
+    # A flat 0 dB curve has y_lo == y_hi before the axis is widened.
+    svg = s21_magnitude_svg(ComplexCurve([1e9, 2e9, 3e9], [1.0, 1.0, 1.0]))
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    xy = np.array([float(v) for pt in points.split() for v in pt.split(",")])
+    assert xy.size == 6 and np.isfinite(xy).all()
+    assert ">0<" in svg and ">10<" in svg

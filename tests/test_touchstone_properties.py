@@ -19,7 +19,6 @@ from acoufilt.errors import AcoufiltError, DomainError, FormatError
 from acoufilt.io_formats import (
     TouchstoneData,
     TouchstoneHeader,
-    _noise_row,
     _number,
     _parse_option_line,
     read_touchstone,
@@ -76,7 +75,21 @@ def reference_read(text: str) -> TouchstoneData:
         if n_ports == 2 and (
             noise_freqs or _number(fields[0], lineno) * header.unit_scale <= freqs[-1]
         ):
-            noise_freqs.append(_noise_row(fields, header, lineno, noise_freqs))
+            if len(fields) != 5:
+                raise FormatError(
+                    f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno)
+            nums = [_number(tok, lineno) for tok in fields]
+            for tok, v in zip(fields, nums):
+                if not math.isfinite(v):
+                    raise FormatError(f"non-finite number {tok!r}", lineno)
+            f_hz = nums[0] * header.unit_scale
+            if not math.isfinite(f_hz):
+                raise FormatError("frequency overflows when scaled to hertz", lineno)
+            if f_hz <= 0:
+                raise FormatError("non-positive frequency", lineno)
+            if noise_freqs and f_hz <= noise_freqs[-1]:
+                raise FormatError("frequencies must be strictly increasing", lineno)
+            noise_freqs.append(f_hz)
             continue
         if len(fields) not in (3, 9):
             raise FormatError(
