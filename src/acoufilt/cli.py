@@ -29,20 +29,24 @@ def _atomic_write(path: str, text: str) -> None:
     """Write via temp file + rename so interrupted runs never corrupt files.
 
     The temp file is created private (0600); before the rename it gets the
-    mode an ordinary new file would have, 0666 less the umask.
+    mode an ordinary new file would have, 0666 less the umask.  An OSError
+    is raised again naming ``path``, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acoufilt-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acoufilt-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -57,7 +61,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    one_port = args.out.endswith(".s1p")
+    one_port = args.out.lower().endswith(".s1p")
     if one_port and args.metrics:
         raise AcoufiltError("--metrics applies to two-port simulation only")
     grid = parse_grid_spec(args.grid)
@@ -207,9 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="CSV fit report")
     p.add_argument("--section", default="series", choices=("series", "shunt"),
                    help="section name used in the fitted design file")
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--weight", default="inverse-magnitude",
-                   choices=("inverse-magnitude", "uniform"))
+    p.add_argument("--max-iterations", type=int, default=fitting.FitOptions.max_iterations,
+                   help="cap on the fit's residual evaluations, default %(default)s "
+                        "(the report's iterations counts Jacobian evaluations)")
+    p.add_argument("--weight", default=fitting.FitOptions.weight_mode,
+                   choices=fitting.WEIGHT_MODES,
+                   help="residual weight per sample: inverse-magnitude (default) is 1/|Y|, "
+                        "and 0 at or below 1e-12 of the largest |Y|; uniform is 1")
 
     p = sub.add_parser("synthesize", help="search a ladder design meeting a spec file")
     p.add_argument("--spec", required=True, help="design spec file with a [spec] section")

@@ -9,8 +9,8 @@ violated.  The search is unbounded; a trial point with a log-parameter
 beyond +-_LOG_BOUND gets an infinite residual, which the search rejects as
 no reduction and answers with a shorter step.  Residuals are the
 concatenated real and imaginary parts of the admittance, by default
-weighted by 1/|Y| so the deep anti-resonance counts as much as the
-resonance peak.
+weighted by 1/|Y| as in the seed's first pass (_weights), so the deep
+anti-resonance counts as much as the resonance peak.
 """
 
 from __future__ import annotations
@@ -41,17 +41,18 @@ _TOL = 1e-10
 # Singular values of the rational fit's rows below this fraction of the
 # largest count as zero, as in lstsq's default for the full rows.
 _RCOND = 1e-12
+WEIGHT_MODES = ("inverse-magnitude", "uniform")  # FitOptions.weight_mode's, default first
 
 
 @dataclass(frozen=True)
 class FitOptions:
     max_iterations: int = 200
-    weight_mode: str = "inverse-magnitude"  # or "uniform"
+    weight_mode: str = WEIGHT_MODES[0]
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.weight_mode not in ("inverse-magnitude", "uniform"):
+        if self.weight_mode not in WEIGHT_MODES:
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
 
 
@@ -73,11 +74,10 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     the powers of x, with j^k folded into their signs.  The first pass
     weights each row by 1/|y|, the second by 1/|y*den| of the first
     (Sanathanan-Koerner 1963), so that its residual approximates the fit's
-    own relative error |num/den - y| / |y|.  A sample with |y| at or below
-    _RCOND times the largest, whose weight would swamp the rank test, and a
-    zero of den on the grid are left out.  Each pass reduces the weighted
-    rows and right-hand side to 8 x 8 by Householder QR and solves the
-    7 x 7 part by SVD, as lstsq on the full rows would.
+    own relative error |num/den - y| / |y|.  A sample that _weights leaves
+    out and a zero of den on the grid get weight 0.  Each pass reduces the
+    weighted rows and right-hand side to 8 x 8 by Householder QR and solves
+    the 7 x 7 part by SVD, as lstsq on the full rows would.
     """
     n = x.size
     g, b = y.real, y.imag
@@ -92,9 +92,7 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     re[1], re[3], re[4], re[5], re[6], re[7] = -x2, x * b, x2 * g, -x3 * b, -x4 * g, g
     im[0], im[2], im[3], im[4], im[5], im[6], im[7] = x, -x3, -x * g, x2 * b, x3 * g, -x4 * b, b
     # The weights of the first pass, then the factor 1/|den| of the second.
-    mag = np.abs(y)
-    with np.errstate(divide="ignore", over="ignore"):
-        w = np.where(mag > _RCOND * mag.max(), 1.0 / mag, 0.0)
+    w = _weights(y)
     for _ in range(2):
         w[np.isinf(w)] = 0.0
         cols *= np.concatenate([w, w])
@@ -126,8 +124,6 @@ def initial_guess(curve: ComplexCurve) -> MbvdParams:
     """
     _check_finite(curve)
     f = curve.freq_hz
-    if f.size < 8:
-        raise StructureError("too few samples to identify resonance structure")
     f0 = math.sqrt(f[0] * f[-1])
     return _params_from_coefficients(_rational_fit(f / f0, curve.values), 2.0 * math.pi * f0)
 
@@ -183,6 +179,13 @@ def _unpack(x: np.ndarray) -> MbvdParams:
     return MbvdParams(*(float(v) for v in np.exp(x)))
 
 
+def _weights(values: np.ndarray) -> np.ndarray:
+    """1/|y|, but 0 where |y| <= _RCOND * max|y| (a weight that would swamp the rest)."""
+    mag = np.abs(values)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(mag > _RCOND * mag.max(), 1.0 / mag, 0.0)
+
+
 def _check_finite(curve: ComplexCurve) -> None:
     if not np.all(np.isfinite(curve.values)):
         raise DomainError("admittance sweep contains non-finite values")
@@ -205,10 +208,7 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     if len(curve) < n_free + 1:
         raise DomainError(f"need at least {n_free + 1} samples to fit {n_free} parameters")
     _check_finite(curve)
-    if opts.weight_mode == "inverse-magnitude":
-        w = 1.0 / np.maximum(curve.magnitude, 1e-300)
-    else:
-        w = np.ones(len(curve))
+    w = _weights(curve.values) if opts.weight_mode == "inverse-magnitude" else np.ones(len(curve))
     s = _jw(curve.freq_hz)
     out_of_range = np.full(2 * len(curve), np.inf)
     # The model at the last point evaluated, (p, pm, ps, num, den, y), that

@@ -229,7 +229,7 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
         if _undefined(elements, delta):
             for kind, res in design.elements:
                 _check_defined(res, f, inverted=kind is ElementKind.SERIES)
-            raise DomainError("ABCD matrices contain non-finite entries")
+            raise DomainError("ladder response contains non-finite entries")
         _nonzero(f, delta)
         r, t = _row(elements, 1.0, -z0)
         s21 = 2.0 / delta

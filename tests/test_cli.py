@@ -89,6 +89,17 @@ def test_one_port_simulate_takes_z0_from_the_design(tmp_path, section, z0):
         s11, io_formats.TouchstoneHeader("Hz", "S", "RI", z0))
 
 
+def test_one_port_simulate_reads_the_extension_in_either_case(tmp_path):
+    p = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    design = tmp_path / "res.kv"
+    design.write_text(io_formats.write_resonator(p, "series"))
+    out = tmp_path / "RES.S1P"
+    assert main(["simulate", "--design", str(design), "--grid", "5e9:1e11:5",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == io_formats.write_touchstone(
+        acoufilt.one_port_s11(p, parse_grid_spec("5e9:1e11:5")))
+
+
 def test_fit_end_to_end(tmp_path):
     truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
     res_kv = tmp_path / "res.kv"
@@ -245,14 +256,20 @@ def test_repeated_runs_byte_identical(tmp_path, reference_design):
     # --out names a directory: the rename fails after the temp file is written
     (["simulate", "--design", "{design}", "--grid", "1e9:4e10:11", "--out", "{tmp}"],
      "error: [Errno "),
-], ids=["one-port-of-a-ladder", "one-port-metrics", "malformed-range", "out-is-a-directory"])
+    # --out names a file in a missing directory: the error names that file,
+    # not the temp file that could not be made beside it
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:11", "--out",
+      "{tmp}/missing/o.s2p"],
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/o.s2p'\n"),
+], ids=["one-port-of-a-ladder", "one-port-metrics", "malformed-range", "out-is-a-directory",
+        "out-in-a-missing-directory"])
 def test_rejected_runs_leave_no_files(tmp_path, reference_design, capsys, argv, err):
     path, _ = reference_design
     before = sorted(tmp_path.iterdir())
     rc = main([a.format(design=path, tmp=tmp_path) for a in argv])
     assert rc == 1
     message = capsys.readouterr().err
-    assert message.startswith(err) and message.count("\n") == 1
+    assert message.startswith(err.format(tmp=tmp_path)) and message.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -97,6 +97,32 @@ def test_initial_guess_leaves_out_a_tiny_sample(tiny):
     assert max(rel_errors(result.params).values()) < 1e-3
 
 
+# The criterion-4 sweep with one sample, near the low end or near the
+# anti-resonance, at or below 1e-12 of the largest |Y| (1.93 S).
+@pytest.mark.parametrize("index", [100, 1000])
+@pytest.mark.parametrize("tiny", [1e-300, 1e-100, 1e-30, 1e-20, 1e-13, 1e-12])
+def test_fit_leaves_out_a_dropout_sample(index, tiny):
+    # The fit weighs samples as the seed does, so the sample that 1/|Y|
+    # would let outweigh the other 2000 counts for nothing in either.
+    values = CURVE.values.copy()
+    values[index] = tiny
+    curve = ComplexCurve(GRID, values)
+    result = fit_mbvd(curve, initial_guess(curve))
+    assert result.converged
+    assert max(rel_errors(result.params).values()) <= 1e-9
+
+
+def test_four_samples_fix_the_seed():
+    # Each sample gives two real rows, so four fix the seven coefficients.
+    guess = initial_guess(resonator_admittance(TRUTH, np.geomspace(5e9, 100e9, 4)))
+    assert max(rel_errors(guess).values()) <= 1e-9
+
+
+def test_three_samples_are_too_few_for_the_seed():
+    with pytest.raises(StructureError, match=r"the sweep fixes only 6 of the 7 coefficients"):
+        initial_guess(resonator_admittance(TRUTH, np.geomspace(5e9, 100e9, 3)))
+
+
 def test_initial_guess_ls_from_em_resonance():
     # The routing inductance of 100 pH is one of the fitted coefficients
     # (b4 = ls*a3), so the seed has it within a factor of two and closer.
@@ -263,12 +289,11 @@ def test_non_finite_sweep_is_domain_error():
 
 
 def test_overflowing_weighted_residual_is_domain_error():
-    # A sample at 1e-200 S weighs 1e200 under inverse-magnitude weighting,
-    # so the squared residual overflows; that is reported, not warned about.
-    values = CURVE.values.copy()
-    values[100] = 1e-200
-    with pytest.raises(DomainError):
-        fit_mbvd(ComplexCurve(GRID, values), TRUTH)
+    # Every sample scaled to about 1e-200 S weighs about 1e200 under
+    # inverse-magnitude weighting, so the squared residual of the unscaled
+    # truth overflows; that is reported, not warned about.
+    with pytest.raises(DomainError, match="weighted residual at the initial guess is not finite"):
+        fit_mbvd(ComplexCurve(GRID, CURVE.values * 1e-200), TRUTH)
 
 
 def _runaway_sweep(seed, index):

@@ -11,29 +11,44 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "acoufilt"
 
 
-def _unused_imports(path):
-    """(line, name) of each name an import binds and the module never uses;
-    an import line that carries ``# noqa`` is exempt."""
+def _tracer_targets():
+    """(module, attribute) of each name perfbench/spans.py replaces to time
+    the layers.  It imports only the standard library, so its source is
+    executed here without importing perfbench or writing a cache next to it."""
+    path = ROOT / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    return [(module, attr) for module, attr, _, _ in spans["TARGETS"]]
+
+
+def _unexcused_imports(path, traced):
+    """(line, name) of each name an import binds and the module never uses,
+    and of each name imported on a ``# noqa`` line that the tracer does not
+    replace in this module: a ``# noqa`` import is kept only for the tracer."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
-                    unused.append((alias.lineno, name))
-    return unused
+                if "# noqa" in lines[alias.lineno - 1]:
+                    if (path.stem, name) not in traced:
+                        found.append((alias.lineno, name))
+                elif name not in used:
+                    found.append((alias.lineno, name))
+    return found
 
 
 def test_no_unused_imports():
+    traced = set(_tracer_targets())
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
-             for line, name in _unused_imports(path)]
+             for line, name in _unexcused_imports(path, traced)]
     assert found == []
 
 
@@ -55,14 +70,8 @@ def test_fitting_loads_no_scipy_signal_and_mbvd_binds_no_scipy_name():
 
 
 def test_every_name_the_tracer_patches_exists():
-    # perfbench/spans.py replaces these names to time the layers, and a
-    # missing one breaks only a traced bench run.  It imports only the
-    # standard library, so its source is executed here without importing
-    # perfbench or writing a cache next to it.
-    path = ROOT / "perfbench" / "spans.py"
-    spans = {"__name__": "spans"}
-    exec(compile(path.read_text(), str(path), "exec"), spans)
-    targets = [(module, attr) for module, attr, _, _ in spans["TARGETS"]]
+    # A missing one breaks only a traced bench run.
+    targets = _tracer_targets()
     missing = [f"acoufilt.{module}.{attr}" for module, attr in targets
                if not hasattr(importlib.import_module(f"acoufilt.{module}"), attr)]
     assert targets
