@@ -196,14 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Acoustic resonator / ladder filter modeling, fitting and synthesis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument("--guard", type=float, default=DEFAULT_GUARD,
+                       help="fractional stopband offset from the 3-dB edges")
 
-    p = sub.add_parser("simulate", help="evaluate a design file to Touchstone output")
+    p = sub.add_parser("simulate", parents=[guard],
+                       help="evaluate a design file to Touchstone output")
     p.add_argument("--design", required=True, help="key-value design file")
     p.add_argument("--grid", required=True, help="frequency grid start:stop:count (Hz)")
     p.add_argument("--out", required=True, help="output .s2p (ladder) or .s1p (one resonator)")
     p.add_argument("--metrics", help="also write passband metrics CSV")
-    p.add_argument("--guard", type=float, default=DEFAULT_GUARD,
-                   help="fractional stopband offset from the 3-dB edges")
 
     p = sub.add_parser("fit", help="extract MBVD parameters from a one-port .s1p")
     p.add_argument("--input", required=True, help="one-port Touchstone file")
@@ -219,27 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual weight per sample: inverse-magnitude (default) is 1/|Y|, "
                         "and 0 at or below 1e-12 of the largest |Y|; uniform is 1")
 
-    p = sub.add_parser("synthesize", help="search a ladder design meeting a spec file")
+    p = sub.add_parser("synthesize", parents=[guard],
+                       help="search a ladder design meeting a spec file")
     p.add_argument("--spec", required=True, help="design spec file with a [spec] section")
     p.add_argument("--out", required=True, help="design file to write")
     p.add_argument("--grid", required=True, help="output grid start:stop:count (Hz)")
     p.add_argument("--touchstone", help="also write the .s2p response")
     p.add_argument("--metrics", help="also write metrics CSV")
-    p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
 
-    p = sub.add_parser("metrics", help="score a two-port .s2p file")
+    p = sub.add_parser("metrics", parents=[guard], help="score a two-port .s2p file")
     p.add_argument("--input", required=True, help="two-port Touchstone file")
     p.add_argument("--out", help="metrics CSV (stdout when omitted)")
     p.add_argument("--svg", help="also write an |S21| SVG plot")
-    p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
 
-    p = sub.add_parser("sweep", help="sweep one design parameter and tabulate metrics")
-    p.add_argument("--design", required=True)
+    p = sub.add_parser("sweep", parents=[guard],
+                       help="sweep one design parameter and tabulate metrics")
+    p.add_argument("--design", required=True, help="key-value design file")
     p.add_argument("--param", required=True, help="parameter as section.key, e.g. shunt.c0")
     p.add_argument("--range", required=True, help="swept values a:b:n")
     p.add_argument("--grid", required=True, help="frequency grid start:stop:count (Hz)")
     p.add_argument("--out", required=True, help="CSV of one metrics row per value")
-    p.add_argument("--guard", type=float, default=DEFAULT_GUARD)
     return parser
 
 

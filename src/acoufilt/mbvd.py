@@ -112,29 +112,30 @@ def _circuit_terms(jw, rm, lm, cm, c0, rs=0.0, ls=0.0, r0=0.0):
     return pm, ps, num, den
 
 
-def _check_defined(p: MbvdParams, f: np.ndarray, inverted: bool = True) -> None:
-    """Raise DomainError where the admittance of p, or with ``inverted`` its
-    impedance 1 / Y, is a division by zero.
+def _immittance(p: MbvdParams, f: np.ndarray, impedance: bool = False) -> np.ndarray:
+    """The admittance Y = num / den of p on the checked grid f, or with
+    ``impedance`` Z = den / num, formed once from _terms.
 
-    Both happen only without loss and only exactly at a resonance.  den
-    vanishes at the series resonance when rm = rs = ls = 0 and where a
-    lossless resonator resonates with ls.  num vanishes at the
-    anti-resonance when rm = r0 = 0: there Y = 0 exactly, the physical value
-    for a shunt element, and an infinite impedance for a series element or
-    a one-port.  Callers evaluate under np.errstate and call this only when
-    the result is not finite, so it costs nothing on the hot path.  It
-    evaluates quietly too: an overflow is not the fault it names.
+    A Y or Z that is not finite, or a Z of 0, is a DomainError named from
+    num and den.  den vanishes at the series resonance when rm = rs = ls = 0
+    and where a lossless resonator resonates with ls; num at the
+    anti-resonance when rm = r0 = 0, where Y = 0 exactly (an open shunt) and
+    Z is undefined.  Anything else is an overflow, or a Z that underflows.
     """
     with np.errstate(all="ignore"):
         pm, _, num, den = _terms(p, _jw(f))
+        v = den / num if impedance else num / den
+    if np.isfinite(v).all() and (not impedance or v.all()):
+        return v
     i = np.flatnonzero(den == 0)
     if i.size:
         name = "series resonance" if pm[i[0]] == 0 else "resonance with its routing inductance"
         raise DomainError(_UNDEFINED.format(name, f[i[0]], "admittance"))
-    if inverted:
+    if impedance:
         i = np.flatnonzero(num == 0)
         if i.size:
             raise DomainError(_UNDEFINED.format("anti-resonance", f[i[0]], "impedance"))
+    raise DomainError(f"{'impedance' if impedance else 'admittance'} contains non-finite entries")
 
 
 def _log_jacobian(p: MbvdParams, jw, pm, ps, den, y) -> np.ndarray:
@@ -173,15 +174,9 @@ def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     """Input admittance of the full parasitic-loaded resonator on a grid; a
-    division by zero (see _check_defined) or an overflow is a DomainError."""
+    division by zero or an overflow is a DomainError (see _immittance)."""
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
-    with np.errstate(all="ignore"):
-        _, _, num, den = _terms(p, _jw(f))
-        y = num / den
-    if not np.isfinite(y).all():
-        _check_defined(p, f, inverted=False)
-        raise DomainError("admittance contains non-finite entries")
-    return _unchecked(ComplexCurve, freq_hz=f, values=y)
+    return _unchecked(ComplexCurve, freq_hz=f, values=_immittance(p, f))
 
 
 def series_resonance(p: MbvdParams) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .curves import ComplexCurve, _unchecked, validate_grid
 from .errors import DomainError, GridAlignmentError, SingularConversionError
-from .mbvd import MbvdParams, _check_defined, _jw, _terms, resonator_admittance
+from .mbvd import MbvdParams, _immittance, resonator_admittance
 
 
 def _check_z0(z0: float, name: str = "reference impedance") -> None:
@@ -94,15 +94,6 @@ def shunt_series_shunt(shunt: MbvdParams, series: MbvdParams, z0: float = 50.0) 
     )
 
 
-def _element(kind: ElementKind, y: np.ndarray) -> tuple:
-    """Chain-matrix entries (a, b, c, d) of one element with admittance y."""
-    if kind is ElementKind.SERIES:
-        return 1.0, 1.0 / y, 0.0, 1.0
-    if kind is ElementKind.SHUNT:
-        return 1.0, 0.0, y, 1.0
-    raise DomainError(f"unknown element kind {kind!r}")
-
-
 def _entries(mats: np.ndarray) -> tuple:
     return mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
 
@@ -122,15 +113,15 @@ def _nonzero(freq_hz: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 
 def element_abcd(kind: ElementKind, p: MbvdParams, freq_hz) -> AbcdBlock:
-    """ABCD block of one resonator used as a series or shunt element; a
-    series element whose 1 / y is not finite is a DomainError."""
-    y = resonator_admittance(p, freq_hz)
-    with np.errstate(all="ignore"):
-        mats = _stack(len(y), *_element(kind, y.values))
-    if not np.isfinite(mats).all():
-        _check_defined(p, y.freq_hz)
-        raise DomainError("ABCD matrices contain non-finite entries")
-    return _unchecked(AbcdBlock, freq_hz=y.freq_hz, mats=mats)
+    """ABCD block of one resonator as a series element of impedance z or a
+    shunt of admittance y; an undefined or non-finite z or y is a DomainError."""
+    if not isinstance(kind, ElementKind):
+        raise DomainError(f"unknown element kind {kind!r}")
+    f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
+    series = kind is ElementKind.SERIES
+    v = _immittance(p, f, impedance=series)
+    mats = _stack(f.size, 1.0, v, 0.0, 1.0) if series else _stack(f.size, 1.0, 0.0, v, 1.0)
+    return _unchecked(AbcdBlock, freq_hz=f, mats=mats)
 
 
 def identity_block(freq_hz) -> AbcdBlock:
@@ -154,20 +145,25 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
     for b in blocks[1:]:
         if b.freq_hz.shape != ref.shape or not np.array_equal(b.freq_hz, ref):
             raise GridAlignmentError("cascaded blocks are on different frequency grids")
-    mats = functools.reduce(np.matmul, [b.mats for b in blocks[1:]], blocks[0].mats.copy())
+    with np.errstate(all="ignore"):
+        mats = functools.reduce(np.matmul, [b.mats for b in blocks[1:]], blocks[0].mats.copy())
     return AbcdBlock(ref, mats)
 
 
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
-    """Convert chain matrices to scattering parameters at reference z0."""
+    """Convert chain matrices to scattering parameters at reference z0; a zero
+    denominator is a SingularConversionError and an overflow a DomainError."""
     _check_z0(z0)
     f = block.freq_hz
     a, b, c, d = _entries(block.mats)
-    bz, cz = b / z0, c * z0
-    delta = _nonzero(f, a + bz + cz + d)
-    s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
-               2.0 / delta, (-a + bz - cz + d) / delta)
-    return SParameterBlock(f, s, z0=z0)
+    with np.errstate(all="ignore"):
+        bz, cz = b / z0, c * z0
+        delta = _nonzero(f, a + bz + cz + d)
+        s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
+                   2.0 / delta, (-a + bz - cz + d) / delta)
+    if not np.isfinite(s).all():
+        raise DomainError("S-parameters contain non-finite entries")
+    return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=z0)
 
 
 def _row(elements, p, q) -> tuple:
@@ -178,8 +174,7 @@ def _row(elements, p, q) -> tuple:
     admittance v = y to (p + q*y, q).  The row [1, z0] @ M = (P, Q) gives
     the ABCD->S denominator delta = P + Q/z0.  Nothing is checked here, and
     callers evaluate under np.errstate: any non-finite value in that row,
-    from a division by zero or an overflow, makes delta non-finite (see
-    _undefined).
+    from a division by zero or an overflow, makes delta non-finite.
     """
     for series, v in elements:
         if series:
@@ -189,46 +184,34 @@ def _row(elements, p, q) -> tuple:
     return p, q
 
 
-def _undefined(elements, delta: np.ndarray) -> bool:
-    """Whether the ladder of _row has no response: delta is not finite, or
-    a series element is a short (z = 0)."""
-    return not np.isfinite(delta).all() or any(series and not v.all() for series, v in elements)
-
-
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     """Evaluate a ladder design to two-port S-parameters on a grid.
 
     The grid is checked once, each distinct (kind, resonator) pair is
-    evaluated once through _terms, as z = den / num for a series element and
-    y = num / den for a shunt, and the rows [1, z0] and, once delta is
-    checked, [1, -z0] are carried through the chain matrices (_row).  With
+    evaluated once by _immittance, as z for a series element and y for a
+    shunt, which names a lossless resonator sampled exactly at a resonance
+    and an overflow, and the rows [1, z0] and, once delta is checked,
+    [1, -z0] are carried through the chain matrices (_row).  With
     delta = P + Q/z0, S11 = (R + T/z0) / delta, S22 = (Q/z0 - P) / delta
     and S21 = S12 = 2 / delta, since every element's chain matrix has
-    determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  Where the
-    ladder has no response, _check_defined names a lossless resonator
-    sampled exactly at a resonance, or the generic error is raised; a zero
-    delta is a SingularConversionError.
-    Values that overflow raise DomainError instead of giving non-finite
-    S-parameters.
+    determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  A zero delta is
+    a SingularConversionError; values that overflow raise DomainError
+    instead of giving non-finite S-parameters.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     z0 = design.z0
     values: dict[tuple[ElementKind, MbvdParams], np.ndarray] = {}
+    elements = []
+    for kind, res in design.elements:
+        series = kind is ElementKind.SERIES
+        v = values.get((kind, res))
+        if v is None:
+            v = values[kind, res] = _immittance(res, f, impedance=series)
+        elements.append((series, v))
     with np.errstate(all="ignore"):
-        jw = _jw(f)
-        elements = []
-        for kind, res in design.elements:
-            series = kind is ElementKind.SERIES
-            v = values.get((kind, res))
-            if v is None:
-                _, _, num, den = _terms(res, jw)
-                v = values[kind, res] = den / num if series else num / den
-            elements.append((series, v))
         p, q = _row(elements, 1.0, z0)
         delta = p + q / z0
-        if _undefined(elements, delta):
-            for kind, res in design.elements:
-                _check_defined(res, f, inverted=kind is ElementKind.SERIES)
+        if not np.isfinite(delta).all():
             raise DomainError("ladder response contains non-finite entries")
         _nonzero(f, delta)
         r, t = _row(elements, 1.0, -z0)
@@ -247,12 +230,13 @@ def _ladder_s21_db(elements, z0: float) -> np.ndarray:
     delta alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|.
 
     Called under np.errstate.  Where build_ladder_response of the same
-    elements names a fault in the chain (_undefined, or a zero delta), this
-    raises one generic DomainError.
+    elements names a fault (a delta that is not finite or is 0, or a series
+    short, z = 0), this raises one generic DomainError.
     """
     p, q = _row(elements, 1.0, z0)
     delta = p + q / z0
-    if _undefined(elements, delta) or not delta.all():
+    if (not np.isfinite(delta).all() or not delta.all()
+            or any(series and not v.all() for series, v in elements)):
         raise DomainError("the ladder has no finite response")
     return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))
 
@@ -265,9 +249,9 @@ def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:
         z = 1.0 / y.values
         s11 = (z - z0) / (z + z0)
     if not np.all(np.isfinite(s11)):
-        _check_defined(p, y.freq_hz)
+        _immittance(p, y.freq_hz, impedance=True)
         raise DomainError("S11 contains non-finite entries")
-    return ComplexCurve(y.freq_hz, s11)
+    return _unchecked(ComplexCurve, freq_hz=y.freq_hz, values=s11)
 
 
 def admittance_from_s11(s11: ComplexCurve, z0: float = 50.0) -> ComplexCurve:

@@ -568,6 +568,9 @@ def test_help_lists_flags(capsys):
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "--" in out
+        # Every command but fit takes --guard, described alike.
+        described = "--guard GUARD fractional stopband offset from the 3-dB edges"
+        assert (described in " ".join(out.split())) == (cmd != "fit")
 
 
 def test_bad_grid_spec_is_exit_1(tmp_path, reference_design, capsys):

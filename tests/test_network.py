@@ -142,6 +142,31 @@ def test_abcd_to_s_reciprocity():
     assert np.max(np.abs(s.s[:, 0, 1] - s.s[:, 1, 0])) < 1e-12
 
 
+def test_overflowing_cascade_is_named():
+    # Warnings are errors here: a * a overflows in the matrix product.
+    mats = np.array([[[1e200, 0.0], [0.0, 1e-200]]], dtype=complex)
+    block = AbcdBlock([1e9], mats)
+    with pytest.raises(DomainError, match="ABCD matrices contain non-finite entries"):
+        cascade([block, block])
+
+
+def test_overflowing_abcd_to_s_is_named():
+    # b / z0 overflows: S11 and S22 would be inf / inf.
+    block = AbcdBlock([1e9], np.array([[[1.0, 1.7e308], [0.0, 1.0]]], dtype=complex))
+    with pytest.raises(DomainError, match="S-parameters contain non-finite entries"):
+        abcd_to_s(block, 1e-3)
+
+
+def test_block_api_matches_the_ladder_kernel():
+    # element_abcd, cascade and abcd_to_s against build_ladder_response.
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        design = _random_design(rng)
+        blocks = [element_abcd(k, p, GRID) for k, p in design.elements]
+        s = abcd_to_s(cascade(blocks), design.z0).s
+        assert np.max(np.abs(s - build_ladder_response(design, GRID).s)) <= 1e-12
+
+
 def test_abcd_to_s_singular_denominator():
     # A shunt with Y = -2/z0 makes delta = 0.
     with pytest.raises(SingularConversionError) as err:
@@ -285,16 +310,17 @@ def test_exact_series_resonance_on_the_grid_is_named(kind):
 
 def test_equal_resonators_are_evaluated_once(monkeypatch):
     calls = []
+    immittance = network._immittance
 
-    def counting(p, jw):
+    def counting(p, f, impedance=False):
         calls.append(p)
-        return _terms(p, jw)
+        return immittance(p, f, impedance)
 
     shunt = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
     design = LadderDesign(((ElementKind.SHUNT, shunt),
                            (ElementKind.SERIES, mbvd_from_targets(23e9, 0.42, 25e-15, 40)),
                            (ElementKind.SHUNT, dataclasses.replace(shunt))), z0=50.0)
-    monkeypatch.setattr(network, "_terms", counting)
+    monkeypatch.setattr(network, "_immittance", counting)
     build_ladder_response(design, GRID)
     assert len(calls) == 2
 
