@@ -51,6 +51,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text); none when two paths name one file, since the
+    last would silently replace the first.  realpath resolves ``./`` and
+    symlinks."""
+    seen: dict[str, str] = {}
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise AcoufiltError(f"outputs {seen[real]!r} and {path!r} name the same file")
+        seen[real] = path
     for path, text in outputs:
         _atomic_write(path, text)
 
@@ -214,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--section", default="series", choices=("series", "shunt"),
                    help="section name used in the fitted design file")
     p.add_argument("--max-iterations", type=int, default=fitting.FitOptions.max_iterations,
-                   help="cap on the fit's residual evaluations, default %(default)s "
+                   help="cap on the fit's residual evaluations, an integer in "
+                        f"[1, {fitting.MAX_ITERATIONS}], default %(default)s "
                         "(the report's iterations counts Jacobian evaluations)")
     p.add_argument("--weight", default=fitting.FitOptions.weight_mode,
                    choices=fitting.WEIGHT_MODES,

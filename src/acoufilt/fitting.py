@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .curves import ComplexCurve
 from .errors import DomainError, SearchError, StructureError
@@ -42,6 +41,8 @@ _TOL = 1e-10
 # largest count as zero, as in lstsq's default for the full rows.
 _RCOND = 1e-12
 WEIGHT_MODES = ("inverse-magnitude", "uniform")  # FitOptions.weight_mode's, default first
+# Largest max_iterations: MINPACK's evaluation cap, maxfev, is a C int.
+MAX_ITERATIONS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,10 @@ class FitOptions:
     weight_mode: str = WEIGHT_MODES[0]
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
+        n = self.max_iterations
+        if type(n) is not int or not 1 <= n <= MAX_ITERATIONS:
+            raise DomainError(f"max_iterations must be an integer in [1, {MAX_ITERATIONS}], "
+                              f"got {n!r}")
         if self.weight_mode not in WEIGHT_MODES:
             raise DomainError(f"unknown weight mode {self.weight_mode!r}")
 
@@ -189,6 +192,15 @@ def _weights(values: np.ndarray) -> np.ndarray:
 def _check_finite(curve: ComplexCurve) -> None:
     if not np.all(np.isfinite(curve.values)):
         raise DomainError("admittance sweep contains non-finite values")
+
+
+def leastsq(*args, **kwargs):
+    """scipy.optimize.leastsq, imported on the first fit: scipy.optimize takes
+    about half a second to import, which commands that fit nothing skip.  A
+    module-level name, so that a test can replace it with a spy."""
+    from scipy.optimize import leastsq
+
+    return leastsq(*args, **kwargs)
 
 
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:

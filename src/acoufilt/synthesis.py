@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import metrics
 from .curves import validate_grid
@@ -174,6 +173,10 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
     is fully deterministic: fixed initial simplex, fixed evaluation cap.
     ``guard`` is passband_metrics' stopband guard, checked once here.
     """
+    # Imported here, not with the module: scipy.optimize takes about half a
+    # second to import, which commands that synthesize nothing skip.
+    from scipy.optimize import minimize
+
     _check_guard(guard)
     grid = validate_grid(np.linspace(_GRID_SPAN[0] * spec.fc_target,
                                      _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))

@@ -25,20 +25,26 @@ def _write(directory, workload, seed, gauge, ops):
     path.write_text(json.dumps(_report(workload, seed, gauge, ops)))
 
 
-def _synth_op(evaluations, il_db, ok=True):
-    return {"ok": ok, "evaluations": evaluations, "feasible": True, "il_db": il_db,
-            "fc_hz": 23.5e9, "fbw3": 0.16, "oob_db": 21.3}
+def _synth_op(evaluations, il_db, ok=True, t_s=1.0):
+    return {"ok": ok, "t_s": t_s, "evaluations": evaluations, "feasible": True,
+            "il_db": il_db, "fc_hz": 23.5e9, "fbw3": 0.16, "oob_db": 21.3}
 
 
 def test_summary_of_paired_runs(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, before, after in ((1, 190.0, 120.0), (2, 180.0, 185.0), (3, 200.0, 130.0)):
-        _write(parent, "synth", seed, before, [_synth_op(1439, 2.84174847)] * 2)
-        _write(change, "synth", seed, after, [_synth_op(1450, 2.84174808)] * 2)
-    _write(parent, "fit", 7, 10.0, [{"ok": True, "target_met": True, "iterations": 9},
-                                    {"ok": False}])
-    _write(change, "fit", 7, 9.0, [{"ok": True, "target_met": True, "iterations": 8},
-                                   {"ok": True, "target_met": True, "iterations": 11}])
+        # The first op of each run is the slow one; later ops are not read.
+        _write(parent, "synth", seed, before,
+               [_synth_op(1439, 2.84174847, t_s=seed / 10), _synth_op(1439, 2.84174847)])
+        _write(change, "synth", seed, after,
+               [_synth_op(1450, 2.84174808, t_s=seed / 5), _synth_op(1450, 2.84174808)])
+    _write(parent, "fit", 7, 10.0, [{"ok": True, "t_s": 0.5, "target_met": True,
+                                     "iterations": 9},
+                                    {"ok": False, "t_s": 0.1}])
+    _write(change, "fit", 7, 9.0, [{"ok": True, "t_s": 0.75, "target_met": True,
+                                    "iterations": 8},
+                                   {"ok": True, "t_s": 0.1, "target_met": True,
+                                    "iterations": 11}])
     _write(change, "files", 9, 100.0, [{"ok": True}])  # no parent run: not a pair
     (parent / "synth-seed1-trace1.json").write_text("{}")  # traced: not read
     out = tmp_path / "BENCH_1.json"
@@ -61,8 +67,14 @@ def test_summary_of_paired_runs(tmp_path):
     assert mean["median_change_ratio"] == pytest.approx(-60.0 / 190.0)
     assert mean["parent_iqr"] == 10.0
     assert synth["metrics"]["setup_s"]["change_wins"] == 0  # ties are not wins
+    first = synth["first_op_s"]
+    assert first["parent"] == pytest.approx({"median": 0.2, "q1": 0.15, "q3": 0.25})
+    assert first["change"] == pytest.approx({"median": 0.4, "q1": 0.3, "q3": 0.5})
+    assert summary["workloads"]["fit"]["first_op_s"] == {
+        "parent": {"median": 0.5, "q1": 0.5, "q3": 0.5},
+        "change": {"median": 0.75, "q1": 0.75, "q3": 0.75}}
     outcome = dict(_synth_op(1450, 2.84174808), ops=6)
-    del outcome["ok"]
+    del outcome["ok"], outcome["t_s"]
     assert synth["quality"]["change"]["specs"] == [outcome]
 
     fit = summary["workloads"]["fit"]["quality"]

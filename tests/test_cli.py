@@ -273,6 +273,63 @@ def test_rejected_runs_leave_no_files(tmp_path, reference_design, capsys, argv, 
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.fixture()
+def command_inputs(tmp_path, reference_design):
+    """An input file for each command, named by the key its argv uses."""
+    path, design = reference_design
+    s2p = tmp_path / "filter.s2p"
+    s2p.write_text(io_formats.write_touchstone(
+        acoufilt.build_ladder_response(design, parse_grid_spec("1e9:4e10:201"))))
+    s1p = tmp_path / "res.s1p"
+    truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    s1p.write_text(io_formats.write_touchstone(
+        acoufilt.one_port_s11(truth, parse_grid_spec("5e9:1e11:401"))))
+    # Infeasible coupling: synthesize returns the seed without a search.
+    spec = tmp_path / "spec.kv"
+    spec.write_text(io_formats.write_design_spec(acoufilt.DesignSpec(10e9, 1.5, k2=0.1)))
+    return {"design": path, "s2p": s2p, "s1p": s1p, "spec": spec, "tmp": tmp_path}
+
+
+@pytest.mark.parametrize("argv, first, second", [
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:401", "--out", "{tmp}/a.s2p",
+      "--metrics", "{tmp}/a.s2p"], "{tmp}/a.s2p", "{tmp}/a.s2p"),
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:401", "--out", "{tmp}/a.s2p",
+      "--metrics", "{tmp}/./a.s2p"], "{tmp}/a.s2p", "{tmp}/./a.s2p"),
+    # a symlink, dangling until the output it points at is written
+    (["simulate", "--design", "{design}", "--grid", "1e9:4e10:401", "--out", "{tmp}/a.s2p",
+      "--metrics", "{tmp}/link.csv"], "{tmp}/a.s2p", "{tmp}/link.csv"),
+    (["fit", "--input", "{s1p}", "--out", "{tmp}/f.kv", "--report", "{tmp}/f.kv"],
+     "{tmp}/f.kv", "{tmp}/f.kv"),
+    (["metrics", "--input", "{s2p}", "--out", "{tmp}/m", "--svg", "{tmp}/m"],
+     "{tmp}/m", "{tmp}/m"),
+    (["synthesize", "--spec", "{spec}", "--grid", "5e9:1.8e10:11", "--out", "{tmp}/d.kv",
+      "--touchstone", "{tmp}/d.kv"], "{tmp}/d.kv", "{tmp}/d.kv"),
+], ids=["simulate-same-string", "simulate-dot-path", "simulate-symlink", "fit", "metrics",
+        "synthesize"])
+def test_outputs_naming_one_file_are_refused(command_inputs, capsys, argv, first, second):
+    tmp = command_inputs["tmp"]
+    os.symlink(tmp / "a.s2p", tmp / "link.csv")
+    before = sorted(tmp.iterdir())
+    rc = main([a.format(**command_inputs) for a in argv])
+    assert rc == 1
+    first, second = (path.format(**command_inputs) for path in (first, second))
+    assert capsys.readouterr().err == (
+        f"error: outputs {first!r} and {second!r} name the same file\n")
+    assert sorted(tmp.iterdir()) == before
+
+
+@pytest.mark.parametrize("value", ["0", "2147483648"])
+def test_fit_max_iterations_outside_minpacks_int_is_exit_1(command_inputs, capsys, value):
+    tmp = command_inputs["tmp"]
+    before = sorted(tmp.iterdir())
+    rc = main(["fit", "--input", str(command_inputs["s1p"]), "--out", str(tmp / "f.kv"),
+               "--max-iterations", value])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: max_iterations must be an integer in [1, 2147483647], got {value}\n")
+    assert sorted(tmp.iterdir()) == before
+
+
 def test_metrics_without_out_writes_to_stdout(tmp_path, reference_design, capsys):
     path, design = reference_design
     s2p = tmp_path / "filter.s2p"

@@ -272,6 +272,18 @@ def test_fit_options_validation():
         FitOptions(weight_mode="nope")
 
 
+@pytest.mark.parametrize("n", [0, -1, 2**31, 2.5, 200.0, True, "200", None])
+def test_max_iterations_outside_minpacks_int_is_domain_error(n):
+    # MINPACK's maxfev is a C int: 2**31 overflowed it and 2.5 failed in scipy.
+    with pytest.raises(DomainError, match=r"an integer in \[1, 2147483647\]"):
+        FitOptions(max_iterations=n)
+
+
+def test_largest_max_iterations_reaches_minpack():
+    result = fit_mbvd(CURVE, initial_guess(CURVE), FitOptions(max_iterations=2**31 - 1))
+    assert result.converged
+
+
 def test_uniform_weighting_also_recovers():
     result = fit_mbvd(CURVE, initial_guess(CURVE), FitOptions(weight_mode="uniform"))
     assert result.converged

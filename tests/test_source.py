@@ -52,20 +52,38 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_fitting_loads_no_scipy_signal_and_mbvd_binds_no_scipy_name():
+def test_only_fit_and_synthesize_load_scipy(tmp_path):
     # In a fresh interpreter, since this session may have imported anything.
+    # simulate, metrics and sweep run through cli.main; scipy.optimize takes
+    # about half a second to import, which they must not pay.
     code = (
         "import sys, types\n"
-        "import acoufilt.fitting, acoufilt.mbvd\n"
-        "assert 'scipy.signal' not in sys.modules\n"
+        "import acoufilt, acoufilt.cli\n"
+        "from acoufilt import io_formats, mbvd_from_targets, shunt_series_shunt\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert loaded() == [], loaded()\n"
         "bound = [name for name, value in vars(acoufilt.mbvd).items()\n"
         "         if (value.__name__ if isinstance(value, types.ModuleType)\n"
         "             else getattr(value, '__module__', None) or '').startswith('scipy')]\n"
         "assert bound == [], bound\n"
+        "design = shunt_series_shunt(mbvd_from_targets(21e9, 0.46, 6.8e-14, 50),\n"
+        "                            mbvd_from_targets(23.5e9, 0.46, 3.4e-14, 50))\n"
+        "with open('d.kv', 'w') as fh:\n"
+        "    fh.write(io_formats.write_ladder_design(design))\n"
+        "grid = ['--grid', '1e9:4e10:401']\n"
+        "for argv in (['simulate', '--design', 'd.kv', *grid, '--out', 'd.s2p',\n"
+        "              '--metrics', 'd.csv'],\n"
+        "             ['metrics', '--input', 'd.s2p', '--out', 'm.csv', '--svg', 'd.svg'],\n"
+        "             ['sweep', '--design', 'd.kv', '--param', 'shunt.c0',\n"
+        "              '--range', '5e-14:8e-14:3', *grid, '--out', 's.csv']):\n"
+        "    assert acoufilt.cli.main(argv) == 0, argv\n"
+        "    assert loaded() == [], (argv[0], loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
 
 

@@ -8,7 +8,9 @@ reports that ``perfbench/run.py --trace 0`` wrote (``<workload>-seed<N>-trace0.j
 or directories holding those reports.  A pair is one workload and seed run
 on both sides.  For each workload the summary gives, per side, the median
 and quartiles of every end-to-end metric that the benchmark file gates, how
-many pairs the change won, and the quality numbers next to the times:
+many pairs the change won, the median and quartiles over runs of each
+run's first-op wall time (where a one-time cost moved out of set-up shows),
+and the quality numbers next to the times:
 synthesis evaluations, feasibility and metrics per distinct spec outcome,
 fit targets met and mean fit iterations per run, and failed ops.  A revision
 is read with ``git rev-parse HEAD`` in a checkout unless it is given.
@@ -63,6 +65,12 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def first_op(reports: list[dict]) -> dict | None:
+    """Spread over runs of the first op's wall time; None when no run has an op."""
+    times = [report["ops"][0]["t_s"] for report in reports if report["ops"]]
+    return spread(times) if times else None
+
+
 def _mean_iterations(ops: list[dict]) -> float | None:
     """Mean fit iterations over the ops that report them (failed ops do not)."""
     its = [op["iterations"] for op in ops if "iterations" in op]
@@ -93,7 +101,7 @@ def quality(workload: str, reports: list[dict]) -> dict:
 
 def summarize(parent: dict, change: dict, gated: list[dict]) -> dict:
     """Per workload: the paired seeds, its inputs, gated metrics per side,
-    and quality."""
+    first-op wall time per side, and quality."""
     workloads = {}
     for workload in sorted({w for w, _ in parent} | {w for w, _ in change}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -119,6 +127,7 @@ def summarize(parent: dict, change: dict, gated: list[dict]) -> dict:
             "seeds": seeds,
             "inputs": sides["change"][0]["environment"].get("inputs"),
             "metrics": metrics,
+            "first_op_s": {side: first_op(runs) for side, runs in sides.items()},
             "quality": {side: quality(workload, runs) for side, runs in sides.items()},
         }
     return workloads
