@@ -28,20 +28,26 @@ from .synthesis import synthesize_ladder
 def _atomic_write(path: str, text: str) -> None:
     """Write via temp file + rename so interrupted runs never corrupt files.
 
-    The temp file is created private (0600); before the rename it gets the
-    mode an ordinary new file would have, 0666 less the umask.  An OSError
-    is raised again naming ``path``, not the temp file.
+    As with an ordinary write, a symlinked ``path`` stays a link and the
+    file it resolves to gets the text.  The temp file is created private
+    (0600) beside that file; before the rename it gets the permission bits
+    of the file it replaces, or, for a new file, 0666 less the umask.  An
+    OSError is raised again naming ``path``, not the temp file.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    real = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acoufilt-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".acoufilt-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            mode = os.stat(real).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
+        os.replace(tmp, real)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -50,13 +56,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text); none when two paths name one file, since the
-    last would silently replace the first.  realpath resolves ``./`` and
+def _write_outputs(outputs: list[tuple[str, str]], inputs: list[str]) -> None:
+    """Write each (path, text); none when a path names one of the command's
+    inputs or two paths name one file, since the write would silently
+    replace the input or the first output.  realpath resolves ``./`` and
     symlinks."""
+    read = {os.path.realpath(path): path for path in inputs}
     seen: dict[str, str] = {}
     for path, _ in outputs:
         real = os.path.realpath(path)
+        if real in read:
+            raise AcoufiltError(f"output {path!r} names the input {read[real]!r}")
         if real in seen:
             raise AcoufiltError(f"outputs {seen[real]!r} and {path!r} name the same file")
         seen[real] = path
@@ -95,7 +105,7 @@ def _cmd_simulate(args) -> int:
         if args.metrics:
             m = passband_metrics(block.s21(), guard=args.guard)
             outputs.append((args.metrics, io_formats.write_metrics_csv(m)))
-    _write_outputs(outputs)
+    _write_outputs(outputs, [args.design])
     return 0
 
 
@@ -111,7 +121,7 @@ def _cmd_fit(args) -> int:
     outputs = [(args.out, io_formats.write_resonator(result.params, args.section))]
     if args.report:
         outputs.append((args.report, _fit_report_csv(result)))
-    _write_outputs(outputs)
+    _write_outputs(outputs, [args.input])
     print(f"fit: converged={result.converged} iterations={result.iterations} "
           f"residual_norm={result.residual_norm:.6e}")
     return 0
@@ -141,7 +151,7 @@ def _cmd_synthesize(args) -> int:
     if args.metrics:
         m = passband_metrics(block.s21(), guard=args.guard)
         outputs.append((args.metrics, io_formats.write_metrics_csv(m)))
-    _write_outputs(outputs)
+    _write_outputs(outputs, [args.spec])
     m = result.metrics
     flag = "feasible" if result.feasible else "INFEASIBLE"
     if m is None:
@@ -165,7 +175,7 @@ def _cmd_metrics(args) -> int:
         outputs.append((args.out, text))
     if args.svg:
         outputs.append((args.svg, svgplot.s21_magnitude_svg(s21)))
-    _write_outputs(outputs)
+    _write_outputs(outputs, [args.input])
     if not args.out:
         sys.stdout.write(text)
     return 0
@@ -192,7 +202,7 @@ def _cmd_sweep(args) -> int:
             rows.append((value, *(v for _, v in m.as_rows())))
         except AcoufiltError:
             rows.append((value, *[math.nan] * len(METRIC_NAMES)))
-    _write_outputs([(args.out, io_formats.write_csv(rows))])
+    _write_outputs([(args.out, io_formats.write_csv(rows))], [args.design])
     return 0
 
 

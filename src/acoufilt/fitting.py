@@ -38,7 +38,9 @@ _LOG_BOUND = 300.0
 # ftol, xtol and gtol of the least-squares search.
 _TOL = 1e-10
 # Singular values of the rational fit's rows below this fraction of the
-# largest count as zero, as in lstsq's default for the full rows.
+# largest count as zero.  Fixed rather than scaled with the row count, so
+# that the rank test reads the same on every grid size; _weights also cuts
+# samples at this fraction of the largest |y|.
 _RCOND = 1e-12
 WEIGHT_MODES = ("inverse-magnitude", "uniform")  # FitOptions.weight_mode's, default first
 # Largest max_iterations: MINPACK's evaluation cap, maxfev, is a C int.
@@ -78,9 +80,8 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     weights each row by 1/|y|, the second by 1/|y*den| of the first
     (Sanathanan-Koerner 1963), so that its residual approximates the fit's
     own relative error |num/den - y| / |y|.  A sample that _weights leaves
-    out and a zero of den on the grid get weight 0.  Each pass reduces the
-    weighted rows and right-hand side to 8 x 8 by Householder QR and solves
-    the 7 x 7 part by SVD, as lstsq on the full rows would.
+    out and a zero of den on the grid get weight 0.  Each pass is one
+    np.linalg.lstsq on the weighted rows and right-hand side.
     """
     n = x.size
     g, b = y.real, y.imag
@@ -99,8 +100,7 @@ def _rational_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for _ in range(2):
         w[np.isinf(w)] = 0.0
         cols *= np.concatenate([w, w])
-        r = np.linalg.qr(cols.T, mode="r")
-        coef, _, rank, _ = np.linalg.lstsq(r[:7, :7], r[:7, 7], rcond=_RCOND)
+        coef, _, rank, _ = np.linalg.lstsq(cols[:7].T, cols[7], rcond=_RCOND)
         if rank < 7:
             raise StructureError(
                 f"the sweep fixes only {rank} of the 7 coefficients of a resonator "

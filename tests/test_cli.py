@@ -318,6 +318,29 @@ def test_outputs_naming_one_file_are_refused(command_inputs, capsys, argv, first
     assert sorted(tmp.iterdir()) == before
 
 
+@pytest.mark.parametrize("spelling", ["same-string", "dot-path", "symlink"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--design", "{design}", "--grid", "1e9:4e10:401", "--out", "{out}"],
+    ["fit", "--input", "{s1p}", "--out", "{out}"],
+    ["synthesize", "--spec", "{spec}", "--grid", "5e9:1.8e10:11", "--out", "{out}"],
+    ["metrics", "--input", "{s2p}", "--svg", "{out}"],
+    ["sweep", "--design", "{design}", "--param", "shunt.c0", "--range", "1e-13:2e-13:3",
+     "--grid", "1e9:4e10:101", "--out", "{out}"],
+], ids=lambda argv: argv[0])
+def test_an_output_naming_the_input_is_refused(command_inputs, capsys, argv, spelling):
+    tmp = command_inputs["tmp"]
+    given = argv[2].format(**command_inputs)
+    source = os.path.basename(given)
+    out = {"same-string": given, "dot-path": f"{tmp}/./{source}",
+           "symlink": f"{tmp}/link"}[spelling]
+    os.symlink(given, tmp / "link")
+    before = {path: path.read_bytes() for path in tmp.iterdir()}
+    rc = main([a.format(out=out, **command_inputs) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: output {out!r} names the input {given!r}\n"
+    assert {path: path.read_bytes() for path in tmp.iterdir()} == before
+
+
 @pytest.mark.parametrize("value", ["0", "2147483648"])
 def test_fit_max_iterations_outside_minpacks_int_is_exit_1(command_inputs, capsys, value):
     tmp = command_inputs["tmp"]
@@ -648,3 +671,34 @@ def test_outputs_get_the_umask_mode(tmp_path, reference_design):
         os.umask(old)
     assert rc == 0
     assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+
+def test_a_symlinked_output_is_written_through(tmp_path, reference_design):
+    path, _ = reference_design
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "filter.s2p"
+    target.write_text("old")
+    link = tmp_path / "link.s2p"
+    os.symlink(target, link)
+    argv = ["simulate", "--design", str(path), "--grid", "10e9:40e9:51"]
+    assert main([*argv, "--out", str(link)]) == 0
+    assert main([*argv, "--out", str(tmp_path / "direct.s2p")]) == 0
+    assert os.readlink(link) == str(target)
+    assert target.read_text() == (tmp_path / "direct.s2p").read_text()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["filter.s2p"]
+
+
+def test_an_existing_output_keeps_its_mode(tmp_path, reference_design):
+    path, _ = reference_design
+    out = tmp_path / "filter.s2p"
+    out.write_text("old")
+    out.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        rc = main(["simulate", "--design", str(path), "--grid",
+                   "10e9:40e9:51", "--out", str(out)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert out.read_text() != "old"
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
