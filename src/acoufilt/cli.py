@@ -61,12 +61,12 @@ def _write_outputs(outputs: list[tuple[str, str]], inputs: list[str]) -> None:
     inputs or two paths name one file, since the write would silently
     replace the input or the first output.  realpath resolves ``./`` and
     symlinks."""
-    read = {os.path.realpath(path): path for path in inputs}
+    sources = {os.path.realpath(path): path for path in inputs}
     seen: dict[str, str] = {}
     for path, _ in outputs:
         real = os.path.realpath(path)
-        if real in read:
-            raise AcoufiltError(f"output {path!r} names the input {read[real]!r}")
+        if real in sources:
+            raise AcoufiltError(f"output {path!r} names the input {sources[real]!r}")
         if real in seen:
             raise AcoufiltError(f"outputs {seen[real]!r} and {path!r} name the same file")
         seen[real] = path

@@ -329,7 +329,7 @@ def test_outputs_naming_one_file_are_refused(command_inputs, capsys, argv, first
 ], ids=lambda argv: argv[0])
 def test_an_output_naming_the_input_is_refused(command_inputs, capsys, argv, spelling):
     tmp = command_inputs["tmp"]
-    given = argv[2].format(**command_inputs)
+    given = argv[2].format(**command_inputs)  # each argv names its input first
     source = os.path.basename(given)
     out = {"same-string": given, "dot-path": f"{tmp}/./{source}",
            "symlink": f"{tmp}/link"}[spelling]
