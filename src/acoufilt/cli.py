@@ -6,6 +6,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -31,22 +32,29 @@ def _atomic_write(path: str, text: str) -> None:
     As with an ordinary write, a symlinked ``path`` stays a link and the
     file it resolves to gets the text.  The temp file is created private
     (0600) beside that file; before the rename it gets the permission bits
-    of the file it replaces, or, for a new file, 0666 less the umask.  An
-    OSError is raised again naming ``path``, not the temp file.
+    of the file it replaces, or, for a new file, 0666 less the umask.  A
+    ``path`` that exists and is not a regular file, a FIFO or a device, is
+    written through with open(), as ``cat > path`` would: a rename would
+    replace it, and a FIFO blocks until a reader opens it.  An OSError is
+    raised again naming ``path``, not the temp file.
     """
     real = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".acoufilt-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
         try:
-            mode = os.stat(real).st_mode & 0o777
+            mode = os.stat(real).st_mode
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(real, "w") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".acoufilt-")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, mode & 0o777)
         os.replace(tmp, real)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -82,22 +82,29 @@ def _jw(f: np.ndarray) -> np.ndarray:
     return 1j * (2.0 * math.pi * f)
 
 
+def _routing(jw, rs: float, ls: float):
+    """The routing impedance rs + jw*ls of _circuit_terms, or None where
+    rs = ls = 0."""
+    return rs + jw * ls if rs or ls else None
+
+
 def _terms(p: MbvdParams, jw):
     """pm, ps, num and den of the admittance Y = num / den of p (see
     _circuit_terms)."""
-    return _circuit_terms(jw, p.rm, p.lm, p.cm, p.c0, p.rs, p.ls, p.r0)
+    return _circuit_terms(jw, p.rm, p.lm, p.cm, p.c0, _routing(jw, p.rs, p.ls), p.r0)
 
 
-def _circuit_terms(jw, rm, lm, cm, c0, rs=0.0, ls=0.0, r0=0.0):
+def _circuit_terms(jw, rm, lm, cm, c0, routing=None, r0=0.0):
     """pm, ps, num and den of the admittance Y = num / den of the circuit
     with these element values, taken as they are.
 
     With s = jw, the motional branch is pm / (s*cm), the static branch
     ps / (s*c0) and their parallel admittance num / (pm*ps), so that
     Y = 1 / (rs + s*ls + pm*ps/num) = num / (pm*ps + (rs + s*ls)*num) takes
-    one division.  Without r0, ps is 1 and is not formed, and without rs
-    and ls the routing term is 0; skipping them gives the same values with
-    fewer array passes.
+    one division.  ``routing`` is _routing(jw, rs, ls): a caller that
+    shares jw and the parasitics among many circuits forms it once.
+    Without r0, ps is 1 and is not formed, and without a routing term den
+    is pm*ps; skipping them gives the same values with fewer array passes.
     """
     pm = (jw * lm + rm) * jw * cm + 1.0
     if r0:
@@ -108,7 +115,7 @@ def _circuit_terms(jw, rm, lm, cm, c0, rs=0.0, ls=0.0, r0=0.0):
         ps = 1.0
         num = jw * (cm + c0 * pm)
         branches = pm
-    den = branches + (rs + jw * ls) * num if rs or ls else branches
+    den = branches if routing is None else branches + routing * num
     return pm, ps, num, den
 
 

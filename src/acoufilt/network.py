@@ -157,7 +157,7 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     f = block.freq_hz
     a, b, c, d = _entries(block.mats)
     with np.errstate(all="ignore"):
-        bz, cz = b / z0, c * z0
+        bz, cz = b * (1.0 / z0), c * z0
         delta = _nonzero(f, a + bz + cz + d)
         s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
                    2.0 / delta, (-a + bz - cz + d) / delta)
@@ -172,7 +172,8 @@ def _row(elements, p, q) -> tuple:
     elements are (series, v) pairs in ladder order.  A series element of
     impedance v = z maps each row (p, q) to (p, p*z + q), a shunt of
     admittance v = y to (p + q*y, q).  The row [1, z0] @ M = (P, Q) gives
-    the ABCD->S denominator delta = P + Q/z0.  Nothing is checked here, and
+    the ABCD->S denominator delta = P + Q/z0 (formed as P + Q*(1/z0), see
+    build_ladder_response).  Nothing is checked here, and
     callers evaluate under np.errstate: any non-finite value in that row,
     from a division by zero or an overflow, makes delta non-finite.
     """
@@ -197,6 +198,11 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
     determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  A zero delta is
     a SingularConversionError; values that overflow raise DomainError
     instead of giving non-finite S-parameters.
+
+    Each Q/z0 is formed as Q*(1/z0): numpy divides a complex array by a
+    real scalar as a multiply by its reciprocal, so every component keeps
+    its value, and its bits unless it is 0 (which may take the other sign),
+    without a complex division pass.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     z0 = design.z0
@@ -209,14 +215,15 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
             v = values[kind, res] = _immittance(res, f, impedance=series)
         elements.append((series, v))
     with np.errstate(all="ignore"):
+        inv_z0 = 1.0 / z0
         p, q = _row(elements, 1.0, z0)
-        delta = p + q / z0
+        delta = p + q * inv_z0
         if not np.isfinite(delta).all():
             raise DomainError("ladder response contains non-finite entries")
         _nonzero(f, delta)
         r, t = _row(elements, 1.0, -z0)
         s21 = 2.0 / delta
-        s = _stack(f.size, (r + t / z0) / delta, s21, s21, (q / z0 - p) / delta)
+        s = _stack(f.size, (r + t * inv_z0) / delta, s21, s21, (q * inv_z0 - p) / delta)
     if not np.isfinite(s).all():
         raise DomainError("S-parameters contain non-finite entries")
     return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=z0)
@@ -227,18 +234,25 @@ _DB_OF_2 = 20.0 * math.log10(2.0)
 
 def _ladder_s21_db(elements, z0: float) -> np.ndarray:
     """|S21| in dB of the ladder of (series, v) elements (see _row), from
-    delta alone: 20*log10|2/delta| as 20*log10(2) - 20*log10|delta|.
+    delta = P + Q*(1/z0) alone: 20*log10|2/delta| as
+    20*log10(2) - 20*log10|delta|.
 
     Called under np.errstate.  Where build_ladder_response of the same
     elements names a fault (a delta that is not finite or is 0, or a series
-    short, z = 0), this raises one generic DomainError.
+    short, z = 0), this raises one generic DomainError.  The test runs on
+    |delta|, which the dB needs anyway: a |delta| that is positive and
+    finite everywhere is a finite, nonzero delta, and only where it is not
+    (a fault, or a finite delta whose |delta| overflows) are delta's own
+    entries tested.
     """
     p, q = _row(elements, 1.0, z0)
-    delta = p + q / z0
-    if (not np.isfinite(delta).all() or not delta.all()
+    delta = p + q * (1.0 / z0)
+    mag = np.abs(delta)
+    if ((not (mag.min() > 0.0 and mag.max() < math.inf)
+         and (not np.isfinite(delta).all() or not delta.all()))
             or any(series and not v.all() for series, v in elements)):
         raise DomainError("the ladder has no finite response")
-    return _DB_OF_2 - 20.0 * np.log10(np.abs(delta))
+    return _DB_OF_2 - 20.0 * np.log10(mag)
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:

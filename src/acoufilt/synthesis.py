@@ -18,7 +18,7 @@ import numpy as np
 from . import metrics
 from .curves import validate_grid
 from .errors import AcoufiltError, DomainError
-from .mbvd import K2_MAX, _circuit_terms, _jw, _motional, mbvd_from_targets
+from .mbvd import K2_MAX, _circuit_terms, _jw, _motional, _routing, mbvd_from_targets
 from .metrics import DEFAULT_GUARD, FilterMetrics, _check_guard, passband_metrics
 from .network import LadderDesign, _ladder_s21_db, build_ladder_response, shunt_series_shunt
 
@@ -107,30 +107,32 @@ def _design_from_x(x: np.ndarray, spec: DesignSpec) -> LadderDesign:
     return shunt_series_shunt(shunt, series, z0=spec.z0)
 
 
-def _s21_db(x: np.ndarray, spec: DesignSpec, jw: np.ndarray) -> np.ndarray:
+def _s21_db(x: np.ndarray, spec: DesignSpec, jw: np.ndarray,
+            routing: np.ndarray | None) -> np.ndarray:
     """|S21| in dB of the ladder _design_from_x(x, spec) on the grid of
     jw = _jw(f), from the floats of x with no design built: the series
     impedance z = den / num and the shunt admittance y = num / den, once
-    each, through the one ladder kernel.  A DomainError where the placement
-    has no circuit or the ladder no response."""
+    each, through the one ladder kernel.  routing is
+    _routing(jw, spec.rs, spec.ls), formed once per search.  Called under
+    np.errstate(all="ignore"), which the search enters once; a DomainError
+    where the placement has no circuit or the ladder no response."""
     fs_se, fs_sh, c0_se, c0_sh = x
-    k2, q, rs, ls = spec.k2, spec.q, spec.rs, spec.ls
-    rm_se, lm_se, cm_se = _motional(fs_se, k2, c0_se, q)
-    rm_sh, lm_sh, cm_sh = _motional(fs_sh, k2, c0_sh, q)
-    with np.errstate(all="ignore"):
-        _, _, num, den = _circuit_terms(jw, rm_se, lm_se, cm_se, c0_se, rs, ls)
-        z = den / num
-        _, _, num, den = _circuit_terms(jw, rm_sh, lm_sh, cm_sh, c0_sh, rs, ls)
-        y = num / den
-        return _ladder_s21_db(((False, y), (True, z), (False, y)), spec.z0)
+    rm_se, lm_se, cm_se = _motional(fs_se, spec.k2, c0_se, spec.q)
+    rm_sh, lm_sh, cm_sh = _motional(fs_sh, spec.k2, c0_sh, spec.q)
+    _, _, num, den = _circuit_terms(jw, rm_se, lm_se, cm_se, c0_se, routing)
+    z = den / num
+    _, _, num, den = _circuit_terms(jw, rm_sh, lm_sh, cm_sh, c0_sh, routing)
+    y = num / den
+    return _ladder_s21_db(((False, y), (True, z), (False, y)), spec.z0)
 
 
 def _placement_score(x: np.ndarray, spec: DesignSpec, grid: np.ndarray, jw: np.ndarray,
-                     guard: float) -> float:
-    """The search's score of placement x on the scoring grid and its jw,
-    from |S21| in dB alone; a toolkit error anywhere is a failed evaluation."""
+                     routing: np.ndarray | None, guard: float) -> float:
+    """The search's score of placement x on the scoring grid, its jw and
+    routing term, from |S21| in dB alone; a toolkit error anywhere is a
+    failed evaluation.  Called under np.errstate (see _s21_db)."""
     try:
-        m = metrics._metrics_from_db(grid, _s21_db(x, spec, jw), guard)
+        m = metrics._metrics_from_db(grid, _s21_db(x, spec, jw, routing), guard)
     except AcoufiltError:
         return _FAILED_EVAL_PENALTY
     return _score(m, spec)
@@ -172,6 +174,10 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
     metrics; ``feasible`` reports whether every target is met.  The search
     is fully deterministic: fixed initial simplex, fixed evaluation cap.
     ``guard`` is passband_metrics' stopband guard, checked once here.
+
+    What every candidate shares is formed once per search: the grid's jw
+    and the spec's routing term rs + jw*ls.  The whole search runs in one
+    np.errstate(all="ignore"), so that no candidate enters its own.
     """
     # Imported here, not with the module: scipy.optimize takes about half a
     # second to import, which commands that synthesize nothing skip.
@@ -180,7 +186,6 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
     _check_guard(guard)
     grid = validate_grid(np.linspace(_GRID_SPAN[0] * spec.fc_target,
                                      _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))
-    jw = _jw(grid)
 
     def evaluate(x):
         """The design at x and its metrics from the full two-port response,
@@ -197,18 +202,21 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
     if spec.bandwidth_within_coupling():
         # The search runs on u = x / x0, so hertz and farads share one scale.
         simplex = np.vstack([np.ones(4), np.eye(4) * 0.05 + 1.0])
-        res = minimize(
-            lambda u: _placement_score(x0 * u, spec, grid, jw, guard),
-            np.ones(4),
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxfev": _MAX_EVALS,
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "adaptive": False,
-            },
-        )
+        with np.errstate(all="ignore"):
+            jw = _jw(grid)
+            routing = _routing(jw, spec.rs, spec.ls)
+            res = minimize(
+                lambda u: _placement_score(x0 * u, spec, grid, jw, routing, guard),
+                np.ones(4),
+                method="Nelder-Mead",
+                options={
+                    "initial_simplex": simplex,
+                    "maxfev": _MAX_EVALS,
+                    "xatol": _XATOL,
+                    "fatol": _FATOL,
+                    "adaptive": False,
+                },
+            )
         n_evals = res.nfev
         try:
             design, m = evaluate(x0 * res.x)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import os
 import stat
+import threading
 import warnings
 
 import numpy as np
@@ -702,3 +703,23 @@ def test_an_existing_output_keeps_its_mode(tmp_path, reference_design):
     assert rc == 0
     assert out.read_text() != "old"
     assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_a_fifo_output_is_written_through(tmp_path, reference_design):
+    # A rename would put a regular file in the FIFO's place, and its reader
+    # would never get the text.
+    path, _ = reference_design
+    pipe = tmp_path / "pipe.s2p"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    argv = ["simulate", "--design", str(path), "--grid", "10e9:40e9:51"]
+    assert main([*argv, "--out", str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert main([*argv, "--out", str(tmp_path / "direct.s2p")]) == 0
+    assert got == [(tmp_path / "direct.s2p").read_text()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.s2p", "pipe.s2p",
+                                                         "reference.kv"]

@@ -490,6 +490,84 @@ def test_s21_db_path_matches_build_ladder_response(case):
     assert np.all(np.abs(db - ref) <= 1e-12)
 
 
+_SUBNORMAL = 5e-324
+_HUGE = 1.5e308  # finite, but hypot of two of them overflows
+_components = st.builds(lambda m, negative: -m if negative else m,
+                        st.floats(1e-300, 1e300), st.booleans())
+_reference_impedances = (st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
+                         | st.sampled_from([50.0, _SUBNORMAL, 1e-310, 1e308, 1.7976931348623157e308]))
+
+
+@given(st.lists(st.tuples(_components, _components), min_size=1, max_size=64),
+       _reference_impedances)
+@example([(-1e-300, -1.0), (1e-300, -1.0), (-1.0, 1e-300)], 1e300)
+@example([(1.0, -4.796679607020972e-145)], 1.9417175217085397e+179)
+@example([(1e300, -1e300), (-1e-300, 1e-300)], _SUBNORMAL)
+def test_dividing_by_z0_is_multiplying_by_its_reciprocal(entries, z0):
+    # The ladder kernel forms Q/z0 as Q*(1/z0) and relies on numpy giving
+    # the same value in every component: its complex divide by z0 + 0j
+    # scales by 1/z0.  The values compare as floats: a component that
+    # underflows to 0 may take either sign (the second example), which no
+    # |delta| reads, and every other component has the same bits.  If numpy
+    # changes that, the synthesis scores, and with them the search path,
+    # move.
+    q = np.array([complex(a, b) for a, b in entries])
+    with np.errstate(all="ignore"):
+        quotient, product = (q / z0).view(float), (q * (1.0 / z0)).view(float)
+    assert np.array_equal(quotient, product)
+
+
+def _reference_ladder_s21_db(elements, z0):
+    """The kernel's |S21| in dB as first written: delta = P + Q/z0 tested
+    entry by entry; None where that names a fault."""
+    p, q = network._row(elements, 1.0, z0)
+    delta = p + q / z0
+    if (not np.isfinite(delta).all() or not delta.all()
+            or any(series and not v.all() for series, v in elements)):
+        return None
+    return network._DB_OF_2 - 20.0 * np.log10(np.abs(delta))
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, _HUGE, -_HUGE, _SUBNORMAL, 1e300]
+
+
+@st.composite
+def kernel_elements(draw):
+    """1-4 (series, v) elements on a shared grid of 1-8 points, v of modest
+    size with a few components replaced by 0, +-inf, NaN or huge values."""
+    n = draw(st.integers(1, 8))
+    elements = []
+    for _ in range(draw(st.integers(1, 4))):
+        v = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=2 * n, max_size=2 * n)))
+        for _ in range(draw(st.integers(0, 2))):
+            v[draw(st.integers(0, 2 * n - 1))] = draw(st.sampled_from(_SPECIAL))
+        elements.append((draw(st.booleans()), v.view(complex)))
+    return elements
+
+
+@given(kernel_elements(), st.floats(1e-3, 1e3) | st.sampled_from([1.0, _SUBNORMAL, 1e308]))
+@example([(False, np.array([complex(_HUGE, _HUGE)]))], 1.0)
+@example([(True, np.array([0j, 1 + 1j]))], 50.0)
+@example([(False, np.array([complex(math.inf, 0.0)]))], 50.0)
+@example([(False, np.array([complex(math.nan, 1.0)]))], 50.0)
+@example([(False, np.array([-1.0 + 0j]))], 2.0)
+def test_kernel_names_a_fault_exactly_where_the_entrywise_test_does(elements, z0):
+    # The kernel tests |delta| first and delta's entries only where |delta|
+    # is not positive and finite.  It must raise exactly where the
+    # entrywise test on delta = P + Q/z0 names a fault (a non-finite or zero
+    # delta, or a series short), and elsewhere return the same bits.  The
+    # examples: a finite delta whose |delta| overflows (-inf dB), a series
+    # short, delta = inf and delta = NaN, and delta = 0 (a shunt y = -2/z0).
+    with np.errstate(all="ignore"):
+        ref = _reference_ladder_s21_db(elements, z0)
+        if ref is None:
+            with pytest.raises(DomainError, match="no finite response"):
+                _ladder_s21_db(elements, z0)
+            return
+        got = _ladder_s21_db(elements, z0)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 # Grids on which the admittance itself overflows; on the others only a
 # series element's impedance 1 / y does.
 _ADMITTANCE_OVERFLOWS = ("1e150:1e160:3", "1e300:1e308:3")

@@ -20,7 +20,7 @@ from acoufilt import (
 )
 from acoufilt import metrics, synthesis
 from acoufilt.errors import AcoufiltError, DomainError
-from acoufilt.mbvd import _jw
+from acoufilt.mbvd import _jw, _routing
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
 REFERENCE_SPEC = DesignSpec(
@@ -104,7 +104,7 @@ def test_scoring_on_s21_alone_matches_the_full_response(monkeypatch, reference_r
     grid = _scoring_grid(REFERENCE_SPEC)
     calls = []
 
-    def full_response_db(x, spec, jw):
+    def full_response_db(x, spec, jw, routing):
         calls.append(x)
         return _full_response_db(synthesis._design_from_x(x, spec), grid)
 
@@ -158,7 +158,11 @@ def test_float_path_score_matches_the_built_design(spec, u, guard):
     grid = _scoring_grid(spec)
     with np.errstate(over="ignore"):  # x may hold inf: a placement without a circuit
         x = synthesis._seed_placement(spec) * np.array(u)
-    got = synthesis._placement_score(x, spec, grid, _jw(grid), guard)
+    # Scored as the search scores it: under its errstate, with its routing term.
+    with np.errstate(all="ignore"):
+        jw = _jw(grid)
+        got = synthesis._placement_score(x, spec, grid, jw, _routing(jw, spec.rs, spec.ls),
+                                         guard)
     assert got.hex() == _built_design_score(x, spec, grid, guard, kernel_s21_db).hex()
     full = _built_design_score(x, spec, grid, guard, _full_response_db)
     assert (got == synthesis._FAILED_EVAL_PENALTY) == (full == synthesis._FAILED_EVAL_PENALTY)
