@@ -172,8 +172,7 @@ def _row(elements, p, q) -> tuple:
     elements are (series, v) pairs in ladder order.  A series element of
     impedance v = z maps each row (p, q) to (p, p*z + q), a shunt of
     admittance v = y to (p + q*y, q).  The row [1, z0] @ M = (P, Q) gives
-    the ABCD->S denominator delta = P + Q/z0 (formed as P + Q*(1/z0), see
-    build_ladder_response).  Nothing is checked here, and
+    the ABCD->S denominator delta = P + Q/z0.  Nothing is checked here, and
     callers evaluate under np.errstate: any non-finite value in that row,
     from a division by zero or an overflow, makes delta non-finite.
     """
