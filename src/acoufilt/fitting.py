@@ -22,9 +22,10 @@ import numpy as np
 
 from .curves import ComplexCurve
 from .errors import DomainError, SearchError, StructureError
-from .mbvd import MbvdParams, ResonatorSummary, _jw, _log_jacobian, _terms, summarize
-# Unused here since the fit evaluates the model through _terms; perfbench/spans.py
-# still traces the fit's model evaluations under this name.
+from .mbvd import (MbvdParams, ResonatorSummary, _circuit_terms, _jw, _log_jacobian, _routing,
+                   summarize)
+# Unused here since the fit evaluates the model through _circuit_terms;
+# perfbench/spans.py still traces the fit's model evaluations under this name.
 from .mbvd import resonator_admittance  # noqa: F401
 
 # Fitted parameters, in MbvdParams order; r0 is held at zero.
@@ -179,7 +180,7 @@ def _pack(p: MbvdParams) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray) -> MbvdParams:
-    return MbvdParams(*(float(v) for v in np.exp(x)))
+    return MbvdParams(*np.exp(x).tolist())
 
 
 def _weights(values: np.ndarray) -> np.ndarray:
@@ -209,51 +210,65 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     MINPACK's Levenberg-Marquardt lmder, called through ``leastsq``,
     works on the log-parameters, without bounds, with the analytic Jacobian
     of the model handed over column-major (one row per log-parameter, as
-    lmder stores it); ``max_iterations`` caps its residual evaluations.  A
-    trial point with a log-parameter beyond +-_LOG_BOUND or NaN has an infinite
-    residual, so the search rejects it and shortens its step.  The static
-    loss r0 is not fitted and comes back as zero.  Reaching the cap gives a
-    non-converged result, not an exception; parameters without a resonance,
-    converged or not, raise SearchError.
+    lmder stores it); ``max_iterations`` caps its residual evaluations.  Each
+    sample gives two real residuals, so a sweep of 3 samples is the least
+    that fixes the 6 parameters (lmder needs m >= n).  A trial point with a
+    log-parameter beyond +-_LOG_BOUND or NaN has an infinite residual, so
+    the search rejects it and shortens its step.  Trial points are evaluated
+    on the floats of exp(x), which are positive and finite within the bound,
+    so no MbvdParams is built for them: only the result's is built and
+    checked.  The static loss r0 is not fitted and comes back as zero.
+    Reaching the cap gives a non-converged result, not an exception;
+    parameters without a resonance, converged or not, raise SearchError.
     """
     n_free = len(_FIT_PARAMS)
-    if len(curve) < n_free + 1:
-        raise DomainError(f"need at least {n_free + 1} samples to fit {n_free} parameters")
+    n = len(curve)
+    if 2 * n < n_free:
+        raise DomainError(f"need at least {n_free // 2} samples ({n_free} real residuals) "
+                          f"to fit {n_free} parameters")
     _check_finite(curve)
-    w = _weights(curve.values) if opts.weight_mode == "inverse-magnitude" else np.ones(len(curve))
+    w = _weights(curve.values) if opts.weight_mode == "inverse-magnitude" else np.ones(n)
     s = _jw(curve.freq_hz)
-    out_of_range = np.full(2 * len(curve), np.inf)
-    # The model at the last point evaluated, (p, pm, ps, num, den, y), that
-    # point's bytes, and its Jacobian once asked for.  lm asks for the
-    # Jacobian at the point whose residual it has just evaluated, so the two
-    # share one evaluation; leastsq's shape check and lmder's first
-    # iteration both ask for the Jacobian at x0, which is built once.
+    # The model at the last point evaluated, (q, pm, ps, num, den, y) for
+    # its element values q, that point's bytes, and its Jacobian once asked
+    # for.  lm asks for the Jacobian at the point whose residual it has just
+    # evaluated, so the two share one evaluation; leastsq's shape check and
+    # lmder's first iteration both ask for the Jacobian at x0, which is
+    # built once.
     last_key = last = last_jac = None
 
     def model(x):
         nonlocal last_key, last, last_jac
         key = x.tobytes()
         if key != last_key:
-            p = _unpack(x)
-            pm, ps, num, den = _terms(p, s)
-            last_key, last, last_jac = key, (p, pm, ps, num, den, num / den), None
+            q = rm, lm, cm, c0, rs, ls = np.exp(x).tolist()
+            pm, ps, num, den = _circuit_terms(s, rm, lm, cm, c0, _routing(s, rs, ls))
+            last_key, last, last_jac = key, (q, pm, ps, num, den, num / den), None
         return last
 
     def residual(x):
+        # A new array on every call, the infinite one included: leastsq
+        # may hold on to a residual it was handed, and one buffer reused
+        # across calls changes the fit's results.
         # Written so that a NaN trial point is out of range too.
         if not np.max(np.abs(x)) <= _LOG_BOUND:
-            return out_of_range
+            return np.full(2 * n, np.inf)
         d = model(x)[-1] - curve.values
         return np.concatenate([d.real * w, d.imag * w])
 
     def jacobian(x):
         nonlocal last_jac
-        p, pm, ps, _, den, y = model(x)
+        q, pm, ps, _, den, y = model(x)
         if last_jac is None:
-            jac = _log_jacobian(p, s, pm, ps, den, y) * w
-            last_jac = np.concatenate([jac.real, jac.imag], axis=1)
+            # Each row straight into its place in the (6, 2n) layout lmder
+            # takes: the weighted real parts, then the imaginary parts.
+            jac = np.empty((n_free, 2 * n))
+            for row, out in zip(_log_jacobian(q, s, pm, ps, den, y), jac):
+                np.multiply(row.real, w, out=out[:n])
+                np.multiply(row.imag, w, out=out[n:])
             # Handed out once per call: a caller that writes to it raises.
-            last_jac.flags.writeable = False
+            jac.flags.writeable = False
+            last_jac = jac
         return last_jac
 
     x0 = _pack(init)

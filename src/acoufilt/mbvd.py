@@ -33,6 +33,8 @@ _J_POWERS = np.array([1.0, 1j, -1.0, -1j, 1.0])
 _POWERS = np.arange(5.0)
 _POWERS7 = np.arange(7.0)
 _EPS = np.finfo(float).eps
+# The perceived resonance's band, as multiples of fs.
+_PERCEIVED_BAND = (0.01, 1.02)
 _UNDEFINED = "lossless resonator sampled exactly at its {}, {:.10g} Hz: its {} is undefined there"
 
 
@@ -145,9 +147,10 @@ def _immittance(p: MbvdParams, f: np.ndarray, impedance: bool = False) -> np.nda
     raise DomainError(f"{'impedance' if impedance else 'admittance'} contains non-finite entries")
 
 
-def _log_jacobian(p: MbvdParams, jw, pm, ps, den, y) -> np.ndarray:
-    """dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls, from the
-    terms _terms(p, jw) and y = num / den, one row per parameter.
+def _log_jacobian(q, jw, pm, ps, den, y) -> tuple:
+    """dY/d(log q) = q * dY/dq for the element values q = (rm, lm, cm, c0,
+    rs, ls), from the terms _circuit_terms gives for them on jw and
+    y = num / den: one complex row per parameter.
 
     The routing R = rs + s*ls enters only den, so dY = -Y^2 dR.  The
     branches enter through pm, ps and num = s*(cm*ps + c0*pm), and there
@@ -155,18 +158,19 @@ def _log_jacobian(p: MbvdParams, jw, pm, ps, den, y) -> np.ndarray:
     den^2, to u for cm, -d(log pm)*u for rm and lm (whose d(log pm) are
     s*rm*cm and s^2*lm*cm) and s*c0*pm^2 / den^2 for c0.
     """
+    rm, lm, cm, c0, rs, ls = q
     sg = jw / (den * den)
-    u = sg * (p.cm * ps * ps)
+    u = sg * (cm * ps * ps)
     su = jw * u
     y2 = y * y
-    return np.stack([
-        su * (-p.rm * p.cm),
-        jw * su * (-p.lm * p.cm),
+    return (
+        su * (-rm * cm),
+        jw * su * (-lm * cm),
         u,
-        sg * p.c0 * (pm * pm),
-        y2 * -p.rs,
-        y2 * (jw * -p.ls),
-    ])
+        sg * c0 * (pm * pm),
+        y2 * -rs,
+        y2 * (jw * -ls),
+    )
 
 
 def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
@@ -176,7 +180,8 @@ def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
     """
     jw = _jw(f)
     pm, ps, num, den = _terms(p, jw)
-    return _log_jacobian(p, jw, pm, ps, den, num / den).T
+    q = (p.rm, p.lm, p.cm, p.c0, p.rs, p.ls)
+    return np.stack(_log_jacobian(q, jw, pm, ps, den, num / den), axis=1)
 
 
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
@@ -309,20 +314,32 @@ def _squared_magnitude(c: np.ndarray) -> np.ndarray:
     return np.convolve(cj, cj.conj())[::2].real
 
 
-def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool) -> tuple:
-    """Frequency of the interior maximum (or minimum) of |Y| of p on
-    [lo*fs, hi*fs], with the num and den coefficients of Y in t = s / (2*pi*fs)
-    that it was found from, each scaled by a power of two (_normalized).
+def _band_top(p: MbvdParams, fs: float) -> float:
+    """hi of the widest band [lo*fs, hi*fs] that summarize searches on p:
+    2*fp/fs, the top of the Q band, or 1.02, the top of the perceived band,
+    where p has no Q band (a lossless resonator, or an fp whose double
+    overflows).  fp is antiresonance(p), without its check."""
+    if not p.lossless():
+        fp = fs * math.sqrt(1.0 + p.cm / p.c0)
+        if 2.0 * fp < math.inf:
+            return 2.0 * fp / fs
+    return _PERCEIVED_BAND[1]
+
+
+def _stationary_points(p: MbvdParams, fs: float) -> tuple:
+    """The real roots x = (f/fs)^2 of D = A'B - AB', the stationary points
+    of |Y| of p, with the num and den coefficients of Y in t = s / (2*pi*fs)
+    that they were found from, each scaled by a power of two (_normalized),
+    and the polynomials A, B, A', B', A'', B'' as columns, which
+    _band_extremum evaluates at the roots.
 
     With x = (f/fs)^2, |Y|^2 = A(x) / B(x) for the polynomials A (degree 3)
-    and B (degree 4) of the coefficient map, and its stationary points are
-    the real roots of D = A'B - AB' (degree 6).  A root is a maximum of |Y|
-    where D' = A''B - AB'' < 0 and a minimum where D' > 0; each such root in
-    the band gets one Newton step on D, evaluated from A and B.  The roots,
-    then the two band ends, are compared on |num / den|, and a band end that
-    wins is a SearchError.  A pole of a lossless resonator (B = 0) is a
-    maximum root where |Y| is inf.  Coefficients that overflow in the map
-    are a DomainError.
+    and B (degree 4) of the coefficient map, so that D has degree 6.  Its
+    leading terms below rounding over the widest band that summarize
+    searches (_band_top) only add roots far outside it, and their huge
+    companion entries spoil the others, so they are dropped before the one
+    np.roots call; one root set then serves every band.  Coefficients that
+    overflow in the map are a DomainError.
     """
     with np.errstate(all="ignore"):
         num, den = (_normalized(c) for c in rational_coefficients(p, 2.0 * math.pi * fs))
@@ -334,19 +351,33 @@ def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool
         polys[:3, 4:] = polys[1:4, 2:4] * _POWERS[1:4, None]
         if not np.isfinite(polys).all():
             raise DomainError(
-                f"the rational coefficients of Y overflow: no closed-form extremum on "
-                f"[{lo * fs:g}, {hi * fs:g}] Hz"
+                f"the rational coefficients of Y overflow: no closed-form extremum of |Y| "
+                f"for fs = {fs:g} Hz"
             )
         a, b, da, db = polys[:4, 0], polys[:, 1], polys[:3, 2], polys[:4, 3]
-        x_lo, x_hi = lo * lo, hi * hi
+        top = _band_top(p, fs)
         d = np.convolve(da, b) - np.convolve(a, db)
-        # Leading terms below rounding over the whole band only add roots far
-        # outside it, and their huge companion entries spoil the others.
-        size = np.abs(d) * x_hi ** _POWERS7
+        size = np.abs(d) * (top * top) ** _POWERS7
         keep = np.flatnonzero(size > _EPS * size.max())
         r = np.roots(d[:keep[-1] + 1][::-1]) if keep.size else np.empty(0)
-        x = r.real[(np.abs(r.imag) <= _REAL_ROOT_TOL * np.abs(r))
-                   & (x_lo < r.real) & (r.real < x_hi)]
+        x = r.real[np.abs(r.imag) <= _REAL_ROOT_TOL * np.abs(r)]
+    return x, num, den, polys
+
+
+def _band_extremum(fs: float, points: tuple, lo: float, hi: float, largest: bool) -> float:
+    """Frequency of the interior maximum (or minimum) of |Y| on
+    [lo*fs, hi*fs], picked from the stationary points of _stationary_points.
+
+    A stationary point x is a maximum of |Y| where D' = A''B - AB'' < 0 and
+    a minimum where D' > 0; each such point in the band gets one Newton step
+    on D, evaluated from A and B.  The points, then the two band ends, are
+    compared on |num / den|, and a band end that wins is a SearchError.  A
+    pole of a lossless resonator (B = 0) is a maximum where |Y| is inf.
+    """
+    roots, num, den, polys = points
+    x_lo, x_hi = lo * lo, hi * hi
+    with np.errstate(all="ignore"):
+        x = roots[(x_lo < roots) & (roots < x_hi)]
         av, bv, dav, dbv, ddav, ddbv = (x[:, None] ** _POWERS @ polys).T
         slope = ddav * bv - av * ddbv
         polished = x - (dav * bv - av * dbv) / slope
@@ -362,7 +393,22 @@ def _band_extremum(p: MbvdParams, fs: float, lo: float, hi: float, largest: bool
         raise SearchError(
             f"no interior maximum in [{lo * fs:g}, {hi * fs:g}] Hz (peak on boundary)"
         )
-    return fs * math.sqrt(x[i]), num, den
+    return fs * math.sqrt(x[i])
+
+
+def _q(p: MbvdParams, fs: float, fp: float, points: tuple) -> float:
+    """Q at the minimum of |Y| on [0.5, 2*fp/fs]*fs, picked from the
+    stationary points of |Y|; see q_at_antiresonance."""
+    if p.lossless():
+        return math.inf
+    if 2.0 * fp == math.inf:
+        raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
+    u = _band_extremum(fs, points, 0.5, 2.0 * fp / fs, largest=False) / fs
+    _, num, den, _ = points
+    t = u ** _POWERS * _J_POWERS
+    n, dn = t[:4] @ num, t[:3] @ (num[1:] * _POWERS[1:4])
+    d, dd = t @ den, t[:4] @ (den[1:] * _POWERS[1:])
+    return 0.5 * u * abs((dd / d - dn / n).real)
 
 
 def perceived_resonance(p: MbvdParams) -> float:
@@ -370,41 +416,42 @@ def perceived_resonance(p: MbvdParams) -> float:
 
     Routing inductance pulls this below the mechanical fs; with no parasitics
     it coincides with fs.  The search band, fs / 100 to 1.02 fs, covers the
-    mechanically driven peak only.
+    mechanically driven peak only.  The same float that summarize reports.
     """
-    return _band_extremum(p, series_resonance(p), 0.01, 1.02, largest=True)[0]
+    fs = series_resonance(p)
+    return _band_extremum(fs, _stationary_points(p, fs), *_PERCEIVED_BAND, largest=True)
 
 
 def q_at_antiresonance(p: MbvdParams) -> float:
     """Phase-derivative quality factor at the impedance-magnitude maximum.
 
     Q = (w/2) * |d(phase Z)/dw| with Z = den / num.  In t = s / (2*pi*fs),
-    the variable of the coefficients that _band_extremum returns with the
-    maximum, and at t = j*u, u = f/fs, that is
+    the variable of the coefficients that _stationary_points returns with
+    the roots, and at t = j*u, u = f/fs, that is
     Q = (u/2) * |Re(den'/den - num'/num)| with ' = d/dt.  A fully lossless
     resonator has no finite Q; the sentinel value inf is returned for that
-    case.
+    case.  The same float that summarize reports.
     """
     if p.lossless():
         return math.inf
-    fp = antiresonance(p)
-    if 2.0 * fp == math.inf:
-        raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
     fs = series_resonance(p)
-    f, num, den = _band_extremum(p, fs, 0.5, 2.0 * fp / fs, largest=False)
-    u = f / fs
-    t = u ** _POWERS * _J_POWERS
-    n, dn = t[:4] @ num, t[:3] @ (num[1:] * _POWERS[1:4])
-    d, dd = t @ den, t[:4] @ (den[1:] * _POWERS[1:])
-    return 0.5 * u * abs((dd / d - dn / n).real)
+    return _q(p, fs, antiresonance(p), _stationary_points(p, fs))
 
 
 def summarize(p: MbvdParams) -> ResonatorSummary:
-    """Bundle all derived scalar figures of one resonator."""
+    """Bundle all derived scalar figures of one resonator.
+
+    The perceived resonance and the Q frequency are read from one root set
+    of the stationary-point polynomial (_stationary_points), formed once.
+    An error of the perceived band comes before one of the Q band.
+    """
+    fs = series_resonance(p)
+    fp = antiresonance(p)
+    points = _stationary_points(p, fs)
     return ResonatorSummary(
-        fs=series_resonance(p),
-        fp=antiresonance(p),
-        f_perceived=perceived_resonance(p),
+        fs=fs,
+        fp=fp,
+        f_perceived=_band_extremum(fs, points, *_PERCEIVED_BAND, largest=True),
         k2=coupling_k2(p),
-        q_antires=q_at_antiresonance(p),
+        q_antires=_q(p, fs, fp, points),
     )

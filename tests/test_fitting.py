@@ -184,18 +184,18 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     # start that leastsq's shape check and lmder both ask for included.
     points = []
     jacobians = []
-    terms = fitting._terms
+    circuit_terms = fitting._circuit_terms
     log_jacobian = fitting._log_jacobian
 
-    def counting_terms(p, jw):
-        points.append(p)
-        return terms(p, jw)
+    def counting_terms(jw, rm, lm, cm, c0, routing):
+        points.append((rm, lm, cm, c0, None if routing is None else routing.tobytes()))
+        return circuit_terms(jw, rm, lm, cm, c0, routing)
 
-    def counting_log_jacobian(p, *args):
-        jacobians.append(p)
-        return log_jacobian(p, *args)
+    def counting_log_jacobian(q, *args):
+        jacobians.append(tuple(q))
+        return log_jacobian(q, *args)
 
-    monkeypatch.setattr(fitting, "_terms", counting_terms)
+    monkeypatch.setattr(fitting, "_circuit_terms", counting_terms)
     monkeypatch.setattr(fitting, "_log_jacobian", counting_log_jacobian)
     result = fit_mbvd(CURVE, initial_guess(CURVE))
     assert result.converged
@@ -203,6 +203,31 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     assert len(set(points)) == len(points)
     assert len(jacobians) == result.iterations
     assert len(set(jacobians)) == len(jacobians)
+
+
+def test_fit_builds_one_params_before_its_summary(monkeypatch):
+    # Trial points are evaluated on floats; only the result is an MbvdParams.
+    curve = _seeded_noisy_curve()
+    init = initial_guess(curve)
+    built = []
+    at_summary = []
+    post_init = MbvdParams.__post_init__
+    summarize = fitting.summarize
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def spy(p):
+        at_summary.append(len(built))
+        return summarize(p)
+
+    monkeypatch.setattr(MbvdParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(fitting, "summarize", spy)
+    result = fit_mbvd(curve, init)
+    assert result.iterations > 1
+    assert at_summary == [1]
+    assert built == [result.params]
 
 
 # From the rational seed the clean fit converges within any cap (in 2
@@ -262,9 +287,23 @@ def test_summary_reproduces_generating_figures():
 
 
 def test_fit_requires_enough_samples():
-    short = ComplexCurve(GRID[:5], CURVE.values[:5])
-    with pytest.raises(DomainError):
+    # Two samples give 4 real residuals for 6 parameters.
+    short = ComplexCurve(GRID[:2], CURVE.values[:2])
+    with pytest.raises(DomainError, match=r"need at least 3 samples \(6 real residuals\)"):
         fit_mbvd(short, TRUTH)
+
+
+# Each sample gives two real residuals, so 3 samples fix the 6 parameters;
+# from 4 on, the seed fixes them too (see test_clean_sweeps_fix_the_seed).
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("offset", [1.0, 1.2])
+def test_fit_takes_sweeps_of_three_to_six_samples(n, offset):
+    curve = resonator_admittance(TRUTH, np.geomspace(5e9, 100e9, n))
+    start = TRUTH if n == 3 else initial_guess(curve)
+    start = MbvdParams(*(getattr(start, k) * offset for k in PARAM_NAMES))
+    result = fit_mbvd(curve, start)
+    assert result.converged
+    assert max(rel_errors(result.params).values()) <= 1e-12
 
 
 def test_fit_options_validation():
@@ -362,6 +401,31 @@ def test_converged_fit_without_a_resonance_is_named():
                                           r"a resonance \(no interior maximum") as err:
         fit_mbvd(curve, NOISE_DIP_SEED)
     assert isinstance(err.value.__cause__, SearchError)
+
+
+def test_no_two_residuals_share_memory(monkeypatch):
+    # leastsq may hold on to a residual it was handed, so each one, the
+    # infinite residual of a point beyond the log-parameter limit included,
+    # must be an array of its own.  From NOISE_DIP_SEED the search crosses
+    # that limit.
+    residuals = []
+    leastsq = fitting.leastsq
+
+    def spy(func, x0, **kw):
+        def recording(x):
+            residuals.append(func(x))
+            return residuals[-1]
+
+        return leastsq(recording, x0, **kw)
+
+    monkeypatch.setattr(fitting, "leastsq", spy)
+    fit_mbvd(CURVE, initial_guess(CURVE))
+    _, curve = _runaway_sweep(111, 15)
+    with pytest.raises(SearchError):
+        fit_mbvd(curve, NOISE_DIP_SEED)
+    assert sum(np.isinf(r).all() for r in residuals) >= 2
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(residuals) for b in residuals[:i])
 
 
 # Resonators around the criterion-4 one, r0 = 0, each of rm (Q = inf), rs and

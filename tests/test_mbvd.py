@@ -18,11 +18,12 @@ from acoufilt import (
     series_resonance,
     summarize,
 )
-from acoufilt.errors import DomainError, InfeasibleCouplingError, SearchError
+from acoufilt.errors import AcoufiltError, DomainError, InfeasibleCouplingError, SearchError
 from acoufilt.mbvd import (
     K2_MAX,
     _band_extremum,
     _jw,
+    _stationary_points,
     admittance_log_jacobian,
     rational_coefficients,
 )
@@ -277,6 +278,52 @@ def test_overflowing_rational_form_is_a_domain_error():
             figure(p)
 
 
+def _error(figure, p):
+    """The message of the error figure(p) raises, or None."""
+    try:
+        figure(p)
+    except AcoufiltError as exc:
+        return str(exc)
+    return None
+
+
+# Lossy resonators, lossless ones (ls only), and routing up to 1 mH, whose
+# resonance with c0 + cm falls below the perceived band in about half the
+# draws, so that summarize raises the perceived band's SearchError.
+@given(lossy_resonators()
+       | st.builds(lambda fs, k2, c0, ls: mbvd_from_targets(fs, k2, c0, math.inf, ls=ls),
+                   st.floats(5e9, 40e9), st.floats(0.2, 0.7), st.floats(2e-14, 2e-13),
+                   st.floats(0.0, 2e-11))
+       | st.builds(lambda fs, k2, c0, q, rs, ls: mbvd_from_targets(fs, k2, c0, q, rs=rs, ls=ls),
+                   st.floats(5e9, 40e9), st.floats(0.2, 0.7), st.floats(2e-14, 2e-13),
+                   st.floats(30.0, 500.0), st.floats(0.0, 5.0),
+                   st.floats(-11.0, -3.0).map(lambda e: 10.0**e)))
+def test_summary_figures_are_the_public_ones_bit_for_bit(p):
+    try:
+        s = summarize(p)
+    except AcoufiltError as exc:
+        # The perceived band's error comes first.
+        first = _error(perceived_resonance, p) or _error(q_at_antiresonance, p)
+        assert str(exc) == first
+        return
+    assert s.f_perceived.hex() == perceived_resonance(p).hex()
+    assert float(s.q_antires).hex() == float(q_at_antiresonance(p)).hex()
+
+
+def test_summarize_finds_the_roots_once(monkeypatch):
+    calls = []
+    roots = np.roots
+
+    def counting_roots(c):
+        calls.append(c)
+        return roots(c)
+
+    monkeypatch.setattr(np, "roots", counting_roots)
+    summary = summarize(dataclasses.replace(REF, rs=0.5, ls=100e-12, r0=0.3))
+    assert math.isfinite(summary.q_antires)
+    assert len(calls) == 1
+
+
 def test_rational_coefficients_reproduce_the_admittance():
     p = dataclasses.replace(REF, rs=0.5, ls=100e-12, r0=0.3)
     f = np.geomspace(1e9, 100e9, 301)
@@ -342,7 +389,8 @@ def _branch_q(p, f):
     st.floats(0.0, 0.5) | st.just(0.0)))
 def test_q_matches_the_branch_form_at_the_same_frequency(p):
     fs = series_resonance(p)
-    f = _band_extremum(p, fs, 0.5, 2.0 * antiresonance(p) / fs, largest=False)[0]
+    f = _band_extremum(fs, _stationary_points(p, fs), 0.5, 2.0 * antiresonance(p) / fs,
+                       largest=False)
     assert q_at_antiresonance(p) == pytest.approx(_branch_q(p, f), rel=1e-10)
 
 
