@@ -249,8 +249,8 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     def residual(x):
         # A new array on every call, the infinite one included: leastsq
         # may hold on to a residual it was handed, and one buffer reused
-        # across calls changes the fit's results.
-        # Written so that a NaN trial point is out of range too.
+        # across calls changes the fit's results.  The test is written so
+        # that a NaN trial point is out of range too.
         if not np.max(np.abs(x)) <= _LOG_BOUND:
             return np.full(2 * n, np.inf)
         d = model(x)[-1] - curve.values

@@ -314,18 +314,6 @@ def _squared_magnitude(c: np.ndarray) -> np.ndarray:
     return np.convolve(cj, cj.conj())[::2].real
 
 
-def _band_top(p: MbvdParams, fs: float) -> float:
-    """hi of the widest band [lo*fs, hi*fs] that summarize searches on p:
-    2*fp/fs, the top of the Q band, or 1.02, the top of the perceived band,
-    where p has no Q band (a lossless resonator, or an fp whose double
-    overflows).  fp is antiresonance(p), without its check."""
-    if not p.lossless():
-        fp = fs * math.sqrt(1.0 + p.cm / p.c0)
-        if 2.0 * fp < math.inf:
-            return 2.0 * fp / fs
-    return _PERCEIVED_BAND[1]
-
-
 def _stationary_points(p: MbvdParams, fs: float) -> tuple:
     """The real roots x = (f/fs)^2 of D = A'B - AB', the stationary points
     of |Y| of p, with the num and den coefficients of Y in t = s / (2*pi*fs)
@@ -334,12 +322,9 @@ def _stationary_points(p: MbvdParams, fs: float) -> tuple:
     _band_extremum evaluates at the roots.
 
     With x = (f/fs)^2, |Y|^2 = A(x) / B(x) for the polynomials A (degree 3)
-    and B (degree 4) of the coefficient map, so that D has degree 6.  Its
-    leading terms below rounding over the widest band that summarize
-    searches (_band_top) only add roots far outside it, and their huge
-    companion entries spoil the others, so they are dropped before the one
-    np.roots call; one root set then serves every band.  Coefficients that
-    overflow in the map are a DomainError.
+    and B (degree 4) of the coefficient map, so that D has degree 6.  One
+    np.roots call serves every band that summarize searches.  Coefficients
+    that overflow in the map are a DomainError.
     """
     with np.errstate(all="ignore"):
         num, den = (_normalized(c) for c in rational_coefficients(p, 2.0 * math.pi * fs))
@@ -355,9 +340,18 @@ def _stationary_points(p: MbvdParams, fs: float) -> tuple:
                 f"for fs = {fs:g} Hz"
             )
         a, b, da, db = polys[:4, 0], polys[:, 1], polys[:3, 2], polys[:4, 3]
-        top = _band_top(p, fs)
         d = np.convolve(da, b) - np.convolve(a, db)
-        size = np.abs(d) * (top * top) ** _POWERS7
+        # Leading terms below rounding over the wider band searched only add
+        # roots far outside it, and their huge companion entries spoil the
+        # others.  That band is the Q band up to 2*fp (fp as antiresonance(p)
+        # computes it), or the perceived band where p has no Q band: a
+        # lossless resonator, or an fp whose double overflows.
+        hi = _PERCEIVED_BAND[1]
+        if not p.lossless():
+            fp = fs * math.sqrt(1.0 + p.cm / p.c0)
+            if 2.0 * fp < math.inf:
+                hi = 2.0 * fp / fs
+        size = np.abs(d) * (hi * hi) ** _POWERS7
         keep = np.flatnonzero(size > _EPS * size.max())
         r = np.roots(d[:keep[-1] + 1][::-1]) if keep.size else np.empty(0)
         x = r.real[np.abs(r.imag) <= _REAL_ROOT_TOL * np.abs(r)]
@@ -396,11 +390,9 @@ def _band_extremum(fs: float, points: tuple, lo: float, hi: float, largest: bool
     return fs * math.sqrt(x[i])
 
 
-def _q(p: MbvdParams, fs: float, fp: float, points: tuple) -> float:
-    """Q at the minimum of |Y| on [0.5, 2*fp/fs]*fs, picked from the
-    stationary points of |Y|; see q_at_antiresonance."""
-    if p.lossless():
-        return math.inf
+def _q(fs: float, fp: float, points: tuple) -> float:
+    """Q of a lossy resonator at the minimum of |Y| on [0.5, 2*fp/fs]*fs,
+    picked from the stationary points of |Y|; see q_at_antiresonance."""
     if 2.0 * fp == math.inf:
         raise DomainError(f"2*fp overflows for fp = {fp:g} Hz: no finite Q search band")
     u = _band_extremum(fs, points, 0.5, 2.0 * fp / fs, largest=False) / fs
@@ -435,7 +427,7 @@ def q_at_antiresonance(p: MbvdParams) -> float:
     if p.lossless():
         return math.inf
     fs = series_resonance(p)
-    return _q(p, fs, antiresonance(p), _stationary_points(p, fs))
+    return _q(fs, antiresonance(p), _stationary_points(p, fs))
 
 
 def summarize(p: MbvdParams) -> ResonatorSummary:
@@ -453,5 +445,5 @@ def summarize(p: MbvdParams) -> ResonatorSummary:
         fp=fp,
         f_perceived=_band_extremum(fs, points, *_PERCEIVED_BAND, largest=True),
         k2=coupling_k2(p),
-        q_antires=_q(p, fs, fp, points),
+        q_antires=math.inf if p.lossless() else _q(fs, fp, points),
     )
