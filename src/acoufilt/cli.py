@@ -83,8 +83,15 @@ def _write_outputs(outputs: list[tuple[str, str]], inputs: list[str]) -> None:
 
 
 def _read(path: str) -> str:
-    with open(path, "r") as fh:
-        return fh.read()
+    """The text of path as UTF-8, less a leading byte-order mark.  A byte
+    that does not decode is an AcoufiltError naming its offset in the file,
+    which "utf-8-sig" would count from after the mark."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read().removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise AcoufiltError(f"cannot read {path!r} as UTF-8: byte "
+                                f"{exc.object[exc.start]:#04x} at offset {exc.start}") from exc
 
 
 def _cmd_simulate(args) -> int:

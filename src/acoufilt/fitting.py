@@ -179,10 +179,6 @@ def _pack(p: MbvdParams) -> np.ndarray:
         return np.clip(np.log(vals), -_LOG_BOUND, _LOG_BOUND)
 
 
-def _unpack(x: np.ndarray) -> MbvdParams:
-    return MbvdParams(*np.exp(x).tolist())
-
-
 def _weights(values: np.ndarray) -> np.ndarray:
     """1/|y|, but 0 where |y| <= _RCOND * max|y| (a weight that would swamp the rest)."""
     mag = np.abs(values)
@@ -281,7 +277,7 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         x, _, info, _, ier = leastsq(residual, x0, Dfun=jacobian, col_deriv=True,
                                      full_output=True, ftol=_TOL, xtol=_TOL, gtol=_TOL,
                                      maxfev=opts.max_iterations)
-    params = _unpack(x)
+    params = MbvdParams(*np.exp(x).tolist())
     # MINPACK's info 1-4 are the convergence tests; 5 is the evaluation cap.
     converged = ier in (1, 2, 3, 4)
     try:

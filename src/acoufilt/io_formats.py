@@ -85,29 +85,32 @@ class TouchstoneData:
 
 
 def _parse_option_line(tokens: list[str], lineno: int) -> TouchstoneHeader:
-    """The header an option line gives; an option it omits keeps the default."""
+    """The header of an option line: an omitted option keeps its default, a repeated one raises."""
     options = {}
     it = iter(tokens)
     for t in it:
         u = t.upper()
         if t.lower() in _FREQ_UNITS:
-            options["frequency_unit"] = t
+            key, value = "frequency_unit", t
         elif u == "S":
-            options["parameter"] = u
+            key, value = "parameter", u
         elif u in ("Y", "Z", "H", "G"):
             raise FormatError(f"unsupported parameter type {t!r}", lineno)
         elif u in _FORMATS:
-            options["format"] = u
+            key, value = "format", u
         elif u == "R":
-            value = next(it, None)
+            key, value = "reference_resistance", next(it, None)
             if value is None:
                 raise FormatError("R option missing its resistance value", lineno)
             try:
-                options["reference_resistance"] = float(value)
+                value = float(value)
             except ValueError:
                 raise FormatError(f"bad reference resistance {value!r}", lineno)
         else:
             raise FormatError(f"unknown option token {t!r}", lineno)
+        if key in options:
+            raise FormatError(f"repeated option {t!r}: a second {key.replace('_', ' ')}", lineno)
+        options[key] = value
     try:
         return TouchstoneHeader(**options)
     except DomainError as exc:

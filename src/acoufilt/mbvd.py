@@ -173,17 +173,6 @@ def _log_jacobian(q, jw, pm, ps, den, y) -> tuple:
     )
 
 
-def admittance_log_jacobian(p: MbvdParams, f: np.ndarray) -> np.ndarray:
-    """Derivatives dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls.
-
-    Returns one complex column per parameter, shape (len(f), 6).
-    """
-    jw = _jw(f)
-    pm, ps, num, den = _terms(p, jw)
-    q = (p.rm, p.lm, p.cm, p.c0, p.rs, p.ls)
-    return np.stack(_log_jacobian(q, jw, pm, ps, den, num / den), axis=1)
-
-
 def resonator_admittance(p: MbvdParams, freq_hz) -> ComplexCurve:
     """Input admittance of the full parasitic-loaded resonator on a grid; a
     division by zero or an overflow is a DomainError (see _immittance)."""
@@ -384,9 +373,9 @@ def _band_extremum(fs: float, points: tuple, lo: float, hi: float, largest: bool
         mag = np.abs(t[:, :4] @ num) / np.abs(t @ den)
     i = int(np.argmax(mag) if largest else np.argmin(mag))
     if i >= x.size - 2:
-        raise SearchError(
-            f"no interior maximum in [{lo * fs:g}, {hi * fs:g}] Hz (peak on boundary)"
-        )
+        kind, end = ("maximum", "peak") if largest else ("minimum", "dip")
+        raise SearchError(f"no interior {kind} in [{lo * fs:g}, {hi * fs:g}] Hz "
+                          f"({end} on boundary)")
     return fs * math.sqrt(x[i])
 
 

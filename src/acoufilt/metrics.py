@@ -79,21 +79,16 @@ def _edge(freq, mag_db, peak_idx, target_db, direction, level_db):
     The crossing sample j is the first one at or below the level on that
     side of the peak; its neighbour towards the peak is still above it.
     """
-    if direction < 0:
-        below = mag_db[peak_idx - 1::-1] <= target_db
-        k = int(below.argmax())
-        j = peak_idx - 1 - k if below[k] else -1
-    else:
-        below = mag_db[peak_idx + 1:] <= target_db
-        k = int(below.argmax())
-        j = peak_idx + 1 + k if below[k] else -1
-    if j < 0:
+    below = mag_db[peak_idx + direction::direction] <= target_db
+    k = int(below.argmax())
+    if not below[k]:
         raise BandEdgeError("low" if direction < 0 else "high", level_db)
+    j = peak_idx + direction * (k + 1)
     if mag_db[j] == target_db:
         return freq.item(j)
-    a, b = (j, j + 1) if direction < 0 else (j - 1, j)
-    return crossing_interpolate(freq.item(a), mag_db.item(a), freq.item(b), mag_db.item(b),
-                                target_db)
+    a = j if direction < 0 else j - 1
+    return crossing_interpolate(freq.item(a), mag_db.item(a), freq.item(a + 1),
+                                mag_db.item(a + 1), target_db)
 
 
 def _stopband_peak(freq, mag_db, stop_lo, stop_hi) -> float:

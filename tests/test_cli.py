@@ -402,15 +402,62 @@ def test_fit_of_a_short_is_exit_1(tmp_path, capsys):
     assert not (tmp_path / "fit.kv").exists()
 
 
+# A one-port sweep as simulate writes it, and a resonator design file.
+_S1P = io_formats.write_touchstone(acoufilt.one_port_s11(
+    acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12),
+    np.linspace(5e9, 1e11, 301)))
+_RESONATOR_KV = "[filter]\nz0 = 50\n\n" + io_formats.write_resonator(
+    acoufilt.MbvdParams(rm=5.1, lm=2.1e-9, cm=2.2e-14, c0=2.5e-14), "series")
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("command, option, out, data", [
+    # A valid sweep with one byte replaced by 0xff.
+    ("fit", "--input", "fit.kv", _S1P.encode().replace(b"1", b"\xff", 1)),
+    # A design file with a comment written in Latin-1, where é is one byte.
+    ("simulate", "--design", "o.s1p", (_RESONATOR_KV + "# café\n").encode("latin-1")),
+    # 100 random bytes; the first, 0x8b, cannot start a UTF-8 character.
+    ("metrics", "--input", "m.csv", np.random.default_rng(7).bytes(100)),
+], ids=["fit-0xff", "simulate-latin-1", "metrics-random-bytes"])
+def test_undecodable_input_is_one_line_and_exit_1(tmp_path, capsys, command, option, out,
+                                                  data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = [command, option, str(path), "--out", str(tmp_path / out)]
+    assert main(argv + (["--grid", "1e9:6e10:11"] if command == "simulate" else [])) == 1
+    # In each input the first byte beyond ASCII is the one that fails.
+    i = next(i for i, b in enumerate(data) if b > 0x7F)
+    assert capsys.readouterr().err == (f"error: cannot read {str(path)!r} as UTF-8: "
+                                       f"byte {data[i]:#04x} at offset {i}\n")
+    assert not (tmp_path / out).exists()
+
+
+def test_fit_reads_past_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.s1p", tmp_path / "marked.s1p"
+    plain.write_bytes(_S1P.encode())
+    marked.write_bytes(_BOM + _S1P.encode())
+    for path in (plain, marked):
+        assert main(["fit", "--input", str(path), "--out", str(path.with_suffix(".kv"))]) == 0
+    assert marked.with_suffix(".kv").read_text() == plain.with_suffix(".kv").read_text()
+
+
+def _write(path, content):
+    """Write a drawn str as UTF-8 text, or drawn bytes as they are."""
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+
+
 @settings(max_examples=60)
-@given(text=st.one_of(touchstone_texts(odds=2), st.text(alphabet=ALPHABET)))
+@given(text=st.one_of(touchstone_texts(odds=2), st.text(alphabet=ALPHABET), st.binary()))
 # Generated texts first reach a DB magnitude that overflows after a few
 # hundred examples, beyond this budget; the known case always runs.
 @example(text="# GHz S DB R 50\n1 7000 0\n")
+@example(text=_S1P.encode().replace(b"1", b"\xff", 1))
+@example(text="# GHz S RI R 50 ! café\n1 0.5 0\n2 0.4 0.1\n3 0.3 0.2\n".encode("latin-1"))
+@example(text=_BOM + _S1P.encode())
 def test_metrics_and_fit_on_any_input_exit_cleanly(tmp_path_factory, text):
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "input.snp"
-    path.write_text(text)
+    _write(path, text)
     _assert_clean_exit(["metrics", "--input", str(path), "--out", str(work / "m.csv")])
     _assert_clean_exit(["fit", "--input", str(path), "--out", str(work / "fit.kv")])
 
@@ -477,15 +524,22 @@ _SWEPT = {"filter.z0": (1.0, 200.0), "series.lm": (1e-10, 1e-8), "series.rm": (0
 
 
 @given(text_out=st.one_of(st.tuples(_LADDERS, st.just("o.s2p")),
-                         st.tuples(_RESONATORS, st.just("o.s1p"))),
+                         st.tuples(_RESONATORS, st.just("o.s1p")),
+                         st.tuples(st.binary(), st.sampled_from(["o.s1p", "o.s2p"]))),
        grid=value_specs(*_GRIDS, 3000), with_metrics=st.booleans())
 @example(text_out=("\n".join(_RESONATOR_LINES), "o.s1p"), grid="1e-300:1e-299:3",
+         with_metrics=False)
+@example(text_out=(_RESONATOR_KV.encode().replace(b"5", b"\xff", 1), "o.s1p"),
+         grid="1e9:6e10:11", with_metrics=False)
+@example(text_out=((_RESONATOR_KV + "# café\n").encode("latin-1"), "o.s1p"),
+         grid="1e9:6e10:11", with_metrics=False)
+@example(text_out=(_BOM + _RESONATOR_KV.encode(), "o.s1p"), grid="1e9:6e10:11",
          with_metrics=False)
 def test_simulate_on_any_design_and_grid_exits_cleanly(tmp_path_factory, text_out, grid,
                                                        with_metrics):
     text, out = text_out
     work = tmp_path_factory.mktemp("fuzz")
-    (work / "design.kv").write_text(text)
+    _write(work / "design.kv", text)
     argv = ["simulate", "--design", str(work / "design.kv"), f"--grid={grid}",
             "--out", str(work / out)]
     _assert_clean_exit(argv + (["--metrics", str(work / "m.csv")] if with_metrics else []))

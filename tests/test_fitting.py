@@ -205,6 +205,35 @@ def test_fit_evaluates_each_point_once(monkeypatch):
     assert len(set(jacobians)) == len(jacobians)
 
 
+@pytest.mark.parametrize("weight_mode", fitting.WEIGHT_MODES)
+@pytest.mark.parametrize("curve", [CURVE, _seeded_noisy_curve()], ids=["clean", "noisy"])
+def test_fit_hands_minpack_the_jacobian_of_its_residual(monkeypatch, curve, weight_mode):
+    # The (6, 2n) array passed as Dfun, one row per log-parameter: the
+    # derivatives of the weighted residual, real parts then imaginary parts.
+    # Checked at the start and at the returned point against central
+    # differences of the residual, each Jacobian asked for after a residual
+    # at another point, so that one cached for a stale point fails.
+    calls = []
+    leastsq = fitting.leastsq
+
+    def spy(func, x0, Dfun, **kw):
+        out = leastsq(func, x0, Dfun=Dfun, **kw)
+        calls.append((func, Dfun, x0, out[0]))
+        return out
+
+    monkeypatch.setattr(fitting, "leastsq", spy)
+    fit_mbvd(curve, initial_guess(curve), FitOptions(weight_mode=weight_mode))
+    [(residual, jacobian, x0, x_end)] = calls
+    h = 1e-6
+    for x in (x0, x_end):
+        fd = np.array([(residual(x + e) - residual(x - e)) / (2.0 * h)
+                       for e in np.eye(x.size) * h])
+        jac = jacobian(x)
+        assert jac.shape == fd.shape == (6, 2 * len(curve))
+        err = np.max(np.abs(jac - fd), axis=1)
+        assert np.all(err <= 1e-6 * np.max(np.abs(jac), axis=1))
+
+
 def test_fit_builds_one_params_before_its_summary(monkeypatch):
     # Trial points are evaluated on floats; only the result is an MbvdParams.
     curve = _seeded_noisy_curve()
@@ -398,7 +427,7 @@ def test_diverged_fit_reports_divergence():
 def test_converged_fit_without_a_resonance_is_named():
     _, curve = _runaway_sweep(111, 15)
     with pytest.raises(SearchError, match=r"MBVD fit converged to parameters without "
-                                          r"a resonance \(no interior maximum") as err:
+                                          r"a resonance \(no interior minimum") as err:
         fit_mbvd(curve, NOISE_DIP_SEED)
     assert isinstance(err.value.__cause__, SearchError)
 

@@ -333,6 +333,14 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
      "^line 1: R option missing its resistance value$"),
     (lambda: read_touchstone("# GHz S MA R fifty\n1 0 0\n"), FormatError,
      "^line 1: bad reference resistance 'fifty'$"),
+    (lambda: read_touchstone("# GHz MHz S RI\n1 0 0\n"), FormatError,
+     "^line 1: repeated option 'MHz': a second frequency unit$"),
+    (lambda: read_touchstone("# S GHz s RI\n1 0 0\n"), FormatError,
+     "^line 1: repeated option 's': a second parameter$"),
+    (lambda: read_touchstone("# GHz S RI MA\n1 0 0\n"), FormatError,
+     "^line 1: repeated option 'MA': a second format$"),
+    (lambda: read_touchstone("# GHz S RI R 50 R 75\n1 0 0\n"), FormatError,
+     "^line 1: repeated option 'R': a second reference resistance$"),
     # the first field of a two-port row is read to tell a noise row
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS.replace("2.0", "1..0")),
      FormatError, "^line 3: malformed number: could not convert string to float: '1..0'$"),
@@ -348,6 +356,8 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
      "only shunt-series-shunt ladders"),
 ], ids=["header-unit", "header-parameter", "header-format", "to-curve-two-port",
         "option-y", "option-r-without-value", "option-r-not-a-number",
+        "option-repeated-unit", "option-repeated-parameter", "option-repeated-format",
+        "option-repeated-r",
         "two-port-first-field-malformed", "noise-non-finite", "noise-non-positive",
         "inconsistent-columns", "resonator-section", "non-canonical-ladder"])
 def test_io_rejections(call, error, match):

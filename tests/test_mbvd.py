@@ -23,8 +23,9 @@ from acoufilt.mbvd import (
     K2_MAX,
     _band_extremum,
     _jw,
+    _log_jacobian,
     _stationary_points,
-    admittance_log_jacobian,
+    _terms,
     rational_coefficients,
 )
 
@@ -247,6 +248,15 @@ def test_perceived_resonance_no_interior_maximum():
         perceived_resonance(dataclasses.replace(REF, ls=1e-3))
 
 
+def test_q_band_without_an_interior_minimum_is_named():
+    # A 366-ohm rm damps the resonance out: |Y| rises across the whole Q
+    # band [fs/2, 2*fp], so its least value is on the band's low end.
+    p = MbvdParams(rm=365.79, lm=5.654e-10, cm=1.120e-13, c0=1.911e-13, rs=47.43, ls=1.767e-12)
+    with pytest.raises(SearchError, match=r"^no interior minimum in \[1\.00001e\+10, "
+                                          r"5\.03763e\+10\] Hz \(dip on boundary\)$"):
+        q_at_antiresonance(p)
+
+
 @given(lossy_resonators())
 def test_perceived_resonance_matches_dense_grid_oracle_for_random_resonators(p):
     fs = series_resonance(p)
@@ -392,6 +402,15 @@ def test_q_matches_the_branch_form_at_the_same_frequency(p):
     f = _band_extremum(fs, _stationary_points(p, fs), 0.5, 2.0 * antiresonance(p) / fs,
                        largest=False)
     assert q_at_antiresonance(p) == pytest.approx(_branch_q(p, f), rel=1e-10)
+
+
+def admittance_log_jacobian(p, f):
+    """dY/d(log q) = q * dY/dq for q = rm, lm, cm, c0, rs, ls, one complex
+    column per parameter, shape (len(f), 6), from the terms the fit uses."""
+    jw = _jw(f)
+    pm, ps, num, den = _terms(p, jw)
+    q = (p.rm, p.lm, p.cm, p.c0, p.rs, p.ls)
+    return np.stack(_log_jacobian(q, jw, pm, ps, den, num / den), axis=1)
 
 
 @given(lossy_resonators())
