@@ -107,17 +107,36 @@ def _circuit_terms(jw, rm, lm, cm, c0, routing=None, r0=0.0):
     shares jw and the parasitics among many circuits forms it once.
     Without r0, ps is 1 and is not formed, and without a routing term den
     is pm*ps; skipping them gives the same values with fewer array passes.
+
+    The returned arrays are new and belong to the caller, which may write
+    to them; jw and routing are only read.  Without r0 and a routing term,
+    den is pm itself.  Each array is formed in place, in the operations and
+    order of pm = (jw*lm + rm)*jw*cm + 1, ps = jw*r0*c0 + 1,
+    num = jw*(cm*ps + c0*pm) and den = pm*ps + routing*num, up to the order
+    of the operands of a product or a sum, so every value keeps its bits.
     """
-    pm = (jw * lm + rm) * jw * cm + 1.0
+    pm = jw * lm
+    pm += rm
+    pm *= jw
+    pm *= cm
+    pm += 1.0
     if r0:
-        ps = jw * r0 * c0 + 1.0
-        num = jw * (cm * ps + c0 * pm)
+        ps = jw * r0
+        ps *= c0
+        ps += 1.0
+        num = ps * cm
+        num += pm * c0
         branches = pm * ps
     else:
         ps = 1.0
-        num = jw * (cm + c0 * pm)
+        num = pm * c0
+        num += cm
         branches = pm
-    den = branches if routing is None else branches + routing * num
+    num *= jw
+    if routing is None:
+        return pm, ps, num, branches
+    den = routing * num
+    den += branches
     return pm, ps, num, den
 
 

@@ -175,13 +175,30 @@ def _row(elements, p, q) -> tuple:
     the ABCD->S denominator delta = P + Q/z0.  Nothing is checked here, and
     callers evaluate under np.errstate: any non-finite value in that row,
     from a division by zero or an overflow, makes delta non-finite.
+
+    Each update is a new product to which the other entry is added in
+    place, so that p and q, once updated, are arrays of their own, and the
+    sums keep their bits.
     """
     for series, v in elements:
         if series:
-            q = p * v + q
+            pv = p * v
+            pv += q
+            q = pv
         else:
-            p = p + q * v
+            qv = q * v
+            qv += p
+            p = qv
     return p, q
+
+
+def _over_z0(q, z0: float):
+    """Q/z0 of a row entry from _row, as Q*(1/z0).
+
+    A Q that no series element touched is still the scalar +-z0, and its
+    Q/z0 is +-1 exactly, where z0*(1/z0) need not be (at a subnormal z0,
+    1/z0 overflows)."""
+    return q * (1.0 / z0) if isinstance(q, np.ndarray) else q / z0
 
 
 def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
@@ -214,15 +231,15 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
             v = values[kind, res] = _immittance(res, f, impedance=series)
         elements.append((series, v))
     with np.errstate(all="ignore"):
-        inv_z0 = 1.0 / z0
         p, q = _row(elements, 1.0, z0)
-        delta = p + q * inv_z0
+        q_z0 = _over_z0(q, z0)
+        delta = p + q_z0
         if not np.isfinite(delta).all():
             raise DomainError("ladder response contains non-finite entries")
         _nonzero(f, delta)
         r, t = _row(elements, 1.0, -z0)
         s21 = 2.0 / delta
-        s = _stack(f.size, (r + t * inv_z0) / delta, s21, s21, (q * inv_z0 - p) / delta)
+        s = _stack(f.size, (r + _over_z0(t, z0)) / delta, s21, s21, (q_z0 - p) / delta)
     if not np.isfinite(s).all():
         raise DomainError("S-parameters contain non-finite entries")
     return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=z0)
@@ -242,16 +259,21 @@ def _ladder_s21_db(elements, z0: float) -> np.ndarray:
     |delta|, which the dB needs anyway: a |delta| that is positive and
     finite everywhere is a finite, nonzero delta, and only where it is not
     (a fault, or a finite delta whose |delta| overflows) are delta's own
-    entries tested.
+    entries tested.  delta is formed, and |delta| turned into dB, in place,
+    with every value's bits those of the expressions above.
     """
     p, q = _row(elements, 1.0, z0)
-    delta = p + q * (1.0 / z0)
+    delta = _over_z0(q, z0)
+    delta += p
     mag = np.abs(delta)
     if ((not (mag.min() > 0.0 and mag.max() < math.inf)
          and (not np.isfinite(delta).all() or not delta.all()))
             or any(series and not v.all() for series, v in elements)):
         raise DomainError("the ladder has no finite response")
-    return _DB_OF_2 - 20.0 * np.log10(mag)
+    np.log10(mag, out=mag)
+    mag *= -20.0
+    mag += _DB_OF_2
+    return mag
 
 
 def one_port_s11(p: MbvdParams, freq_hz, z0: float = 50.0) -> ComplexCurve:

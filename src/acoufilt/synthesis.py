@@ -112,7 +112,8 @@ def _s21_db(x: np.ndarray, spec: DesignSpec, jw: np.ndarray,
     """|S21| in dB of the ladder _design_from_x(x, spec) on the grid of
     jw = _jw(f), from the floats of x with no design built: the series
     impedance z = den / num and the shunt admittance y = num / den, once
-    each, through the one ladder kernel.  routing is
+    each, through the one ladder kernel, each divided into a buffer of
+    _circuit_terms that is not read again.  routing is
     _routing(jw, spec.rs, spec.ls), formed once per search.  Called under
     np.errstate(all="ignore"), which the search enters once; a DomainError
     where the placement has no circuit or the ladder no response."""
@@ -120,9 +121,9 @@ def _s21_db(x: np.ndarray, spec: DesignSpec, jw: np.ndarray,
     rm_se, lm_se, cm_se = _motional(fs_se, spec.k2, c0_se, spec.q)
     rm_sh, lm_sh, cm_sh = _motional(fs_sh, spec.k2, c0_sh, spec.q)
     _, _, num, den = _circuit_terms(jw, rm_se, lm_se, cm_se, c0_se, routing)
-    z = den / num
+    z = np.divide(den, num, out=num)
     _, _, num, den = _circuit_terms(jw, rm_sh, lm_sh, cm_sh, c0_sh, routing)
-    y = num / den
+    y = np.divide(num, den, out=den)
     return _ladder_s21_db(((False, y), (True, z), (False, y)), spec.z0)
 
 

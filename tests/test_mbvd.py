@@ -22,6 +22,7 @@ from acoufilt.errors import AcoufiltError, DomainError, InfeasibleCouplingError,
 from acoufilt.mbvd import (
     K2_MAX,
     _band_extremum,
+    _circuit_terms,
     _jw,
     _log_jacobian,
     _stationary_points,
@@ -540,3 +541,47 @@ def test_admittance_matches_the_generic_and_branch_forms(p, points):
     # is relative to the largest |Y| on the grid.
     ok = np.isfinite(ref)
     assert np.all(np.abs(y[ok] - ref[ok]) <= 1e-11 * np.max(np.abs(ref[ok]), initial=0.0))
+
+
+def _allocating_circuit_terms(jw, rm, lm, cm, c0, routing=None, r0=0.0):
+    """_circuit_terms as first written, a new array for every operation."""
+    pm = (jw * lm + rm) * jw * cm + 1.0
+    if r0:
+        ps = jw * r0 * c0 + 1.0
+        num = jw * (cm * ps + c0 * pm)
+        branches = pm * ps
+    else:
+        ps = 1.0
+        num = jw * (cm + c0 * pm)
+        branches = pm
+    den = branches if routing is None else branches + routing * num
+    return pm, ps, num, den
+
+
+def assert_same_bits(got, ref):
+    """Complex arrays equal bit for bit where not NaN, and NaN at the same
+    components (whose sign and payload may differ)."""
+    got, ref = (np.atleast_1d(np.asarray(a, dtype=complex)).view(float) for a in (got, ref))
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
+# Element values from the physical range up to ones whose products
+# overflow, with 0 and inf for the NaNs of 0 * inf.
+_ELEMENT = st.floats(1e-16, 1e-8) | st.floats(0.0, 1e300) | st.sampled_from([0.0, math.inf])
+
+
+@given(st.lists(st.floats(0.0, 1e300) | st.floats(1e9, 50e9), min_size=1, max_size=40),
+       _ELEMENT, _ELEMENT, _ELEMENT, _ELEMENT, st.just(0.0) | _ELEMENT,
+       st.none() | st.tuples(_ELEMENT, _ELEMENT))
+def test_circuit_terms_match_their_allocating_form(points, rm, lm, cm, c0, r0, parasitics):
+    # _circuit_terms forms its arrays in place, in the same operations up to
+    # the order of commuting operands, so every component keeps its bits.
+    with np.errstate(all="ignore"):
+        jw = _jw(np.array(points))
+        routing = None if parasitics is None else parasitics[0] + jw * parasitics[1]
+        got = _circuit_terms(jw, rm, lm, cm, c0, routing, r0)
+        ref = _allocating_circuit_terms(jw, rm, lm, cm, c0, routing, r0)
+    for g, r in zip(got, ref):
+        assert_same_bits(g, r)

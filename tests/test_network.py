@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_mbvd import assert_same_bits
 
 from acoufilt import (
     AbcdBlock,
@@ -180,6 +181,16 @@ def test_single_transparent_shunt_is_through():
     design = LadderDesign(elements=((ElementKind.SHUNT, p),), z0=50.0)
     s = build_ladder_response(design, GRID)
     assert np.allclose(s.s[:, 1, 0], 1.0, atol=1e-9)
+
+
+def test_shunt_only_ladder_at_a_subnormal_z0_is_through():
+    # At z0 = 5e-324, y*z0 underflows to 0 and 1/z0 overflows.  The rows'
+    # Q = +-z0, which no series element touches, still give Q/z0 = +-1,
+    # so delta = 2 and S is an exact through.
+    p = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    design = LadderDesign(elements=((ElementKind.SHUNT, p),), z0=5e-324)
+    s = build_ladder_response(design, GRID).s
+    assert np.array_equal(s, np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], s.shape))
 
 
 def test_reference_topology_is_a_bandpass_near_center():
@@ -551,13 +562,16 @@ def kernel_elements(draw):
 @example([(False, np.array([complex(math.inf, 0.0)]))], 50.0)
 @example([(False, np.array([complex(math.nan, 1.0)]))], 50.0)
 @example([(False, np.array([-1.0 + 0j]))], 2.0)
+@example([(False, np.array([0j]))], _SUBNORMAL)
 def test_kernel_names_a_fault_exactly_where_the_entrywise_test_does(elements, z0):
     # The kernel tests |delta| first and delta's entries only where |delta|
     # is not positive and finite.  It must raise exactly where the
     # entrywise test on delta = P + Q/z0 names a fault (a non-finite or zero
     # delta, or a series short), and elsewhere return the same bits.  The
     # examples: a finite delta whose |delta| overflows (-inf dB), a series
-    # short, delta = inf and delta = NaN, and delta = 0 (a shunt y = -2/z0).
+    # short, delta = inf and delta = NaN, delta = 0 (a shunt y = -2/z0),
+    # and a shunt-only ladder at a subnormal z0, where Q = z0 is untouched
+    # and Q/z0 = 1 although z0 * (1/z0) overflows.
     with np.errstate(all="ignore"):
         ref = _reference_ladder_s21_db(elements, z0)
         if ref is None:
@@ -566,6 +580,27 @@ def test_kernel_names_a_fault_exactly_where_the_entrywise_test_does(elements, z0
             return
         got = _ladder_s21_db(elements, z0)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def _allocating_row(elements, p, q):
+    """_row as first written, a new array for every product and sum."""
+    for series, v in elements:
+        if series:
+            q = p * v + q
+        else:
+            p = p + q * v
+    return p, q
+
+
+@given(kernel_elements(), st.floats(1e-3, 1e3) | st.sampled_from([1.0, _SUBNORMAL, 1e308]))
+def test_row_matches_its_allocating_form(elements, z0):
+    # _row adds each new product to the other entry in place; the sums
+    # commute, so every component keeps its bits.
+    for start in ((1.0, z0), (1.0, -z0)):
+        with np.errstate(all="ignore"):
+            got, ref = network._row(elements, *start), _allocating_row(elements, *start)
+        for g, r in zip(got, ref):
+            assert_same_bits(g, r)
 
 
 # Grids on which the admittance itself overflows; on the others only a

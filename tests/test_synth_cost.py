@@ -18,8 +18,9 @@ class Synth:
 """
 
 
-def _stub_tree(root: Path, evaluations: str) -> Path:
-    """A tree whose synthesize_ladder takes the evaluations expression of spec."""
+def _stub_tree(root: Path, evaluations: str, cost: str = "1.5") -> Path:
+    """A tree whose synthesize_ladder takes the evaluations expression of
+    spec and finds a design of the cost expression."""
     package = root / "src" / "acoufilt"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
@@ -27,7 +28,7 @@ def _stub_tree(root: Path, evaluations: str) -> Path:
         "import time\nfrom types import SimpleNamespace\n\n\n"
         "def synthesize_ladder(spec):\n"
         "    time.sleep(1e-3)\n"
-        f"    return SimpleNamespace(evaluations={evaluations})\n")
+        f"    return SimpleNamespace(evaluations={evaluations}, cost={cost})\n")
     (root / "perfbench").mkdir()
     (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
     return root
@@ -52,6 +53,17 @@ def test_differing_evaluation_counts_are_exit_1(tmp_path, capsys):
     assert synth_cost.main([str(parent), str(change), "--runs", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: 10 GHz, fbw 0.1: ") and "took 8 evaluations" in err
+
+
+def test_differing_costs_are_exit_1(tmp_path, capsys):
+    # One ulp apart: the costs compare bit for bit.
+    parent = _stub_tree(tmp_path / "parent", "7")
+    change = _stub_tree(tmp_path / "change", "7",
+                        "1.5 if spec.fc_target == 10e9 else 1.5000000000000002")
+    assert synth_cost.main([str(parent), str(change), "--runs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 23.5 GHz, fbw 0.16: ")
+    assert "cost 0x1.8000000000001p+0" in err and "cost 0x1.8000000000000p+0" in err
 
 
 def test_the_worker_serves_the_five_synth_specs_of_a_tree():

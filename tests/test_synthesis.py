@@ -20,7 +20,7 @@ from acoufilt import (
 )
 from acoufilt import metrics, synthesis
 from acoufilt.errors import AcoufiltError, DomainError
-from acoufilt.mbvd import _jw, _routing
+from acoufilt.mbvd import _circuit_terms, _jw, _motional, _routing
 from acoufilt.synthesis import _GRID_POINTS, _GRID_SPAN
 
 REFERENCE_SPEC = DesignSpec(
@@ -167,6 +167,29 @@ def test_float_path_score_matches_the_built_design(spec, u, guard):
     full = _built_design_score(x, spec, grid, guard, _full_response_db)
     assert (got == synthesis._FAILED_EVAL_PENALTY) == (full == synthesis._FAILED_EVAL_PENALTY)
     assert got == pytest.approx(full, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS)
+def test_scoring_leaves_the_shared_arrays_alone(spec):
+    # The search forms jw and the routing term once and shares them among
+    # all candidates, whose arithmetic runs in place on arrays of their own.
+    grid = _scoring_grid(spec)
+    x = synthesis._seed_placement(spec)
+    with np.errstate(all="ignore"):
+        jw = _jw(grid)
+        routing = _routing(jw, spec.rs, spec.ls)
+        shared = [a for a in (jw, routing) if a is not None]
+        before = [a.tobytes() for a in shared]
+        scores = [synthesis._placement_score(x, spec, grid, jw, routing, 0.15)
+                  for _ in range(2)]
+        assert [a.tobytes() for a in shared] == before
+        assert scores[0].hex() == scores[1].hex()
+        rm, lm, cm = _motional(x[0], spec.k2, x[2], spec.q)
+        for r0 in (0.0, 0.5):
+            pm, ps, num, den = _circuit_terms(jw, rm, lm, cm, x[2], routing, r0)
+            owned = [pm, num, den] + ([ps] if r0 else [])
+            assert not any(np.shares_memory(a, b) for a in owned for b in shared)
+            assert (den is pm) == (routing is None and not r0)
 
 
 def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):

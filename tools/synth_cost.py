@@ -11,9 +11,10 @@ take turns: in even rounds PARENT runs each spec first, in odd rounds
 CHANGE does.  The table gives, per spec, the search's evaluation count and
 the median over ``--runs`` rounds of the wall time per evaluation in
 microseconds, per tree; the last row does the same for the five specs
-together.  The evaluation counts must be the same in both trees and in
-every round; where they are not, or the specs differ, the run stops with
-exit status 1.  Standard library only, besides each tree's packages.
+together.  The evaluation counts and the costs of the designs found must
+be the same in both trees and in every round, the costs bit for bit;
+where they are not, or the specs differ, the run stops with exit
+status 1.  Standard library only, besides each tree's packages.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from pathlib import Path
 
 def serve(tree: Path) -> None:
     """Answer each spec index read from stdin with one JSON line: the
-    evaluations and wall seconds of synthesize_ladder on that spec."""
+    evaluations, the cost in hex and the wall seconds of synthesize_ladder
+    on that spec."""
     import workloads
     from acoufilt import synthesis
 
@@ -45,7 +47,7 @@ def serve(tree: Path) -> None:
         t0 = time.perf_counter()
         result = synthesis.synthesize_ladder(spec)
         elapsed = time.perf_counter() - t0
-        print(json.dumps([result.evaluations, elapsed]), flush=True)
+        print(json.dumps([result.evaluations, result.cost.hex(), elapsed]), flush=True)
 
 
 class Worker:
@@ -66,7 +68,7 @@ class Worker:
             raise RuntimeError(f"{self.tree}: the worker exited {self.proc.wait()}")
         return json.loads(line)
 
-    def run(self, index: int) -> tuple[int, float]:
+    def run(self, index: int) -> tuple[int, str, float]:
         try:
             self.proc.stdin.write(f"{index}\n")
             self.proc.stdin.flush()
@@ -94,14 +96,17 @@ def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], 
         if workers[1].specs != labels:
             raise RuntimeError(f"the trees run different specs: {labels} and "
                                f"{workers[1].specs}")
-        # The untimed first pass gives the evaluation counts.
-        evals = [workers[0].run(i)[0] for i in range(len(labels))]
+        # The untimed first pass gives the evaluation counts and costs.
+        evals, costs = zip(*(workers[0].run(i)[:2] for i in range(len(labels))))
 
         def run(side: int, i: int) -> float:
-            n, seconds = workers[side].run(i)
+            n, cost, seconds = workers[side].run(i)
             if n != evals[i]:
                 raise RuntimeError(f"{labels[i]}: {trees[side]} took {n} evaluations, "
                                    f"{trees[0]} took {evals[i]}")
+            if cost != costs[i]:
+                raise RuntimeError(f"{labels[i]}: {trees[side]} found a design of cost "
+                                   f"{cost}, {trees[0]} one of cost {costs[i]}")
             return seconds
 
         for i in range(len(labels)):
@@ -115,7 +120,7 @@ def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], 
     finally:
         for worker in workers:
             worker.close()
-    return labels, evals, times
+    return labels, list(evals), times
 
 
 def table(labels: list[str], evals: list[int], times: list) -> list[str]:
