@@ -150,6 +150,19 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
     return AbcdBlock(ref, mats)
 
 
+def _b_over_z0(b: np.ndarray, z0: float) -> np.ndarray:
+    """B/z0 as B*(1/z0); where 1/z0 overflows (a subnormal z0), part by part
+    as B.real/z0 and B.imag/z0, so that a zero part stays 0 where 0*inf
+    would be NaN."""
+    inverse = 1.0 / z0
+    if inverse < math.inf:
+        return b * inverse
+    bz = np.empty_like(b)
+    np.divide(b.real, z0, out=bz.real)
+    np.divide(b.imag, z0, out=bz.imag)
+    return bz
+
+
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     """Convert chain matrices to scattering parameters at reference z0; a zero
     denominator is a SingularConversionError and an overflow a DomainError."""
@@ -157,7 +170,7 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     f = block.freq_hz
     a, b, c, d = _entries(block.mats)
     with np.errstate(all="ignore"):
-        bz, cz = b * (1.0 / z0), c * z0
+        bz, cz = _b_over_z0(b, z0), c * z0
         delta = _nonzero(f, a + bz + cz + d)
         s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
                    2.0 / delta, (-a + bz - cz + d) / delta)

@@ -5,7 +5,9 @@ the series resonance on top of it, with the shunt static capacitance sized
 to present a |B| = 1/z0 susceptance at center (impedance matching).  A
 deterministic Nelder-Mead search over the four placement variables then
 trades insertion loss, bandwidth, rejection and centering against each
-other through a fixed penalty.
+other through a fixed penalty.  The search is the module's own
+_nelder_mead, which takes the steps of scipy's Nelder-Mead in the same
+float operations, so that synthesis does not import scipy.optimize.
 """
 
 from __future__ import annotations
@@ -168,6 +170,95 @@ def _seed_placement(spec: DesignSpec) -> np.ndarray:
     return np.array([fs_se0, fs_sh0, c0_se0, c0_sh0])
 
 
+class _Spent(Exception):
+    """The evaluation budget of _nelder_mead is spent."""
+
+
+def _nelder_mead(f, simplex, maxfev: int, xatol: float, fatol: float):
+    """Minimize f from the (N + 1, N) initial simplex by Nelder-Mead (Nelder
+    & Mead, Computer Journal 7(4), 1965): (x, fun, nfev), the best vertex as
+    an array, the least value of f and the number of evaluations.
+
+    Each step is that of scipy.optimize.minimize(method="Nelder-Mead",
+    adaptive=False) in the same float operations, so that both return the
+    same bits: reflection 2*xbar - w, expansion 3*xbar - 2*w, outside
+    contraction 1.5*xbar - 0.5*w, inside contraction 0.5*xbar + 0.5*w and
+    shrink s0 + 0.5*(sj - s0), with xbar the sum of the N best vertices in
+    order divided by N, and w the worst vertex.  The vertices are ordered
+    by np.argsort, which need not keep tied values in place, twice before
+    the first iteration as scipy does.  The convergence test (every
+    |sj - s0| <= xatol and every |f(sj) - f(s0)| <= fatol) runs at the top
+    of each iteration.  An evaluation past maxfev is refused and ends the
+    search where scipy's does: a refused expansion or contraction leaves
+    the simplex as it is, a refused shrink keeps the moved vertex with its
+    old value, and the vertices are still ordered once more.
+
+    The vertices are lists of floats; f is handed each as a new array.
+    """
+    sim = np.asarray(simplex, dtype=float).tolist()
+    n = len(sim) - 1
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
+
+    def value(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Spent
+        nfev += 1
+        return float(f(np.array(x)))
+
+    def order():
+        ind = np.argsort(fsim).tolist()
+        sim[:] = [sim[i] for i in ind]
+        fsim[:] = [fsim[i] for i in ind]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = value(sim[k])
+    except _Spent:
+        pass
+    order()
+    order()
+    while nfev < maxfev:
+        best = sim[0]
+        if (all(abs(v - b) <= xatol for row in sim[1:] for v, b in zip(row, best))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
+            break
+        xbar = list(best)
+        for row in sim[1:n]:
+            xbar = [c + v for c, v in zip(xbar, row)]
+        xbar = [c / n for c in xbar]
+        worst = sim[-1]
+        try:
+            xr = [2.0 * c - w for c, w in zip(xbar, worst)]
+            fxr = value(xr)
+            if fxr < fsim[0]:
+                xe = [3.0 * c - 2.0 * w for c, w in zip(xbar, worst)]
+                fxe = value(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = value(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = value(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [a + 0.5 * (b - a) for a, b in zip(best, sim[j])]
+                        fsim[j] = value(sim[j])
+        except _Spent:
+            pass
+        order()
+    return np.array(sim[0]), float(np.min(fsim)), nfev
+
+
 def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> SynthesisResult:
     """Search a shunt-series-shunt ladder meeting the spec.
 
@@ -180,10 +271,6 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
     and the spec's routing term rs + jw*ls.  The whole search runs in one
     np.errstate(all="ignore"), so that no candidate enters its own.
     """
-    # Imported here, not with the module: scipy.optimize takes about half a
-    # second to import, which commands that synthesize nothing skip.
-    from scipy.optimize import minimize
-
     _check_guard(guard)
     grid = validate_grid(np.linspace(_GRID_SPAN[0] * spec.fc_target,
                                      _GRID_SPAN[1] * spec.fc_target, _GRID_POINTS))
@@ -206,21 +293,11 @@ def synthesize_ladder(spec: DesignSpec, guard: float = DEFAULT_GUARD) -> Synthes
         with np.errstate(all="ignore"):
             jw = _jw(grid)
             routing = _routing(jw, spec.rs, spec.ls)
-            res = minimize(
+            u, _, n_evals = _nelder_mead(
                 lambda u: _placement_score(x0 * u, spec, grid, jw, routing, guard),
-                np.ones(4),
-                method="Nelder-Mead",
-                options={
-                    "initial_simplex": simplex,
-                    "maxfev": _MAX_EVALS,
-                    "xatol": _XATOL,
-                    "fatol": _FATOL,
-                    "adaptive": False,
-                },
-            )
-        n_evals = res.nfev
+                simplex, _MAX_EVALS, _XATOL, _FATOL)
         try:
-            design, m = evaluate(x0 * res.x)
+            design, m = evaluate(x0 * u)
         except AcoufiltError:  # the search ended on a placement without a circuit
             pass
     feasible = m is not None and _feasible(m, spec)

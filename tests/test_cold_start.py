@@ -26,7 +26,7 @@ def test_table_has_a_median_per_command_and_tree(tmp_path, capsys):
     assert lines[0].startswith("median wall time of 1 cold runs per tree, 201 points")
     assert lines[1].split() == ["command", "parent_s", "change_s", "ratio"]
     rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == ["simulate", "metrics", "sweep", "fit"]
+    assert [row[0] for row in rows] == ["simulate", "metrics", "sweep", "fit", "synthesize"]
     assert all(float(value) > 0 for row in rows for value in row[1:])
 
 

@@ -193,6 +193,19 @@ def test_shunt_only_ladder_at_a_subnormal_z0_is_through():
     assert np.array_equal(s, np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], s.shape))
 
 
+@pytest.mark.parametrize("z0", [5e-324, 1e-310])
+def test_block_api_at_a_subnormal_z0_is_the_ladder_kernel(z0):
+    # 1/z0 overflows, so B*(1/z0) of a zero B would be 0*inf = NaN.  The
+    # identity block and a one-shunt block (B = 0) are the exact through
+    # that build_ladder_response gives, bit for bit.
+    s = abcd_to_s(identity_block(GRID), z0).s
+    assert np.array_equal(s, np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], s.shape))
+    p = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
+    s = abcd_to_s(element_abcd(ElementKind.SHUNT, p, GRID), z0).s
+    ref = build_ladder_response(LadderDesign(((ElementKind.SHUNT, p),), z0=z0), GRID).s
+    assert_same_bits(s, ref)
+
+
 def test_reference_topology_is_a_bandpass_near_center():
     fc = 23.5e9
     fs_sh = fc * math.sqrt(1 - 0.46 / (math.pi**2 / 8))

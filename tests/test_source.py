@@ -52,14 +52,15 @@ def test_no_unused_imports():
     assert found == []
 
 
-def test_only_fit_and_synthesize_load_scipy(tmp_path):
+def test_only_fit_loads_scipy(tmp_path):
     # In a fresh interpreter, since this session may have imported anything.
-    # simulate, metrics and sweep run through cli.main; scipy.optimize takes
-    # about half a second to import, which they must not pay.
+    # simulate, metrics, sweep and synthesize (of the criterion-1 spec) run
+    # through cli.main; scipy.optimize takes about half a second to import,
+    # which they must not pay.
     code = (
         "import sys, types\n"
         "import acoufilt, acoufilt.cli\n"
-        "from acoufilt import io_formats, mbvd_from_targets, shunt_series_shunt\n"
+        "from acoufilt import DesignSpec, io_formats, mbvd_from_targets, shunt_series_shunt\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert loaded() == [], loaded()\n"
@@ -71,12 +72,17 @@ def test_only_fit_and_synthesize_load_scipy(tmp_path):
         "                            mbvd_from_targets(23.5e9, 0.46, 3.4e-14, 50))\n"
         "with open('d.kv', 'w') as fh:\n"
         "    fh.write(io_formats.write_ladder_design(design))\n"
+        "spec = DesignSpec(fc_target=23.5e9, fbw_target=0.16, z0=50.0, oob_min_db=12.0,\n"
+        "                  k2=0.46, q=50.0, il_max_db=1.6)\n"
+        "with open('spec.kv', 'w') as fh:\n"
+        "    fh.write(io_formats.write_design_spec(spec))\n"
         "grid = ['--grid', '1e9:4e10:401']\n"
         "for argv in (['simulate', '--design', 'd.kv', *grid, '--out', 'd.s2p',\n"
         "              '--metrics', 'd.csv'],\n"
         "             ['metrics', '--input', 'd.s2p', '--out', 'm.csv', '--svg', 'd.svg'],\n"
         "             ['sweep', '--design', 'd.kv', '--param', 'shunt.c0',\n"
-        "              '--range', '5e-14:8e-14:3', *grid, '--out', 's.csv']):\n"
+        "              '--range', '5e-14:8e-14:3', *grid, '--out', 's.csv'],\n"
+        "             ['synthesize', '--spec', 'spec.kv', *grid, '--out', 'syn.kv']):\n"
         "    assert acoufilt.cli.main(argv) == 0, argv\n"
         "    assert loaded() == [], (argv[0], loaded())\n"
     )

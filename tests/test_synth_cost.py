@@ -41,10 +41,14 @@ def test_table_has_a_median_per_spec_and_tree(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("median wall time per synthesis evaluation over 2 rounds")
     assert lines[1].split() == ["spec", "evals", "parent_us", "change_us", "ratio"]
-    rows = [line.rsplit(maxsplit=4) for line in lines[2:]]
+    rows = [line.rsplit(maxsplit=4) for line in lines[2:-1]]
     assert [(row[0], row[1]) for row in rows] == [
         ("23.5 GHz, fbw 0.16", "235"), ("10 GHz, fbw 0.1", "100"), ("all", "335")]
     assert all(float(value) > 0 for row in rows for value in row[2:])
+    words = lines[-1].split()
+    assert words[:4] == ["peak", "RSS", "per", "worker"]
+    assert words[5:] == ["parent", words[6], "MB,", "change", words[9], "MB"]
+    assert float(words[6]) > 0 and float(words[9]) > 0
 
 
 def test_differing_evaluation_counts_are_exit_1(tmp_path, capsys):

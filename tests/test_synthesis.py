@@ -192,6 +192,78 @@ def test_scoring_leaves_the_shared_arrays_alone(spec):
             assert (den is pm) == (routing is None and not r0)
 
 
+def _scipy_nelder_mead(f, simplex, maxfev, xatol, fatol):
+    """(x, fun, nfev) of scipy's Nelder-Mead, which _nelder_mead must match."""
+    from scipy.optimize import minimize
+
+    res = minimize(f, simplex[0], method="Nelder-Mead",
+                   options={"initial_simplex": simplex, "maxfev": maxfev, "xatol": xatol,
+                            "fatol": fatol, "adaptive": False})
+    return res.x, res.fun, res.nfev
+
+
+def _assert_same_search(f, simplex, maxfev, xatol, fatol):
+    """_nelder_mead and scipy's Nelder-Mead on f() (a new objective for each)
+    return the same x, fun and nfev, bit for bit."""
+    x, fun, nfev = synthesis._nelder_mead(f(), simplex, maxfev, xatol, fatol)
+    ref_x, ref_fun, ref_nfev = _scipy_nelder_mead(f(), simplex, maxfev, xatol, fatol)
+    assert (x.tobytes(), float(fun).hex(), nfev) == (
+        ref_x.tobytes(), float(ref_fun).hex(), ref_nfev)
+
+
+CRITERION_2_SPEC = DesignSpec(fc_target=23.5e9, fbw_target=0.17, z0=50.0, oob_min_db=10.0,
+                              k2=0.42, q=40.0, rs=0.5, ls=30e-12, il_max_db=3.0)
+
+
+@pytest.mark.parametrize("spec", [REFERENCE_SPEC, CRITERION_2_SPEC])
+def test_search_takes_the_steps_of_scipys_nelder_mead(monkeypatch, spec):
+    # Replayed on the objective, simplex, cap and tolerances that
+    # synthesize_ladder hands its search.  With a stable sort in place of
+    # np.argsort, criterion 2 ends after 1465 evaluations instead of 1471.
+    nelder_mead, searches = synthesis._nelder_mead, []
+
+    def spy(*args):
+        searches.append(args)
+        return nelder_mead(*args)
+
+    monkeypatch.setattr(synthesis, "_nelder_mead", spy)
+    result = synthesize_ladder(spec)
+    (f, simplex, maxfev, xatol, fatol), = searches
+    with np.errstate(all="ignore"):
+        _assert_same_search(lambda: f, simplex, maxfev, xatol, fatol)
+    assert nelder_mead(f, simplex, maxfev, xatol, fatol)[2] == result.evaluations
+
+
+@st.composite
+def tied_searches(draw):
+    """A simplex of 1-4 variables on a coarse lattice, a cap of 3-60
+    evaluations, tolerances, and the values f returns in call order: one of
+    four levels, lowered by 1 every third call, so that values and vertices
+    tie and some steps expand.  The cap falls in the initial simplex and in
+    every kind of step: expansion, both contractions and shrink."""
+    n = draw(st.integers(1, 4))
+    coordinate = st.integers(-4, 4).map(lambda k: k / 4)
+    simplex = draw(st.lists(st.lists(coordinate, min_size=n, max_size=n),
+                            min_size=n + 1, max_size=n + 1))
+    maxfev = draw(st.integers(3, 60))
+    levels = draw(st.lists(st.integers(0, 3), min_size=maxfev, max_size=maxfev))
+    values = [float(level - i // 3) for i, level in enumerate(levels)]
+    tolerance = draw(st.sampled_from([0.0, 0.25]))
+    return np.array(simplex), maxfev, values, tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_searches())
+def test_search_matches_scipy_on_tied_values_up_to_its_cap(search):
+    simplex, maxfev, values, tolerance = search
+
+    def objective():
+        it = iter(values)
+        return lambda x: next(it)
+
+    _assert_same_search(objective, simplex, maxfev, tolerance, tolerance)
+
+
 def test_evaluation_bugs_are_not_scored_as_failed_evaluations(monkeypatch):
     # Only toolkit errors mean "no scoreable passband"; anything else is a
     # bug, whether it happens while scoring a candidate or in the final

@@ -8,13 +8,14 @@ from the shell, imports included.  The trees take turns: in even rounds
 PARENT runs first, in odd rounds CHANGE does.  The commands are
 ``simulate`` of the 23.5 GHz reference ladder with ``--metrics``,
 ``metrics`` of that ladder's ``.s2p`` with ``--svg``, ``sweep`` of the
-shunt c0 over 9 values, and ``fit`` of its series resonator's ``.s1p``,
-each on a grid of ``--points`` points.  ``synthesize`` is left out: its
-search takes seconds, far more than starting the interpreter.  Before
-timing, each tree's sources are compiled, and the inputs are written by
-CHANGE.  The table gives the median wall time of each command per tree
-over ``--runs`` rounds.  A command that exits non-zero stops the run with
-exit status 1.  Standard library only.
+shunt c0 over 9 values, ``fit`` of its series resonator's ``.s1p``, and
+``synthesize`` of the criterion-1 spec (23.5 GHz, 16 % FBW) with
+``--touchstone``, whose search runs 428 evaluations in about 0.05 s.
+Every grid has ``--points`` points.  Before timing, each tree's sources
+are compiled, and the inputs are written by CHANGE.  The table gives the
+median wall time of each command per tree over ``--runs`` rounds.  A
+command that exits non-zero stops the run with exit status 1.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -52,6 +53,17 @@ rs = 0
 ls = 0
 """
 RESONATOR = LADDER[LADDER.index("[series]"):LADDER.index("[shunt]")]
+# The criterion-1 spec: the paper's 23.5 GHz ladder at 16 % FBW.
+SPEC = """\
+[spec]
+fc = 23.5e9
+fbw = 0.16
+z0 = 50
+oob_min_db = 12
+k2 = 0.46
+q = 50
+il_max_db = 1.6
+"""
 
 
 def commands(points: int) -> dict[str, list[str]]:
@@ -66,6 +78,8 @@ def commands(points: int) -> dict[str, list[str]]:
                   "--range", "1.2e-13:1.6e-13:9", *grid, "--out", "sweep.csv"],
         "fit": ["fit", "--input", "resonator.s1p", "--out", "fit.kv",
                 "--report", "fit.csv"],
+        "synthesize": ["synthesize", "--spec", "spec.kv", *grid, "--out", "synth.kv",
+                       "--touchstone", "synth.s2p"],
     }
 
 
@@ -83,9 +97,11 @@ def cli(tree: Path, argv: list[str], cwd: str) -> float:
 
 
 def prepare(tree: Path, points: int, cwd: str) -> None:
-    """Write the design files and, with tree's CLI, the .s2p and .s1p inputs."""
+    """Write the design and spec files and, with tree's CLI, the .s2p and
+    .s1p inputs."""
     Path(cwd, "ladder.kv").write_text(LADDER)
     Path(cwd, "resonator.kv").write_text(RESONATOR)
+    Path(cwd, "spec.kv").write_text(SPEC)
     cli(tree, ["simulate", "--design", "ladder.kv", "--grid", f"1e9:4e10:{points}",
                "--out", "ladder.s2p"], cwd)
     cli(tree, ["simulate", "--design", "resonator.kv", "--grid", f"5e9:1e11:{points}",

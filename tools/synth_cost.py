@@ -11,10 +11,12 @@ take turns: in even rounds PARENT runs each spec first, in odd rounds
 CHANGE does.  The table gives, per spec, the search's evaluation count and
 the median over ``--runs`` rounds of the wall time per evaluation in
 microseconds, per tree; the last row does the same for the five specs
-together.  The evaluation counts and the costs of the designs found must
-be the same in both trees and in every round, the costs bit for bit;
-where they are not, or the specs differ, the run stops with exit
-status 1.  Standard library only, besides each tree's packages.
+together.  A last line gives each worker's peak resident set size
+(``ru_maxrss``) at the end of the run, imports included.  The evaluation
+counts and the costs of the designs found must be the same in both trees
+and in every round, the costs bit for bit; where they are not, or the
+specs differ, the run stops with exit status 1.  Standard library only,
+besides each tree's packages.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -32,7 +35,7 @@ from pathlib import Path
 def serve(tree: Path) -> None:
     """Answer each spec index read from stdin with one JSON line: the
     evaluations, the cost in hex and the wall seconds of synthesize_ladder
-    on that spec."""
+    on that spec, and the process's peak RSS in MB so far."""
     import workloads
     from acoufilt import synthesis
 
@@ -47,7 +50,10 @@ def serve(tree: Path) -> None:
         t0 = time.perf_counter()
         result = synthesis.synthesize_ladder(spec)
         elapsed = time.perf_counter() - t0
-        print(json.dumps([result.evaluations, result.cost.hex(), elapsed]), flush=True)
+        # ru_maxrss is in kilobytes on Linux.
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(json.dumps([result.evaluations, result.cost.hex(), elapsed, peak_mb]),
+              flush=True)
 
 
 class Worker:
@@ -68,7 +74,7 @@ class Worker:
             raise RuntimeError(f"{self.tree}: the worker exited {self.proc.wait()}")
         return json.loads(line)
 
-    def run(self, index: int) -> tuple[int, str, float]:
+    def run(self, index: int) -> tuple[int, str, float, float]:
         try:
             self.proc.stdin.write(f"{index}\n")
             self.proc.stdin.flush()
@@ -85,9 +91,10 @@ class Worker:
         self.proc.stdout.close()
 
 
-def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], list]:
-    """The spec labels, their evaluation counts, and per tree and spec the
-    wall seconds of each round."""
+def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], list,
+                                                         list[float]]:
+    """The spec labels, their evaluation counts, per tree and spec the wall
+    seconds of each round, and per tree the worker's peak RSS in MB."""
     workers = []
     try:
         for tree in trees:
@@ -98,9 +105,10 @@ def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], 
                                f"{workers[1].specs}")
         # The untimed first pass gives the evaluation counts and costs.
         evals, costs = zip(*(workers[0].run(i)[:2] for i in range(len(labels))))
+        peak_mb = [0.0, 0.0]
 
         def run(side: int, i: int) -> float:
-            n, cost, seconds = workers[side].run(i)
+            n, cost, seconds, peak_mb[side] = workers[side].run(i)
             if n != evals[i]:
                 raise RuntimeError(f"{labels[i]}: {trees[side]} took {n} evaluations, "
                                    f"{trees[0]} took {evals[i]}")
@@ -120,7 +128,7 @@ def measure(trees: tuple[Path, Path], runs: int) -> tuple[list[str], list[int], 
     finally:
         for worker in workers:
             worker.close()
-    return labels, list(evals), times
+    return labels, list(evals), times, peak_mb
 
 
 def table(labels: list[str], evals: list[int], times: list) -> list[str]:
@@ -150,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--runs must be at least 1")
     trees = (args.trees[0].resolve(), args.trees[1].resolve())
     try:
-        labels, evals, times = measure(trees, args.runs)
+        labels, evals, times, peak_mb = measure(trees, args.runs)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -158,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
           f"Python {sys.version.split()[0]}")
     for line in table(labels, evals, times):
         print(line)
+    print(f"peak RSS per worker (ru_maxrss): parent {peak_mb[0]:.1f} MB, "
+          f"change {peak_mb[1]:.1f} MB")
     return 0
 
 
