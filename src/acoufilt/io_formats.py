@@ -4,13 +4,24 @@ Readers reject malformed input instead of repairing it; an error names the
 offending line, or the missing section or key.  read_touchstone reads the
 option line once for both data paths.  One key table (_SECTION_KEYS,
 _REQUIRED) serves the design-file readers, which build from parsed sections
-(_build), and the writers (_write_sections).  Writers emit 17 significant
-digits so write-then-read is an identity to better than 1e-12 relative.
+(_build), and the writers (_write_sections).
+
+Writers emit every number as "%.16e" (_NUM), 17 significant digits, so
+write-then-read gives back the same float; the option line's R reads
+back as the same float too.  A Touchstone table is formatted 1024 rows at a time by a numpy
+kernel (_format_chunk): it scales each |x| by 10**(16 - k), k an estimate
+of floor(log10|x|), as a double-double product (Dekker's two-product, with
+10**j as a pair of floats from exact integer arithmetic), rounds it to the
+17-digit integer and writes its digits as bytes.  A row with a number the
+kernel cannot prove it rounds as "%.16e" does (non-finite, outside
+[1e-280, 1e280], near a rounding tie, or with k one off) is formatted by
+"%.16e" itself, so the text is the same, byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -29,9 +40,16 @@ from .synthesis import DesignSpec
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
 _NUM = "{:.16e}".format
-# Rows per string-formatting call of _format_table; bounds the temporary
-# tuple of Python floats.
-_CHUNK_ROWS = 4096
+# Rows per pass of _format_table; bounds its temporary arrays.
+_CHUNK_ROWS = 1024
+# The table kernel formats |x| in [1e-_EXP_MAX, 1e_EXP_MAX] and zeros; every
+# other number goes to _NUM's formatting.
+_EXP_MAX = 280
+# Veltkamp's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+# A scaled value this close to a rounding tie is not rounded by the kernel:
+# its error is below 1e-13, and the tie needs the exact rule.
+_TIE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,8 +74,11 @@ class TouchstoneHeader:
         return _FREQ_UNITS[self.frequency_unit.lower()]
 
     def option_line(self) -> str:
-        return (f"# {self.frequency_unit} {self.parameter} {self.format} "
-                f"R {self.reference_resistance:g}")
+        """The option line; R reads back as the same float (50, not 50.0)."""
+        r = f"{self.reference_resistance:g}"
+        if float(r) != self.reference_resistance:
+            r = repr(self.reference_resistance)
+        return f"# {self.frequency_unit} {self.parameter} {self.format} R {r}"
 
 
 @dataclass(frozen=True)
@@ -268,11 +289,117 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
     return TouchstoneData(header, *cols)
 
 
+def _ascii(text: str, dtype: type) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), dtype)
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's tables, built on the first write.
+
+    10**j for j in 16 - k, k in [-_EXP_MAX - 1, _EXP_MAX] (an estimate of
+    floor(log10|x|) may be one low), as hi + lo: hi the nearest float and
+    lo the nearest float to the rest, from exact integer arithmetic; hi's
+    Veltkamp halves; and the text, as machine words, of a sign and leading
+    digit with the point, of each 4-digit group, and of each exponent with
+    a space after it.  A zero byte is a byte the kernel leaves out.
+    """
+    his, los = [], []
+    for j in range(16 - _EXP_MAX, 16 + _EXP_MAX + 2):
+        if j >= 0:
+            hi = float(10 ** j)
+            lo = float(10 ** j - int(hi))
+        else:
+            d = 10 ** -j
+            hi = 1 / d  # int division rounds correctly
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * d) / (den * d)
+        his.append(hi)
+        los.append(lo)
+    hi, lo = np.array(his), np.array(los)
+    c = _SPLIT * hi
+    hi_high = c - (c - hi)
+    heads = _ascii("".join(f"{sign}{d}.\0" for sign in "\0-" for d in range(10)), np.uint32)
+    groups = _ascii("".join(f"{g:04d}" for g in range(10000)), np.uint32)
+    exponents = _ascii("".join(
+        "e" + "+-"[k < 0] + (f"{abs(k):03d}" if abs(k) >= 100 else f"\0{abs(k):02d}") + " \0\0"
+        for k in range(-_EXP_MAX - 1, _EXP_MAX + 1)), np.uint64)
+    return hi, hi_high, hi - hi_high, lo, heads, groups, exponents
+
+
+def _format_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of chunk as bytes that, once their zero bytes are dropped,
+    are its line as _NUM formats its numbers (32 bytes a number), and
+    whether that holds for the row.
+
+    It holds unless the row has a number that is neither zero nor in
+    [1e-_EXP_MAX, 1e_EXP_MAX], whose scaled value lies within _TIE_MARGIN
+    of a rounding tie, or whose exponent estimate was one off (the scaled
+    value is outside [1e16, 1e17)).
+    """
+    rows, cols = chunk.shape
+    x = chunk.ravel()
+    a = np.abs(x)
+    zero = a == 0.0
+    proven = zero | ((a >= 10.0 ** -_EXP_MAX) & (a <= 10.0 ** _EXP_MAX))
+    a = np.where(proven & ~zero, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, hi_high, hi_low, lo, heads, groups, exponents = _format_tables()
+    # a * 10**(16 - k) as the double-double p + e: Dekker's two-product of
+    # a and hi, plus a * lo.
+    j = _EXP_MAX - k
+    p = a * hi[j]
+    c = _SPLIT * a
+    a_high = c - (c - a)
+    a_low = a - a_high
+    h_high, h_low = hi_high[j], hi_low[j]
+    e = (((a_high * h_high - p) + a_high * h_low) + a_low * h_high) + a_low * h_low
+    e += a * lo[j]
+    # p >= 1e16 > 2**53 is an integer, so e holds the fraction.
+    r = np.rint(e)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    # The check is on the unrounded value: one just below 10**16 may round
+    # up to it.
+    proven &= (p > 1e16) | ((p == 1e16) & (e >= 0))
+    proven &= n < 10 ** 17
+    proven &= np.abs(np.abs(e - r) - 0.5) >= _TIE_MARGIN
+    # A zero's digits are 0 (its a was 1, so k is 0); an unproven
+    # number's are not used.
+    n[zero | ~proven] = 0
+    # The 17 digits of n: the leading one and four groups of 4.
+    top, low = np.divmod(n, 10 ** 8)
+    lead, mid = np.divmod(top.astype(np.int32), 10 ** 8)
+    out = np.empty((x.size, 4), np.uint64)
+    words = out.view(np.uint32)
+    words[:, 0] = heads[lead + 10 * np.signbit(x)]
+    for col, part in ((1, mid), (3, low.astype(np.int32))):
+        high, rest = np.divmod(part, 10 ** 4)
+        words[:, col] = groups[high]
+        words[:, col + 1] = groups[rest]
+    words[:, 5] = 0
+    out[:, 3] = exponents[k + _EXP_MAX + 1]
+    text = out.view(np.uint8).reshape(rows, cols * 32)
+    text[:, -3] = ord("\n")  # the space after a row's last number
+    return text, proven.reshape(rows, cols).all(axis=1)
+
+
 def _format_table(table: np.ndarray) -> str:
-    """One line per row of a float table, each number formatted as _NUM does."""
+    """One line per row of a float table, each number formatted as _NUM does.
+
+    A row is _format_chunk's text where that is proven, else formatted
+    by %.16e.
+    """
     row = " ".join(["%.16e"] * table.shape[1]) + "\n"
-    return "".join((row * len(chunk)) % tuple(chunk.ravel().tolist())
-                   for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)))
+    pieces = []
+    for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)):
+        text, proven = _format_chunk(chunk)
+        start = 0
+        for i in np.flatnonzero(~proven):
+            pieces += [text[start:i].tobytes().translate(None, b"\0").decode("ascii"),
+                       row % tuple(chunk[i].tolist())]
+            start = i + 1
+        pieces.append(text[start:].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
 
 
 def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,

@@ -119,6 +119,24 @@ def test_fit_end_to_end(tmp_path):
     assert report.read_text().startswith("quantity,value")
 
 
+def test_fit_at_a_non_round_z0_recovers_the_resonator(tmp_path):
+    # The option line carries z0 to the fit: a z0 cut to 6 digits (50.1235)
+    # moves the fitted values by about 1e-6.
+    truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
+    res_kv = tmp_path / "res.kv"
+    res_kv.write_text("[filter]\nz0 = 50.123456789\n\n" + io_formats.write_resonator(truth))
+    s1p = tmp_path / "res.s1p"
+    assert main(["simulate", "--design", str(res_kv), "--grid", "5e9:1e11:3001",
+                 "--out", str(s1p)]) == 0
+    header = io_formats.read_touchstone(s1p.read_text()).header
+    assert header.reference_resistance == 50.123456789
+    fitted_kv = tmp_path / "fitted.kv"
+    assert main(["fit", "--input", str(s1p), "--out", str(fitted_kv)]) == 0
+    fitted = io_formats.read_resonators(fitted_kv.read_text())["series"]
+    for k in ("rm", "lm", "cm", "c0", "rs", "ls"):
+        assert getattr(fitted, k) == pytest.approx(getattr(truth, k), rel=1e-9)
+
+
 def test_fit_report_layout(tmp_path):
     truth = acoufilt.mbvd_from_targets(20e9, 0.42, 50e-15, 40, rs=0.3, ls=30e-12)
     s1p = tmp_path / "res.s1p"

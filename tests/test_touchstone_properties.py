@@ -8,6 +8,7 @@ FormatError at its line, not an OverflowError or an infinite frequency.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -327,3 +328,67 @@ def test_written_files_are_read_without_the_line_walk(monkeypatch, fmt, ports):
     assert got.header == header
     assert np.array_equal(bits(got.freq_hz), bits(want.freq_hz))
     assert_same_complex(got.s, want.s, exact=fmt == "RI")
+
+
+# ---------------------------------------------------------------------------
+# Table formatting
+
+
+def per_value(table: np.ndarray) -> str:
+    """The table as _NUM formats each number, one line per row."""
+    return "".join(" ".join(map(io_formats._NUM, row)) + "\n" for row in table.tolist())
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 3, 9]).flatmap(
+    lambda cols: st.lists(st.integers(0, 2**64 - 1), max_size=60 * cols).map(
+        lambda words: np.array(words[:len(words) - len(words) % cols], dtype=np.uint64)
+        .view(np.float64).reshape(-1, cols))))
+def test_table_formatting_matches_num_for_any_float(table):
+    # Drawn as bit patterns: NaN, inf, -0.0 and subnormals included.
+    assert io_formats._format_table(table) == per_value(table)
+
+
+def _edge_values() -> np.ndarray:
+    tens = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    values = np.concatenate([
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        [5e-324, sys.float_info.max, 0.0],
+    ])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("cols", [1, 3, 9])
+def test_table_formatting_matches_num_at_the_edges(cols):
+    values = _edge_values()
+    table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    assert io_formats._format_table(table) == per_value(table)
+
+
+def test_fallback_rows_on_both_sides_of_a_chunk_boundary():
+    n = io_formats._CHUNK_ROWS
+    table = np.linspace(1.0, 2.0, 3 * (n + 2)).reshape(-1, 3)
+    fallback = [0, n - 1, n, n + 1]
+    table[fallback, 1] = [np.nan, 2.0**-25, np.inf, 1e300]
+    assert io_formats._format_table(table) == per_value(table)
+    proven = np.concatenate([io_formats._format_chunk(table[:n])[1],
+                             io_formats._format_chunk(table[n:])[1]])
+    assert np.flatnonzero(~proven).tolist() == fallback
+
+
+@pytest.mark.parametrize("cols", [1, 3, 9])
+def test_a_table_without_rows_is_empty_text(cols):
+    assert io_formats._format_table(np.empty((0, cols))) == ""
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(50.0)
+@example(50.123456789)
+@example(5e-324)
+def test_option_line_reads_back_the_same_reference_resistance(z0):
+    header = TouchstoneHeader("Hz", "S", "RI", z0)
+    line = header.option_line()
+    assert _parse_option_line(line[1:].split(), 1) == header
+    data = TouchstoneData(header, np.array([1e9]), np.array([[[0.5 + 0.25j]]]))
+    assert read_touchstone(write_touchstone(data)).header.reference_resistance == z0
