@@ -7,15 +7,16 @@ _REQUIRED) serves the design-file readers, which build from parsed sections
 (_build), and the writers (_write_sections).
 
 Writers emit every number as "%.16e" (_NUM), 17 significant digits, so
-write-then-read gives back the same float; the option line's R reads
-back as the same float too.  A Touchstone table is formatted 1024 rows at a time by a numpy
-kernel (_format_chunk): it scales each |x| by 10**(16 - k), k an estimate
-of floor(log10|x|), as a double-double product (Dekker's two-product, with
-10**j as a pair of floats from exact integer arithmetic), rounds it to the
-17-digit integer and writes its digits as bytes.  A row with a number the
-kernel cannot prove it rounds as "%.16e" does (non-finite, outside
-[1e-280, 1e280], near a rounding tie, or with k one off) is formatted by
-"%.16e" itself, so the text is the same, byte for byte.
+write-then-read gives back the same float; the option line's R reads back
+as the same float too.  A Touchstone table is formatted 1024 rows at a
+time by a numpy kernel (_format_chunk): it scales each |x| by 10**(16 - k),
+k an estimate of floor(log10|x|), as a double-double product (Dekker's
+two-product, with 10**j as a pair of floats from exact integer
+arithmetic), rounds it to the 17-digit integer and writes its digits as
+bytes.  A row with a number the kernel cannot prove it rounds as "%.16e"
+does (non-finite, outside [1e-280, 1e280], near a rounding tie, or with k
+one off) is formatted by "%.16e" itself, so the text is the same, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -366,7 +367,9 @@ def _format_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A zero's digits are 0 (its a was 1, so k is 0); an unproven
     # number's are not used.
     n[zero | ~proven] = 0
-    # The 17 digits of n: the leading one and four groups of 4.
+    # The 17 digits of n: the leading one and four groups of 4.  A
+    # number's 32 bytes are its sign (or 0), leading digit, point and a 0,
+    # the 16 other digits, four 0s, and its exponent, a space and two 0s.
     top, low = np.divmod(n, 10 ** 8)
     lead, mid = np.divmod(top.astype(np.int32), 10 ** 8)
     out = np.empty((x.size, 4), np.uint64)
