@@ -8,7 +8,7 @@ _REQUIRED) serves the design-file readers, which build from parsed sections
 
 Writers emit every number as "%.16e" (_NUM), 17 significant digits, so
 write-then-read gives back the same float; the option line's R reads back
-as the same float too.  A Touchstone table is formatted 1024 rows at a
+as the same float too.  A Touchstone table is formatted 448 rows at a
 time by a numpy kernel (_format_chunk): it scales each |x| by 10**(16 - k),
 k an estimate of floor(log10|x|), as a double-double product (Dekker's
 two-product, with 10**j as a pair of floats from exact integer
@@ -17,6 +17,15 @@ bytes.  A row with a number the kernel cannot prove it rounds as "%.16e"
 does (non-finite, outside [1e-280, 1e280], near a rounding tie, or with k
 one off) is formatted by "%.16e" itself, so the text is the same, byte
 for byte.
+
+A file in the writer's own grammar is read back by the mirror kernel
+(_read_chunk), about 192 kB of text at a time: it reads each number's 17
+digits as machine words, forms the mantissa exactly, and multiplies it by
+10**(E - 16) from the same table of powers as a double-double product.  A
+number it cannot prove rounds as float() does (exponent or value outside
+the table's range, or near a rounding tie) is read by float() itself, so
+the bits are float()'s.  Every other file goes to np.loadtxt or to the
+line walk.
 """
 
 from __future__ import annotations
@@ -41,16 +50,25 @@ from .synthesis import DesignSpec
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
 _NUM = "{:.16e}".format
-# Rows per pass of _format_table; bounds its temporary arrays.
-_CHUNK_ROWS = 1024
-# The table kernel formats |x| in [1e-_EXP_MAX, 1e_EXP_MAX] and zeros; every
-# other number goes to _NUM's formatting.
+# Rows per pass of _format_table; bounds its temporary arrays.  At 9
+# numbers a row, a pass's 32-byte-a-number buffer stays under glibc's
+# 128 kB mmap threshold, so freeing it gives its pages back.
+_CHUNK_ROWS = 448
+# Characters per pass of the table reader, about; bounds its temporary arrays.
+_READ_CHUNK = 3 * 2**16
+# The table kernels format and read |x| in [1e-_EXP_MAX, 1e_EXP_MAX] and
+# zeros; every other number goes to _NUM's formatting or to float().
 _EXP_MAX = 280
+# The power of ten of the first entry of _powers_of_ten(): the reader
+# scales a 17-digit mantissa by 10**(E - 16), E down to -_EXP_MAX.
+_TEN_LOW = -_EXP_MAX - 16
 # Veltkamp's splitting constant for doubles, 2**27 + 1.
 _SPLIT = 134217729.0
 # A scaled value this close to a rounding tie is not rounded by the kernel:
 # its error is below 1e-13, and the tie needs the exact rule.
 _TIE_MARGIN = 1e-6
+# Bytes after a reader pass's text: every gather of _read_chunk stays in it.
+_PAD = "\0" * 24
 
 
 @dataclass(frozen=True)
@@ -214,11 +232,16 @@ def read_touchstone(text: str) -> TouchstoneData:
     one starts the noise-parameter block (Touchstone v1.1): its 5-column
     rows are checked and ignored.
 
-    A well-formed file is read by one np.loadtxt call after its option line.
-    Every other file (a noise block, an error, no data, a token only float()
-    reads, such as 1_0) is read by the line walk, which checks each row as
-    it reads it and so names the first offending line.
+    A file in the writer's own grammar is read by the table kernel
+    (_read_written).  Any other well-formed file is read by one np.loadtxt
+    call after its option line.  Every other file (a noise block, an error,
+    no data, a token only float() reads, such as 1_0) is read by the line
+    walk, which checks each row as it reads it and so names the first
+    offending line.
     """
+    data = _read_written(text)
+    if data is not None:
+        return data
     lines = text.splitlines()
     # The first non-blank line is the option line, or a data line of a file
     # without one; lines[start:] are the lines after the option line.
@@ -290,23 +313,166 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
     return TouchstoneData(header, *cols)
 
 
+def _read_written(text: str) -> TouchstoneData | None:
+    """The data of a file in the writer's own grammar, or None.
+
+    The grammar is an option line of printable ASCII starting with "#",
+    then rows of 3 or 9 numbers as _written_table reads them.  The table
+    goes through _columns as loadtxt's would, so a file that fails a check
+    is None too, and the line walk names its line.
+    """
+    start = text.find("\n") + 1
+    head = text[:start - 1]
+    if not (0 < start < len(text) and head.startswith("#") and head.isascii()
+            and head.isprintable() and text.endswith("\n")):
+        return None
+    header = _parse_option_line(head.split("!", 1)[0][1:].split(), 1)
+    table = _written_table(text, start)
+    if table is None or table.shape[1] not in (3, 9):
+        return None
+    cols = _columns(header, table)
+    return None if cols is None else TouchstoneData(header, *cols)
+
+
+def _written_table(text: str, start: int) -> np.ndarray | None:
+    """The numbers of text[start:] as float() reads them, one table row a
+    line, or None unless it is one or more rows of equal width in the
+    writer's grammar.
+
+    The text is read by _read_chunk in pieces of about _READ_CHUNK
+    characters, each cut after a newline.
+    """
+    # A number and its separator take at least 23 characters.
+    values = np.empty((len(text) - start) // 23)
+    size = width = 0
+    while start < len(text):
+        stop = text.rfind("\n", start, start + _READ_CHUNK) + 1
+        if stop <= start:
+            return None
+        try:
+            read = _read_chunk(("\n" + text[start:stop] + _PAD).encode("ascii"))
+        except UnicodeEncodeError:
+            return None
+        if read is None or width not in (0, read[2]):
+            return None
+        chunk_values, _, width = read
+        values[size:size + chunk_values.size] = chunk_values
+        size += chunk_values.size
+        start = stop
+    return values[:size].reshape(-1, width) if width else None
+
+
+def _read_chunk(chunk: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The numbers of chunk's rows as float() reads them, which of them the
+    kernel proved, and the row width; None if the rows are not in the
+    writer's grammar, -?D.D{16}e[+-]DD[D] with one space between numbers
+    and a newline after each row, or differ in width.
+
+    chunk is a newline, whole rows, and _PAD.  Each number is found from
+    its point.  Its 16 fraction digits are read as two 8-byte words
+    (Lemire's SWAR conversion), its mantissa is the exact double-double
+    9 digits * 1e8 + 8 digits, and that times 10**(E - 16) as a
+    double-double product rounds to the float.  A number is read again by
+    float() if that is not proven: its exponent is outside
+    [-_EXP_MAX, _EXP_MAX], its value is neither zero nor in
+    [1e-_EXP_MAX, 1e_EXP_MAX], or the product lies within _TIE_MARGIN
+    gaps of a rounding tie, the gap being the one between floats on the
+    side of the rounded value that the product lies.
+    """
+    buf = np.frombuffer(chunk, np.uint8)
+    dots = np.flatnonzero(buf == ord("."))
+    if dots.size == 0:
+        return None
+    minus = buf[dots - 2] == ord("-")
+    starts = dots - 1 - minus
+    lead, e1, e2, e3 = (buf[dots + i] - np.uint8(ord("0")) for i in (-1, 19, 20, 21))
+    long_exp = e3 < 10
+    ends = dots + 21 + long_exp
+    seps = buf[ends]
+    newline = seps == ord("\n")
+    rows = np.flatnonzero(newline)
+    width = int(rows[0]) + 1 if rows.size else 0
+    words = np.ndarray((buf.size - 7,), "<u8", chunk, 0, (1,))
+    high, low = words[dots + 1], words[dots + 9]
+    exp_sign = buf[dots + 18]
+    # The numbers and their single separators tile the rows exactly.
+    if not (width and dots.size == width * rows.size
+            and starts[0] == 1 and ends[-1] == len(chunk) - len(_PAD) - 1
+            and (starts[1:] == ends[:-1] + 1).all()
+            and (rows == np.arange(width - 1, dots.size, width)).all()
+            and (newline | (seps == ord(" "))).all()
+            and (lead < 10).all() and (e1 < 10).all() and (e2 < 10).all()
+            and (buf[dots + 17] == ord("e")).all()
+            and ((exp_sign == ord("+")) | (exp_sign == ord("-"))).all()
+            and _eight_digits_valid(high).all() and _eight_digits_valid(low).all()):
+        return None
+    e = 10 * e1.astype(np.intp) + e2
+    e += long_exp * (9 * e + e3)  # 10 * e + e3 where there is a third digit
+    e *= 1 - 2 * (exp_sign == ord("-"))
+    proven = np.abs(e) <= _EXP_MAX
+    hi, hi_high, hi_low, lo = _powers_of_ten()
+    # The index of 10**(E - 16); an unproven number's power is not used.
+    j = np.clip(e, -_EXP_MAX, _EXP_MAX) + _EXP_MAX
+    # The mantissa m + m_lo, exactly: 9 digits * 1e8 is exact (below 2**57
+    # with 8 factors of 2), and Fast2Sum gives the rest of the sum.
+    a = (lead * 1e8 + _eight_digits(high)) * 1e8
+    b = _eight_digits(low).astype(float)
+    m = a + b
+    m_lo = (a - m) + b
+    # (m + m_lo) * (hi + lo) as p + err: Dekker's two-product of m and hi,
+    # plus m * lo and m_lo * hi.
+    p_hi = hi[j]
+    p = m * p_hi
+    c = _SPLIT * m
+    m_high = c - (c - m)
+    m_low = m - m_high
+    h_high, h_low = hi_high[j], hi_low[j]
+    err = (((m_high * h_high - p) + m_high * h_low) + m_low * h_high) + m_low * h_low
+    err += m * lo[j] + m_lo * p_hi
+    x = p + err
+    # The rest of p + err above x (p - x is exact), and the gap from x to
+    # the next float on the side the rest lies (x >= 0, so that float's
+    # bits are x's plus or minus 1); below a power of two the gap is half.
+    rest = (p - x) + err
+    step = (rest >= 0).astype(np.uint64) * 2 - 1
+    gap = np.abs((x.view(np.uint64) + step).view(np.float64) - x)
+    proven &= (m == 0) | ((x >= 10.0 ** -_EXP_MAX) & (x <= 10.0 ** _EXP_MAX))
+    proven &= np.abs(np.abs(rest) - 0.5 * gap) >= _TIE_MARGIN * gap
+    np.negative(x, out=x, where=minus)
+    for i in np.flatnonzero(~proven):
+        x[i] = float(chunk[starts[i]:ends[i]])
+    return x, proven, width
+
+
+def _eight_digits_valid(words: np.ndarray) -> np.ndarray:
+    """Whether each little-endian word's 8 bytes are ASCII digits."""
+    return ((words & 0xF0F0F0F0F0F0F0F0)
+            | (((words + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4)) == 0x3333333333333333
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The value of each word's 8 ASCII digits, its first byte the leading digit."""
+    words = ((words & 0x0F0F0F0F0F0F0F0F) * 2561) >> 8
+    words = ((words & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((words & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+
+
 def _ascii(text: str, dtype: type) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype)
 
 
 @functools.cache
-def _format_tables() -> tuple[np.ndarray, ...]:
-    """The kernel's tables, built on the first write.
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """10**j for j in [_TEN_LOW, _EXP_MAX + 17], built on the first use.
 
-    10**j for j in 16 - k, k in [-_EXP_MAX - 1, _EXP_MAX] (an estimate of
-    floor(log10|x|) may be one low), as hi + lo: hi the nearest float and
-    lo the nearest float to the rest, from exact integer arithmetic; hi's
-    Veltkamp halves; and the text, as machine words, of a sign and leading
-    digit with the point, of each 4-digit group, and of each exponent with
-    a space after it.  A zero byte is a byte the kernel leaves out.
+    The reader takes 10**(E - 16), E in [-_EXP_MAX, _EXP_MAX]; the writer
+    10**(16 - k), k in [-_EXP_MAX - 1, _EXP_MAX] (an estimate of
+    floor(log10|x|) may be one low).  Each is hi + lo: hi the nearest float
+    and lo the nearest float to the rest, from exact integer arithmetic;
+    with hi's Veltkamp halves.
     """
     his, los = [], []
-    for j in range(16 - _EXP_MAX, 16 + _EXP_MAX + 2):
+    for j in range(_TEN_LOW, _EXP_MAX + 18):
         if j >= 0:
             hi = float(10 ** j)
             lo = float(10 ** j - int(hi))
@@ -320,12 +486,22 @@ def _format_tables() -> tuple[np.ndarray, ...]:
     hi, lo = np.array(his), np.array(los)
     c = _SPLIT * hi
     hi_high = c - (c - hi)
+    return hi, hi_high, hi - hi_high, lo
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, ...]:
+    """The writer's text, as machine words, of a sign and leading digit
+    with the point, of each 4-digit group, and of each exponent with a
+    space after it, built on the first write.  A zero byte is a byte the
+    kernel leaves out.
+    """
     heads = _ascii("".join(f"{sign}{d}.\0" for sign in "\0-" for d in range(10)), np.uint32)
     groups = _ascii("".join(f"{g:04d}" for g in range(10000)), np.uint32)
     exponents = _ascii("".join(
         "e" + "+-"[k < 0] + (f"{abs(k):03d}" if abs(k) >= 100 else f"\0{abs(k):02d}") + " \0\0"
         for k in range(-_EXP_MAX - 1, _EXP_MAX + 1)), np.uint64)
-    return hi, hi_high, hi - hi_high, lo, heads, groups, exponents
+    return heads, groups, exponents
 
 
 def _format_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,10 +521,11 @@ def _format_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proven = zero | ((a >= 10.0 ** -_EXP_MAX) & (a <= 10.0 ** _EXP_MAX))
     a = np.where(proven & ~zero, a, 1.0)
     k = np.floor(np.log10(a)).astype(np.intp)
-    hi, hi_high, hi_low, lo, heads, groups, exponents = _format_tables()
+    hi, hi_high, hi_low, lo = _powers_of_ten()
+    heads, groups, exponents = _digit_words()
     # a * 10**(16 - k) as the double-double p + e: Dekker's two-product of
     # a and hi, plus a * lo.
-    j = _EXP_MAX - k
+    j = 16 - k - _TEN_LOW  # the index of 10**(16 - k)
     p = a * hi[j]
     c = _SPLIT * a
     a_high = c - (c - a)
@@ -386,14 +563,15 @@ def _format_chunk(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, proven.reshape(rows, cols).all(axis=1)
 
 
-def _format_table(table: np.ndarray) -> str:
-    """One line per row of a float table, each number formatted as _NUM does.
+def _format_table(table: np.ndarray, head: str = "") -> str:
+    """head, then one line per row of a float table, each number formatted
+    as _NUM does.
 
     A row is _format_chunk's text where that is proven, else formatted
     by %.16e.
     """
     row = " ".join(["%.16e"] * table.shape[1]) + "\n"
-    pieces = []
+    pieces = [head]
     for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)):
         text, proven = _format_chunk(chunk)
         start = 0
@@ -434,7 +612,7 @@ def write_touchstone(data: SParameterBlock | ComplexCurve | TouchstoneData,
             mag = np.hypot(cols.real, cols.imag)
             table[:, 1::2] = 20.0 * np.log10(mag) if header.format == "DB" else mag
         table[:, 2::2] = np.degrees(np.arctan2(cols.imag, cols.real))
-    return header.option_line() + "\n" + _format_table(table)
+    return _format_table(table, header.option_line() + "\n")
 
 
 # ---------------------------------------------------------------------------

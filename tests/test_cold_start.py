@@ -28,6 +28,8 @@ def test_table_has_a_median_per_command_and_tree(tmp_path, capsys):
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["simulate", "metrics", "sweep", "fit", "synthesize"]
     assert all(float(value) > 0 for row in rows for value in row[1:])
+    # The bytecode goes to a temporary prefix, not into the trees.
+    assert not list((stub / "src").rglob("__pycache__"))
 
 
 def test_a_failing_command_is_exit_1(tmp_path, capsys):

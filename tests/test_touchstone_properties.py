@@ -234,6 +234,27 @@ def touchstone_texts(draw, odds: int = 8):
 
 ALPHABET = "0123456789.eE+-_ #!\n\t\rxinfaSsDBMRHzGkI,"
 
+_HEAD = "# GHz S RI R 50\n"
+_ROW1 = "1.0000000000000000e+00 5.0000000000000000e-01 -2.5000000000000000e-01\n"
+_ROW2 = "2.0000000000000000e+00 2.5000000000000000e-01 1.2500000000000000e-01\n"
+_ROWS9 = ("1.0000000000000000e+00" + " 1.0000000000000000e-01 0.0000000000000000e+00" * 4 + "\n"
+          "2.0000000000000000e+00" + " 2.0000000000000000e-01 0.0000000000000000e+00" * 4 + "\n")
+# Texts just outside the writer's grammar, which the table kernel leaves to
+# np.loadtxt or the line walk.
+NEAR_WRITTEN = {
+    "E": _HEAD + _ROW1 + _ROW2.replace("e-01", "E-01", 1),
+    "crlf": (_HEAD + _ROW1 + _ROW2).replace("\n", "\r\n"),
+    "double space": _HEAD + _ROW1.replace(" ", "  ", 1) + _ROW2,
+    "trailing space": _HEAD + _ROW1[:-1] + " \n" + _ROW2,
+    "leading plus": _HEAD + _ROW1 + "+" + _ROW2,
+    "no final newline": _HEAD + _ROW1 + _ROW2[:-1],
+    "comment after a row": _HEAD + _ROW1[:-1] + " ! a comment\n" + _ROW2,
+    "4-digit exponent": _HEAD + _ROW1 + _ROW2.replace("e-01", "e-0001", 1),
+    "-inf dB": "# GHz S DB R 50\n" + _ROW1 + _ROW2.replace("2.5000000000000000e-01", "-inf"),
+    "noise block": _HEAD + _ROWS9 + "1.0000000000000000e+00 8.0000000000000000e-01 "
+                   "3.0000000000000000e-01 4.5000000000000000e+01 2.0000000000000000e-01\n",
+}
+
 
 # ---------------------------------------------------------------------------
 # Properties
@@ -252,6 +273,17 @@ ALPHABET = "0123456789.eE+-_ #!\n\t\rxinfaSsDBMRHzGkI,"
 @example("")  # no lines
 @example("! only a comment\n\n")  # no data
 @example("# GHz S RI R 50\n1\xa00.5\xa00\n2\xa00.25\xa00\n")  # read by loadtxt
+@example(_HEAD + _ROW1 + _ROW2)  # read by the table kernel
+@example(NEAR_WRITTEN["E"])
+@example(NEAR_WRITTEN["crlf"])
+@example(NEAR_WRITTEN["double space"])
+@example(NEAR_WRITTEN["trailing space"])
+@example(NEAR_WRITTEN["leading plus"])
+@example(NEAR_WRITTEN["no final newline"])
+@example(NEAR_WRITTEN["comment after a row"])
+@example(NEAR_WRITTEN["4-digit exponent"])
+@example(NEAR_WRITTEN["-inf dB"])
+@example(NEAR_WRITTEN["noise block"])
 def test_reader_matches_the_line_by_line_reference(text):
     got, want = outcome(read_touchstone, text), outcome(reference_read, text)
     if isinstance(want, tuple):
@@ -330,6 +362,40 @@ def test_written_files_are_read_without_the_line_walk(monkeypatch, fmt, ports):
     assert_same_complex(got.s, want.s, exact=fmt == "RI")
 
 
+@pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+@pytest.mark.parametrize("ports", [1, 2])
+def test_written_files_are_read_without_loadtxt(monkeypatch, fmt, ports):
+    rng = np.random.default_rng(8)
+    s = rng.standard_normal((40, ports, ports)) + 1j * rng.standard_normal((40, ports, ports))
+    header = TouchstoneHeader("GHz", "S", fmt, 75.0)
+    data = TouchstoneData(header, np.linspace(1e9, 4e10, 40), s)
+    text = write_touchstone(data)
+    want = reference_read(text)
+
+    def fail(*args):
+        raise AssertionError("loadtxt or the line walk read a written file")
+
+    monkeypatch.setattr(io_formats, "_read_table", fail)
+    monkeypatch.setattr(io_formats, "_read_lines", fail)
+    got = read_touchstone(text)
+    assert got.header == header
+    assert np.array_equal(bits(got.freq_hz), bits(want.freq_hz))
+    assert_same_complex(got.s, want.s, exact=fmt == "RI")
+
+
+@pytest.mark.parametrize("name", NEAR_WRITTEN)
+def test_texts_outside_the_written_grammar_are_left_to_the_other_readers(name):
+    assert io_formats._read_written(NEAR_WRITTEN[name]) is None
+
+
+def test_reading_builds_none_of_the_writers_digit_words():
+    data = TouchstoneData(TouchstoneHeader(), np.array([1e9, 2e9]), np.full((2, 1, 1), 0.5j))
+    text = write_touchstone(data)
+    io_formats._digit_words.cache_clear()
+    read_touchstone(text)
+    assert io_formats._digit_words.cache_info().currsize == 0
+
+
 # ---------------------------------------------------------------------------
 # Table formatting
 
@@ -389,3 +455,75 @@ def test_option_line_reads_back_the_same_reference_resistance(z0):
     assert _parse_option_line(line[1:].split(), 1) == header
     data = TouchstoneData(header, np.array([1e9]), np.array([[[0.5 + 0.25j]]]))
     assert read_touchstone(write_touchstone(data)).header.reference_resistance == z0
+
+
+# ---------------------------------------------------------------------------
+# Table reading
+
+
+def float_bits(text: str) -> np.ndarray:
+    """The bits of float() of each token of text."""
+    return bits(np.array([float(tok) for tok in text.split()]))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 3, 9]).flatmap(
+    lambda cols: st.lists(st.integers(0, 2**64 - 1), min_size=cols, max_size=60 * cols).map(
+        lambda words: np.array(words[:len(words) - len(words) % cols], dtype=np.uint64)
+        .view(np.float64).reshape(-1, cols))))
+def test_table_reading_gives_floats_bits_for_any_float(table):
+    # Drawn as bit patterns; a table with NaN or inf is outside the grammar.
+    text = io_formats._format_table(table)
+    got = io_formats._written_table(text, 0)
+    if not np.isfinite(table).all():
+        assert got is None
+        return
+    assert got.shape == table.shape
+    assert np.array_equal(bits(got.ravel()), float_bits(text))
+    assert np.array_equal(bits(got), bits(table))
+
+
+@pytest.mark.parametrize("cols", [1, 3, 9])
+def test_table_reading_gives_floats_bits_at_the_edges(cols):
+    values = _edge_values()
+    table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    text = io_formats._format_table(table)
+    assert np.array_equal(bits(io_formats._written_table(text, 0).ravel()), float_bits(text))
+
+
+# Decimal ties: 2**53 + 1 lies halfway between 2**53 and 2**53 + 2, and
+# 2**54 - 1 halfway across the narrower gap below 2**54.
+TIES = ["9.0071992547409930e+15", "1.8014398509481983e+16"]
+
+
+@pytest.mark.parametrize("tie", TIES)
+def test_rounding_ties_are_read_by_float(tie):
+    x, proven, width = io_formats._read_chunk(("\n" + tie + "\n" + io_formats._PAD).encode())
+    assert width == 1 and not proven[0]
+    assert bits(x).tolist() == float_bits(tie).tolist()
+
+
+def test_unproven_numbers_on_both_sides_of_a_chunk_cut(monkeypatch):
+    reads = []
+    read_chunk = io_formats._read_chunk
+
+    def spy(chunk):
+        reads.append(read_chunk(chunk))
+        return reads[-1]
+
+    monkeypatch.setattr(io_formats, "_read_chunk", spy)
+    # Every number in [1, 2) is 22 characters long, as the ties are.
+    rows = io_formats._format_table(np.linspace(1.0, 2.0, 3 * 6000).reshape(-1, 3))
+    io_formats._written_table(rows, 0)
+    cut = reads[0][0].size // 3  # the rows of the first chunk
+    rows = rows.splitlines(keepends=True)
+    for r, tie in zip((cut - 1, cut), TIES):
+        f, _, b = rows[r].split(" ")
+        rows[r] = f"{f} {tie} {b}"
+    text = "".join(rows)
+    reads.clear()
+    got = io_formats._written_table(text, 0)
+    assert reads[0][0].size == 3 * cut and len(reads) > 1
+    proven = np.concatenate([proven for _, proven, _ in reads])
+    assert np.flatnonzero(~proven).tolist() == [3 * (cut - 1) + 1, 3 * cut + 1]
+    assert np.array_equal(bits(got.ravel()), float_bits(text))

@@ -11,9 +11,12 @@ PARENT runs first, in odd rounds CHANGE does.  The commands are
 shunt c0 over 9 values, ``fit`` of its series resonator's ``.s1p``, and
 ``synthesize`` of the criterion-1 spec (23.5 GHz, 16 % FBW) with
 ``--touchstone``, whose search runs 428 evaluations in about 0.05 s.
-Every grid has ``--points`` points.  Before timing, each tree's sources
-are compiled, and the inputs are written by CHANGE.  The table gives the
-median wall time of each command per tree over ``--runs`` rounds.  A
+Every grid has ``--points`` points.  The inputs are written by CHANGE.
+Every run keeps its bytecode under a temporary ``PYTHONPYCACHEPREFIX``
+and writes it there even where ``PYTHONDONTWRITEBYTECODE`` is set, so the
+trees get no ``__pycache__``; a first, untimed round fills it with every
+module the commands import.  The table gives the median wall time of each
+command per tree over the ``--runs`` timed rounds.  A
 command that exits non-zero stops the run with exit status 1.  Standard
 library only.
 """
@@ -21,7 +24,6 @@ library only.
 from __future__ import annotations
 
 import argparse
-import compileall
 import os
 import statistics
 import subprocess
@@ -83,9 +85,9 @@ def commands(points: int) -> dict[str, list[str]]:
     }
 
 
-def cli(tree: Path, argv: list[str], cwd: str) -> float:
-    """Wall time of one fresh ``acoufilt`` run of tree; raises when it fails."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def cli(tree: Path, argv: list[str], cwd: str, env: dict[str, str]) -> float:
+    """Wall time of one fresh ``acoufilt`` run of tree in env; raises when it fails."""
+    env = dict(env, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "acoufilt.cli", *argv], cwd=cwd, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -96,31 +98,34 @@ def cli(tree: Path, argv: list[str], cwd: str) -> float:
     return elapsed
 
 
-def prepare(tree: Path, points: int, cwd: str) -> None:
+def prepare(tree: Path, points: int, cwd: str, env: dict[str, str]) -> None:
     """Write the design and spec files and, with tree's CLI, the .s2p and
     .s1p inputs."""
     Path(cwd, "ladder.kv").write_text(LADDER)
     Path(cwd, "resonator.kv").write_text(RESONATOR)
     Path(cwd, "spec.kv").write_text(SPEC)
     cli(tree, ["simulate", "--design", "ladder.kv", "--grid", f"1e9:4e10:{points}",
-               "--out", "ladder.s2p"], cwd)
+               "--out", "ladder.s2p"], cwd, env)
     cli(tree, ["simulate", "--design", "resonator.kv", "--grid", f"5e9:1e11:{points}",
-               "--out", "resonator.s1p"], cwd)
+               "--out", "resonator.s1p"], cwd, env)
 
 
 def measure(trees: tuple[Path, Path], runs: int, points: int) -> dict[str, list[list[float]]]:
     """Per command, the wall times of each tree over runs alternating rounds."""
-    for tree in trees:
-        compileall.compile_dir(tree / "src", quiet=1)
     argvs = commands(points)
     times = {name: [[], []] for name in argvs}
-    with tempfile.TemporaryDirectory() as cwd:
-        prepare(trees[1], points, cwd)
-        for round_ in range(runs):
+    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        prepare(trees[1], points, cwd, env)
+        # Round -1 is not timed: it compiles what each command imports.
+        for round_ in range(-1, runs):
             order = (0, 1) if round_ % 2 == 0 else (1, 0)
             for name, argv in argvs.items():
                 for side in order:
-                    times[name][side].append(cli(trees[side], argv, cwd))
+                    elapsed = cli(trees[side], argv, cwd, env)
+                    if round_ >= 0:
+                        times[name][side].append(elapsed)
     return times
 
 
