@@ -323,8 +323,11 @@ def _read_written(text: str) -> TouchstoneData | None:
     """
     start = text.find("\n") + 1
     head = text[:start - 1]
+    # inf and nan (the DB writer's -inf dB for a zero magnitude) are outside
+    # the grammar too; finding an "n" first spares the passes before it.
     if not (0 < start < len(text) and head.startswith("#") and head.isascii()
-            and head.isprintable() and text.endswith("\n")):
+            and head.isprintable() and text.endswith("\n")
+            and text.find("n", start) < 0):
         return None
     header = _parse_option_line(head.split("!", 1)[0][1:].split(), 1)
     table = _written_table(text, start)
