@@ -8,8 +8,8 @@ _REQUIRED) serves the design-file readers, which build from parsed sections
 
 Writers emit every number as "%.16e" (_NUM), 17 significant digits, so
 write-then-read gives back the same float; the option line's R reads back
-as the same float too.  A Touchstone table is formatted 448 rows at a
-time by a numpy kernel (_format_chunk): it scales each |x| by 10**(16 - k),
+as the same float too.  A Touchstone table is formatted 4032 numbers (448 two-port
+rows) at a time by a numpy kernel (_format_chunk): it scales each |x| by 10**(16 - k),
 k an estimate of floor(log10|x|), as a double-double product (Dekker's
 two-product, with 10**j as a pair of floats from exact integer
 arithmetic), rounds it to the 17-digit integer and writes its digits as
@@ -50,10 +50,10 @@ from .synthesis import DesignSpec
 _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("RI", "MA", "DB")
 _NUM = "{:.16e}".format
-# Rows per pass of _format_table; bounds its temporary arrays.  At 9
-# numbers a row, a pass's 32-byte-a-number buffer stays under glibc's
-# 128 kB mmap threshold, so freeing it gives its pages back.
-_CHUNK_ROWS = 448
+# Numbers per pass of _format_table, in whole rows; bounds its temporary
+# arrays.  A pass's 32-byte-a-number buffer stays under glibc's 128 kB mmap
+# threshold, so freeing it gives its pages back.
+_CHUNK_NUMBERS = 4032
 # Characters per pass of the table reader, about; bounds its temporary arrays.
 _READ_CHUNK = 3 * 2**16
 # The table kernels format and read |x| in [1e-_EXP_MAX, 1e_EXP_MAX] and
@@ -323,11 +323,8 @@ def _read_written(text: str) -> TouchstoneData | None:
     """
     start = text.find("\n") + 1
     head = text[:start - 1]
-    # inf and nan (the DB writer's -inf dB for a zero magnitude) are outside
-    # the grammar too; finding an "n" first spares the passes before it.
     if not (0 < start < len(text) and head.startswith("#") and head.isascii()
-            and head.isprintable() and text.endswith("\n")
-            and text.find("n", start) < 0):
+            and head.isprintable() and text.endswith("\n")):
         return None
     header = _parse_option_line(head.split("!", 1)[0][1:].split(), 1)
     table = _written_table(text, start)
@@ -356,20 +353,20 @@ def _written_table(text: str, start: int) -> np.ndarray | None:
             read = _read_chunk(("\n" + text[start:stop] + _PAD).encode("ascii"))
         except UnicodeEncodeError:
             return None
-        if read is None or width not in (0, read[2]):
+        if read is None or width not in (0, read[1]):
             return None
-        chunk_values, _, width = read
+        chunk_values, width = read
         values[size:size + chunk_values.size] = chunk_values
         size += chunk_values.size
         start = stop
     return values[:size].reshape(-1, width) if width else None
 
 
-def _read_chunk(chunk: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The numbers of chunk's rows as float() reads them, which of them the
-    kernel proved, and the row width; None if the rows are not in the
-    writer's grammar, -?D.D{16}e[+-]DD[D] with one space between numbers
-    and a newline after each row, or differ in width.
+def _read_chunk(chunk: bytes) -> tuple[np.ndarray, int] | None:
+    """The numbers of chunk's rows as float() reads them and the row width;
+    None if the rows are not in the writer's grammar, -?D.D{16}e[+-]DD[D]
+    with one space between numbers and a newline after each row, or differ
+    in width.
 
     chunk is a newline, whole rows, and _PAD.  Each number is found from
     its point.  Its 16 fraction digits are read as two 8-byte words
@@ -419,7 +416,7 @@ def _read_chunk(chunk: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     # The mantissa m + m_lo, exactly: 9 digits * 1e8 is exact (below 2**57
     # with 8 factors of 2), and Fast2Sum gives the rest of the sum.
     a = (lead * 1e8 + _eight_digits(high)) * 1e8
-    b = _eight_digits(low).astype(float)
+    b = _eight_digits(low).astype(np.float64)
     m = a + b
     m_lo = (a - m) + b
     # (m + m_lo) * (hi + lo) as p + err: Dekker's two-product of m and hi,
@@ -444,7 +441,7 @@ def _read_chunk(chunk: bytes) -> tuple[np.ndarray, np.ndarray, int] | None:
     np.negative(x, out=x, where=minus)
     for i in np.flatnonzero(~proven):
         x[i] = float(chunk[starts[i]:ends[i]])
-    return x, proven, width
+    return x, width
 
 
 def _eight_digits_valid(words: np.ndarray) -> np.ndarray:
@@ -574,8 +571,9 @@ def _format_table(table: np.ndarray, head: str = "") -> str:
     by %.16e.
     """
     row = " ".join(["%.16e"] * table.shape[1]) + "\n"
+    step = _CHUNK_NUMBERS // table.shape[1]
     pieces = [head]
-    for chunk in np.split(table, range(_CHUNK_ROWS, len(table), _CHUNK_ROWS)):
+    for chunk in np.split(table, range(step, len(table), step)):
         text, proven = _format_chunk(chunk)
         start = 0
         for i in np.flatnonzero(~proven):

@@ -435,7 +435,7 @@ def test_table_formatting_matches_num_at_the_edges(cols):
 
 
 def test_fallback_rows_on_both_sides_of_a_chunk_boundary():
-    n = io_formats._CHUNK_ROWS
+    n = io_formats._CHUNK_NUMBERS // 3
     table = np.linspace(1.0, 2.0, 3 * (n + 2)).reshape(-1, 3)
     fallback = [0, n - 1, n, n + 1]
     table[fallback, 1] = [np.nan, 2.0**-25, np.inf, 1e300]
@@ -496,10 +496,24 @@ def test_table_reading_gives_floats_bits_at_the_edges(cols):
 TIES = ["9.0071992547409930e+15", "1.8014398509481983e+16"]
 
 
+def spy_on_float(monkeypatch) -> list[bytes]:
+    """The tokens io_formats hands to float() from now on."""
+    tokens = []
+
+    def spy(token):
+        if isinstance(token, bytes):
+            tokens.append(token)
+        return float(token)
+
+    monkeypatch.setattr(io_formats, "float", spy, raising=False)
+    return tokens
+
+
 @pytest.mark.parametrize("tie", TIES)
-def test_rounding_ties_are_read_by_float(tie):
-    x, proven, width = io_formats._read_chunk(("\n" + tie + "\n" + io_formats._PAD).encode())
-    assert width == 1 and not proven[0]
+def test_rounding_ties_are_read_by_float(monkeypatch, tie):
+    tokens = spy_on_float(monkeypatch)
+    x, width = io_formats._read_chunk(("\n" + tie + "\n" + io_formats._PAD).encode())
+    assert width == 1 and tokens == [tie.encode()]
     assert bits(x).tolist() == float_bits(tie).tolist()
 
 
@@ -522,8 +536,8 @@ def test_unproven_numbers_on_both_sides_of_a_chunk_cut(monkeypatch):
         rows[r] = f"{f} {tie} {b}"
     text = "".join(rows)
     reads.clear()
+    tokens = spy_on_float(monkeypatch)
     got = io_formats._written_table(text, 0)
     assert reads[0][0].size == 3 * cut and len(reads) > 1
-    proven = np.concatenate([proven for _, proven, _ in reads])
-    assert np.flatnonzero(~proven).tolist() == [3 * (cut - 1) + 1, 3 * cut + 1]
+    assert tokens == [tie.encode() for tie in TIES]
     assert np.array_equal(bits(got.ravel()), float_bits(text))
