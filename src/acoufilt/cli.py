@@ -1,4 +1,9 @@
-"""Command-line front end: simulate, fit, synthesize, metrics, sweep."""
+"""Command-line front end: simulate, fit, synthesize, metrics, sweep.
+
+sweep scores each swept value from S21 alone (network._ladder_s21), and a
+value that leaves no valid design or no finite S21 is an error naming the
+parameter and the value.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +21,7 @@ from .errors import AcoufiltError
 from .metrics import DEFAULT_GUARD, METRIC_NAMES, _check_guard, passband_metrics
 from .network import (
     LadderDesign,
+    _ladder_s21,
     admittance_from_s11,
     build_ladder_response,
     one_port_s11,
@@ -211,9 +217,12 @@ def _cmd_sweep(args) -> int:
     rows = [(args.param, *METRIC_NAMES)]
     for value in values:
         swept[key] = float(value)
-        block = build_ladder_response(io_formats._ladder_design(sections), grid)
         try:
-            m = passband_metrics(block.s21(), guard=args.guard)
+            s21 = _ladder_s21(io_formats._ladder_design(sections), grid)
+        except AcoufiltError as exc:
+            raise AcoufiltError(f"{args.param} = {swept[key]!r}: {exc}") from exc
+        try:
+            m = passband_metrics(s21, guard=args.guard)
             rows.append((value, *(v for _, v in m.as_rows())))
         except AcoufiltError:
             rows.append((value, *[math.nan] * len(METRIC_NAMES)))

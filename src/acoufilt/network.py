@@ -1,4 +1,11 @@
-"""Two-port ladder algebra: ABCD cascades and S-parameter conversion."""
+"""Two-port ladder algebra: ABCD cascades and S-parameter conversion.
+
+build_ladder_response gives a ladder's full S block.  _ladder_s21 gives
+S21 alone, for a caller that scores only |S21| (the CLI's sweep): both
+share the checked denominator delta (_ladder_delta), so they raise the
+same errors, except that _ladder_s21 keeps a design whose S11 or S22
+alone overflows.
+"""
 
 from __future__ import annotations
 
@@ -214,19 +221,15 @@ def _over_z0(q, z0: float):
     return q * (1.0 / z0) if isinstance(q, np.ndarray) else q / z0
 
 
-def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
-    """Evaluate a ladder design to two-port S-parameters on a grid.
+def _ladder_delta(design: LadderDesign, freq_hz) -> tuple:
+    """The checked grid, the ladder's (series, v) elements (see _row), and
+    P, Q/z0 and delta = P + Q/z0 of its row [1, z0].
 
-    The grid is checked once, each distinct (kind, resonator) pair is
+    The grid is checked once, and each distinct (kind, resonator) pair is
     evaluated once by _immittance, as z for a series element and y for a
     shunt, which names a lossless resonator sampled exactly at a resonance
-    and an overflow, and the rows [1, z0] and, once delta is checked,
-    [1, -z0] are carried through the chain matrices (_row).  With
-    delta = P + Q/z0, S11 = (R + T/z0) / delta, S22 = (Q/z0 - P) / delta
-    and S21 = S12 = 2 / delta, since every element's chain matrix has
-    determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  A zero delta is
-    a SingularConversionError; values that overflow raise DomainError
-    instead of giving non-finite S-parameters.
+    and an overflow.  A delta that is not finite is a DomainError, and a
+    zero delta a SingularConversionError.
 
     Each Q/z0 is formed as Q*(1/z0): numpy divides a complex array by a
     real scalar as a multiply by its reciprocal, so every component keeps
@@ -247,15 +250,45 @@ def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
         p, q = _row(elements, 1.0, z0)
         q_z0 = _over_z0(q, z0)
         delta = p + q_z0
-        if not np.isfinite(delta).all():
-            raise DomainError("ladder response contains non-finite entries")
-        _nonzero(f, delta)
+    if not np.isfinite(delta).all():
+        raise DomainError("ladder response contains non-finite entries")
+    return f, elements, p, q_z0, _nonzero(f, delta)
+
+
+def build_ladder_response(design: LadderDesign, freq_hz) -> SParameterBlock:
+    """Evaluate a ladder design to two-port S-parameters on a grid.
+
+    delta = P + Q/z0 comes from _ladder_delta, with its checks; the row
+    [1, -z0] = (R, T) is then carried through the same chain matrices.
+    S11 = (R + T/z0) / delta, S22 = (Q/z0 - P) / delta and
+    S21 = S12 = 2 / delta, since every element's chain matrix has
+    determinant 1 (Pozar, Microwave Engineering, sec. 4.4).  Values that
+    overflow raise DomainError instead of giving non-finite S-parameters.
+    """
+    f, elements, p, q_z0, delta = _ladder_delta(design, freq_hz)
+    z0 = design.z0
+    with np.errstate(all="ignore"):
         r, t = _row(elements, 1.0, -z0)
         s21 = 2.0 / delta
         s = _stack(f.size, (r + _over_z0(t, z0)) / delta, s21, s21, (q_z0 - p) / delta)
     if not np.isfinite(s).all():
         raise DomainError("S-parameters contain non-finite entries")
     return _unchecked(SParameterBlock, freq_hz=f, s=s, z0=z0)
+
+
+def _ladder_s21(design: LadderDesign, freq_hz) -> ComplexCurve:
+    """S21 = 2 / delta of a ladder design on a grid, with the checks of
+    build_ladder_response's delta (_ladder_delta); an S21 that is not
+    finite is a DomainError.  Its values have the bits of
+    build_ladder_response(design, freq_hz).s21().values, without the row
+    [1, -z0], S11 and S22.
+    """
+    f, _, _, _, delta = _ladder_delta(design, freq_hz)
+    with np.errstate(all="ignore"):
+        s21 = 2.0 / delta
+    if not np.isfinite(s21).all():
+        raise DomainError("S-parameters contain non-finite entries")
+    return _unchecked(ComplexCurve, freq_hz=f, values=s21)
 
 
 _DB_OF_2 = 20.0 * math.log10(2.0)

@@ -2,10 +2,17 @@
 
 A convenience view only; the CSV outputs are the authoritative data.  The
 output is fully deterministic for identical input.
+
+The polyline's numbers, 2 per point, are written as "%.3f" writes them by
+a numpy kernel (_polyline_points): each value v in [0, 1000) is scaled to
+v*1000 = p + e exactly (Dekker's two-product), rounded to an integer as
+"%.3f" rounds it, ties exactly and to even, and written from lookup words.
+A polyline with any other value is formatted by "%.3f" itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -18,6 +25,8 @@ _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _FLOOR_DB = -80.0
 # Most tick intervals an axis is divided into.
 _TICKS = 6
+# Veltkamp's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -37,6 +46,49 @@ def _ticks(lo: float, hi: float) -> list[float]:
         ticks.append(round(t / step) * step)
         t += step
     return ticks
+
+
+@functools.cache
+def _number_words() -> tuple[np.ndarray, np.ndarray]:
+    """The text, as machine words, of each integer part 0-999 with the
+    point, and of each 3-digit fraction with a comma (an x) or a space
+    (a y) after it, built on the first plot.  A zero byte is a byte the
+    kernel leaves out."""
+    heads = "".join(f"{i}.".ljust(4, "\0") for i in range(1000))
+    tails = "".join(f"{i:03d}{sep}" for sep in ", " for i in range(1000))
+    return (np.frombuffer(heads.encode("ascii"), np.uint32),
+            np.frombuffer(tails.encode("ascii"), np.uint32))
+
+
+def _polyline_points(xy: np.ndarray) -> str:
+    """The points x0,y0 x1,y1 ... of the interleaved coordinates xy, each
+    as "%.3f" formats it.
+
+    With every value in [0, 1000), v*1000 is the exact p + e (Dekker's
+    two-product; 1000 has 7 significant bits, so it needs no split), and
+    h = p - r, r = rint(p), is exact.  The rounded value is r, or r + 2h,
+    p's other integer neighbour, where h = +-0.5 and e has h's sign; an
+    exact tie (e = 0) goes to even in rint as in "%.3f".  A value that is
+    negative (-0.0 too), not below 1000 or NaN, or one that rounds to 1000,
+    leaves the text to "%.3f".
+    """
+    if not np.signbit(xy).any() and (xy < 1000.0).all():
+        p = xy * 1000.0
+        c = _SPLIT * xy
+        high = c - (c - xy)
+        e = (high * 1000.0 - p) + (xy - high) * 1000.0
+        r = np.rint(p)
+        h = p - r
+        away = (np.abs(h) == 0.5) & (np.sign(e) == np.sign(h))
+        n = np.where(away, r + 2.0 * h, r).astype(np.int64)
+        if n.max() < 1000000:
+            heads, tails = _number_words()
+            whole, frac = np.divmod(n, 1000)
+            words = np.empty((xy.size // 2, 4), np.uint32)
+            words[:, 0::2] = heads[whole].reshape(-1, 2)
+            words[:, 1::2] = tails[frac.reshape(-1, 2) + (0, 1000)]
+            return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
+    return " ".join(["%.3f,%.3f"] * (xy.size // 2)) % tuple(xy.tolist())
 
 
 def s21_magnitude_svg(curve: ComplexCurve) -> str:
@@ -84,8 +136,7 @@ def s21_magnitude_svg(curve: ComplexCurve) -> str:
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" font-size="12" '
                  f'text-anchor="middle" transform="rotate(-90 16 '
                  f'{(_MT + _H - _MB) / 2:.2f})">|S21| (dB)</text>')
-    xy = np.column_stack((px(f_ghz), py(db))).ravel().tolist()
-    pts = " ".join(["%.3f,%.3f"] * len(f_ghz)) % tuple(xy)
+    pts = _polyline_points(np.column_stack((px(f_ghz), py(db))).ravel())
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f77b4" '
                  f'stroke-width="1.5"/>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_MT - 6}" '

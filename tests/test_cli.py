@@ -233,6 +233,21 @@ def test_bad_sweep_param_is_exit_1(tmp_path, reference_design, capsys, param):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("param, values, message", [
+    ("shunt.c0", "0:1e-13:3", "shunt.c0 = 0.0: lm, cm and c0 must be positive"),
+    ("filter.z0", "0:50:2", "filter.z0 = 0.0: port impedance must be positive and finite"),
+    ("series.ls", "1e-9:1e307:2", "series.ls = 1e+307: impedance contains non-finite entries"),
+], ids=["c0", "z0", "ls"])
+def test_sweep_value_that_leaves_no_valid_design_is_named(tmp_path, reference_design, capsys,
+                                                          param, values, message):
+    path, _ = reference_design
+    rc = main(["sweep", "--design", str(path), "--param", param, "--range", values,
+               "--grid", "1e9:4e10:801", "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_svg_output_is_deterministic(tmp_path, reference_design):
     path, _ = reference_design
     s2p = tmp_path / "f.s2p"

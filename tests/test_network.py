@@ -541,6 +541,102 @@ def test_dividing_by_z0_is_multiplying_by_its_reciprocal(entries, z0):
     assert np.array_equal(quotient, product)
 
 
+_ELEMENT_VALUES = st.floats(1e-300, 1e300) | st.sampled_from([1e-300, 1e300])
+_OPTIONAL_VALUES = st.just(0.0) | _ELEMENT_VALUES
+
+
+@st.composite
+def extreme_ladders(draw):
+    """Ladders of 1-4 resonators whose element values, z0 and grid points
+    reach 1e+-300, with a subnormal z0 among them."""
+    elements = tuple(
+        (draw(st.sampled_from(ElementKind)),
+         MbvdParams(rm=draw(_OPTIONAL_VALUES), lm=draw(_ELEMENT_VALUES),
+                    cm=draw(_ELEMENT_VALUES), c0=draw(_ELEMENT_VALUES),
+                    rs=draw(_OPTIONAL_VALUES), ls=draw(_OPTIONAL_VALUES),
+                    r0=draw(_OPTIONAL_VALUES)))
+        for _ in range(draw(st.integers(1, 4))))
+    z0 = draw(_ELEMENT_VALUES | st.sampled_from([_SUBNORMAL, 1e-310]))
+    points = draw(st.lists(_ELEMENT_VALUES | st.floats(1e9, 50e9), min_size=1, max_size=8))
+    return LadderDesign(elements, z0=z0), np.unique(np.array(points))
+
+
+# At 1/(2*pi) Hz, a shunt of y = 5j and a series element of
+# z = 1e307 + 3.5e307j at z0 = 1: delta and S21 are finite, but the row
+# [1, -z0] overflows, so S11 is not.
+_ONLY_S11_OVERFLOWS = (
+    LadderDesign(((ElementKind.SHUNT, MbvdParams(rm=0.0, lm=1e-20, cm=1e-20, c0=5.0)),
+                  (ElementKind.SERIES, MbvdParams(rm=0.0, lm=3.0, cm=1.0, c0=1.0,
+                                                  rs=1e307, ls=3.5e307))), z0=1.0),
+    np.array([1.0 / (2.0 * math.pi)]))
+
+
+def _outcome(evaluate, design, grid):
+    """S21 of evaluate(design, grid), or the AcoufiltError it raised."""
+    try:
+        return np.ascontiguousarray(evaluate(design, grid).values)
+    except AcoufiltError as exc:
+        return exc
+
+
+def _assert_s21_alone_matches_the_full_response(design, grid):
+    ref = _outcome(lambda d, f: build_ladder_response(d, f).s21(), design, grid)
+    got = _outcome(network._ladder_s21, design, grid)
+    if isinstance(got, AcoufiltError):
+        assert (type(got), str(got)) == (type(ref), str(ref))
+    elif isinstance(ref, AcoufiltError):
+        # Only S11 or S22 is not finite (_ONLY_S11_OVERFLOWS): the full
+        # response refuses the design, and S21 alone is kept.
+        assert str(ref) == "S-parameters contain non-finite entries"
+        assert np.isfinite(got).all()
+    else:
+        assert_same_bits(got, ref)
+
+
+@given(ladders_with_repeats() | extreme_ladders())
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _EXACT_FS)),
+                       z0=50.0), np.array([8e9, 1e10])))
+@example((LadderDesign(((ElementKind.SERIES, mbvd_from_targets(LOSSLESS_HITS[0][0], 0.4, 1e-13,
+                                                                math.inf)),), z0=50.0),
+          np.array([LOSSLESS_HITS[0][1]])))
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY),), z0=_SUBNORMAL), GRID))
+@example((LadderDesign(((ElementKind.SHUNT, _LOSSY), (ElementKind.SERIES, _LOSSY)),
+                       z0=_SUBNORMAL), GRID))
+@example(_ONLY_S11_OVERFLOWS)
+def test_s21_alone_fails_where_the_full_response_does(case):
+    # _ladder_s21 raises the same error as build_ladder_response, class and
+    # message, and elsewhere gives the bits of its S21; the one exception
+    # is a design whose S11 or S22 alone is not finite.  The examples: a
+    # series short (z = 0), a lossless series element at its
+    # anti-resonance, a shunt-only ladder at a subnormal z0 (an exact
+    # through), one with a series element there (1/z0 overflows), and
+    # _ONLY_S11_OVERFLOWS.
+    _assert_s21_alone_matches_the_full_response(*case)
+
+
+@pytest.mark.parametrize("immittances, z0, error", [
+    ([(ElementKind.SHUNT, -2.0 / 50.0)], 50.0, SingularConversionError),
+    ([(ElementKind.SERIES, -(2.0**20)), (ElementKind.SERIES, 2.0**-1010),
+      (ElementKind.SHUNT, -(2.0**1010))], 2.0**20, DomainError),
+], ids=["zero-delta", "s21-overflows"])
+def test_s21_alone_fails_where_the_full_response_does_on_active_elements(
+        monkeypatch, immittances, z0, error):
+    # No ladder of passive resonators has delta = 0 or |delta| small enough
+    # for 2/delta to overflow, so each element's z or y is set instead:
+    # a shunt of y = -2/z0, and a chain whose P cancels to 0 and whose
+    # Q/z0 = 2**-1030, so that S21 = 2**1031 overflows.
+    resonators = [mbvd_from_targets(8e9, 0.4, (i + 1) * 1e-13, 50.0)
+                  for i in range(len(immittances))]
+    table = {p: v for p, (_, v) in zip(resonators, immittances)}
+    monkeypatch.setattr(network, "_immittance",
+                        lambda p, f, impedance=False: np.full(f.shape, complex(table[p])))
+    design = LadderDesign(tuple((kind, p) for p, (kind, _) in zip(resonators, immittances)),
+                          z0=z0)
+    with pytest.raises(error):
+        network._ladder_s21(design, GRID)
+    _assert_s21_alone_matches_the_full_response(design, GRID)
+
+
 def _reference_ladder_s21_db(elements, z0):
     """The kernel's |S21| in dB as first written: delta = P + Q/z0 tested
     entry by entry; None where that names a fault."""
