@@ -18,14 +18,14 @@ does (non-finite, outside [1e-280, 1e280], near a rounding tie, or with k
 one off) is formatted by "%.16e" itself, so the text is the same, byte
 for byte.
 
-A file in the writer's own grammar is read back by the mirror kernel
-(_read_chunk), about 192 kB of text at a time: it reads each number's 17
-digits as machine words, forms the mantissa exactly, and multiplies it by
-10**(E - 16) from the same table of powers as a double-double product.  A
-number it cannot prove rounds as float() does (exponent or value outside
-the table's range, or near a rounding tie) is read by float() itself, so
-the bits are float()'s.  Every other file goes to np.loadtxt or to the
-line walk.
+read_touchstone has two readers.  A file in the writer's own grammar is
+read back by the mirror kernel (_read_chunk), about 192 kB of text at a
+time: it reads each number's 17 digits as machine words, forms the
+mantissa exactly, and multiplies it by 10**(E - 16) from the same table of
+powers as a double-double product.  A number it cannot prove rounds as
+float() does (exponent or value outside the table's range, or near a
+rounding tie) is read by float() itself, so the bits are float()'s.  Every
+other file goes to the line walk (_read_lines).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import csv
 import functools
 import io
 import math
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
@@ -173,7 +172,10 @@ def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
     format) a magnitude overflows; the first check it fails names it.  An
     S-data magnitude of -inf dB is an exact zero, as the DB writer gives it.
     """
-    nums = [_number(tok, lineno) for tok in fields]
+    try:
+        nums = list(map(float, fields))
+    except ValueError as exc:
+        raise FormatError(f"malformed number: {exc}", lineno)
     db = s_data and header.format == "DB"
     if not all(map(math.isfinite, nums)):
         for i, (tok, v) in enumerate(zip(fields, nums)):
@@ -198,7 +200,8 @@ def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
 def _columns(header: TouchstoneHeader,
              table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Frequencies in hertz and S matrices of the data rows, or None if a
-    row fails a check of _data_row (checked here by column)."""
+    row fails a check of _data_row (checked here by column).  Both readers
+    convert here; the line walk's rows are checked already."""
     n, width = table.shape
     a, b = table[:, 1::2], table[:, 2::2]
     raw_bad = ~np.isfinite(table)
@@ -232,12 +235,9 @@ def read_touchstone(text: str) -> TouchstoneData:
     one starts the noise-parameter block (Touchstone v1.1): its 5-column
     rows are checked and ignored.
 
-    A file in the writer's own grammar is read by the table kernel
-    (_read_written).  Any other well-formed file is read by one np.loadtxt
-    call after its option line.  Every other file (a noise block, an error,
-    no data, a token only float() reads, such as 1_0) is read by the line
-    walk, which checks each row as it reads it and so names the first
-    offending line.
+    Two readers: a file in the writer's own grammar is read by the table
+    kernel (_read_written), and every other file by the line walk, which
+    checks each row as it reads it and so names the first offending line.
     """
     data = _read_written(text)
     if data is not None:
@@ -251,28 +251,7 @@ def read_touchstone(text: str) -> TouchstoneData:
     if option.startswith("#"):
         header = _parse_option_line(option[1:].split(), start + 1)
         start += 1
-    return _read_table(header, lines, start) or _read_lines(header, lines, start)
-
-
-def _read_table(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData | None:
-    """The data of lines[start:] without noise block or error, or None.
-
-    None hands the file to the line walk; loadtxt's C parser reads a subset
-    of what float() reads, to the same bits.
-    """
-    try:
-        # An input without data rows warns; the line walk reads it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(lines[start:], comments="!", ndmin=2)
-    except (ValueError, Warning):
-        return None
-    if table.shape[1] not in (3, 9):
-        return None
-    # A two-port row whose frequency is not above the previous one (the
-    # start of a noise block) is a failing row here.
-    cols = _columns(header, table)
-    return None if cols is None else TouchstoneData(header, *cols)
+    return _read_lines(header, lines, start)
 
 
 def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> TouchstoneData:
@@ -318,8 +297,8 @@ def _read_written(text: str) -> TouchstoneData | None:
 
     The grammar is an option line of printable ASCII starting with "#",
     then rows of 3 or 9 numbers as _written_table reads them.  The table
-    goes through _columns as loadtxt's would, so a file that fails a check
-    is None too, and the line walk names its line.
+    goes through _columns, so a file that fails a check is None too: the
+    line walk, the other of the two readers, names its line.
     """
     start = text.find("\n") + 1
     head = text[:start - 1]

@@ -561,7 +561,8 @@ def _allocating_circuit_terms(jw, rm, lm, cm, c0, routing=None, r0=0.0):
 def assert_same_bits(got, ref):
     """Complex arrays equal bit for bit where not NaN, and NaN at the same
     components (whose sign and payload may differ)."""
-    got, ref = (np.atleast_1d(np.asarray(a, dtype=complex)).view(float) for a in (got, ref))
+    got, ref = (np.atleast_1d(np.ascontiguousarray(a, dtype=complex)).view(float)
+                for a in (got, ref))
     nan = np.isnan(ref)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.int64), ref[~nan].view(np.int64))

@@ -202,8 +202,10 @@ def test_block_api_at_a_subnormal_z0_is_the_ladder_kernel(z0):
     assert np.array_equal(s, np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], s.shape))
     p = mbvd_from_targets(20e9, 0.42, 50e-15, 40)
     s = abcd_to_s(element_abcd(ElementKind.SHUNT, p, GRID), z0).s
-    ref = build_ladder_response(LadderDesign(((ElementKind.SHUNT, p),), z0=z0), GRID).s
-    assert_same_bits(s, ref)
+    ref = build_ladder_response(LadderDesign(((ElementKind.SHUNT, p),), z0=z0), GRID)
+    assert_same_bits(s, ref.s)
+    # S21 is a strided view of the block.
+    assert_same_bits(s[:, 1, 0], ref.s21().values)
 
 
 def test_reference_topology_is_a_bandpass_near_center():
@@ -574,7 +576,7 @@ _ONLY_S11_OVERFLOWS = (
 def _outcome(evaluate, design, grid):
     """S21 of evaluate(design, grid), or the AcoufiltError it raised."""
     try:
-        return np.ascontiguousarray(evaluate(design, grid).values)
+        return evaluate(design, grid).values
     except AcoufiltError as exc:
         return exc
 
