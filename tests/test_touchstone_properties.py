@@ -341,9 +341,9 @@ def test_reader_raises_only_format_or_domain_errors(text):
         pass
 
 
-def drawn_data(fmt: str, ports: int) -> TouchstoneData:
+def drawn_data(fmt: str, ports: int, seed: int = 7) -> TouchstoneData:
     """40 rows of drawn S matrices with a header of format fmt."""
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     s = rng.standard_normal((40, ports, ports)) + 1j * rng.standard_normal((40, ports, ports))
     return TouchstoneData(TouchstoneHeader("GHz", "S", fmt, 75.0), np.linspace(1e9, 4e10, 40), s)
 
@@ -358,6 +358,26 @@ def test_written_files_are_read_without_the_line_walk(monkeypatch, fmt, ports):
     def fail(*args):
         raise AssertionError("the line walk read a written file")
 
+    monkeypatch.setattr(io_formats, "_read_lines", fail)
+    got = read_touchstone(text)
+    assert got.header == data.header
+    assert np.array_equal(bits(got.freq_hz), bits(want.freq_hz))
+    assert_same_complex(got.s, want.s, exact=fmt == "RI")
+
+
+@pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+@pytest.mark.parametrize("ports", [1, 2])
+def test_written_files_are_read_without_loadtxt(monkeypatch, fmt, ports):
+    # No reader hands the table to np.loadtxt, and the digit kernel reads
+    # a second draw of written files without the line walk.
+    data = drawn_data(fmt, ports, seed=8)
+    text = write_touchstone(data)
+    want = reference_read(text)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("loadtxt or the line walk read a written file")
+
+    monkeypatch.setattr(np, "loadtxt", fail)
     monkeypatch.setattr(io_formats, "_read_lines", fail)
     got = read_touchstone(text)
     assert got.header == data.header
