@@ -4,8 +4,9 @@ The MBVD admittance is a rational function of s of fixed degree (see
 mbvd.rational_coefficients).  A linear least-squares fit of its seven
 coefficients to the sweep, reweighted once, gives the six parameters in
 closed form, and they seed a MINPACK Levenberg-Marquardt search (lmder,
-through ``leastsq``) over log-parameters, so positivity can never be
-violated.  The search is unbounded; a trial point with a log-parameter
+called in scipy's extension scipy.optimize._minpack, which _minpack loads
+without the scipy.optimize package) over log-parameters, so positivity can
+never be violated.  The search is unbounded; a trial point with a log-parameter
 beyond +-_LOG_BOUND gets an infinite residual, which the search rejects as
 no reduction and answers with a shorter step.  Residuals are the
 concatenated real and imaginary parts of the admittance, by default
@@ -191,22 +192,48 @@ def _check_finite(curve: ComplexCurve) -> None:
         raise DomainError("admittance sweep contains non-finite values")
 
 
-def leastsq(*args, **kwargs):
-    """scipy.optimize.leastsq, imported on the first fit: scipy.optimize takes
-    about half a second to import, which commands that fit nothing skip.  A
-    module-level name, so that a test can replace it with a spy."""
-    from scipy.optimize import leastsq
+def _minpack():
+    """scipy's MINPACK extension, scipy.optimize._minpack, loaded on the
+    first fit from its own file, with the scipy package: 24 modules and
+    0.01 s after acoufilt's own imports, against 567 modules, 0.35 s and
+    46 MB of RSS for the scipy.optimize package around it.  It is entered in
+    sys.modules under its own name, so a later import of scipy.optimize
+    uses it, and one that scipy.optimize loaded first is reused."""
+    import sys
 
-    return leastsq(*args, **kwargs)
+    name = "scipy.optimize._minpack"
+    module = sys.modules.get(name)
+    if module is None:
+        import importlib.util
+        import os
+        from importlib.machinery import PathFinder
+
+        import scipy
+
+        spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "optimize")])
+        if spec is None:
+            raise ImportError(f"{name} not found in scipy {scipy.__version__}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+def _lmder(*args):
+    """MINPACK lmder: scipy.optimize._minpack._lmder(fcn, Dfun, x0, args,
+    full_output, col_deriv, ftol, xtol, gtol, maxfev, factor, diag), which
+    writes its solution into x0 and returns (x, infodict, info).  A
+    module-level name, so that a test can replace it with a spy."""
+    return _minpack()._lmder(*args)
 
 
 def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of the MBVD model to a complex admittance sweep.
 
-    MINPACK's Levenberg-Marquardt lmder, called through ``leastsq``,
-    works on the log-parameters, without bounds, with the analytic Jacobian
-    of the model handed over column-major (one row per log-parameter, as
-    lmder stores it); ``max_iterations`` caps its residual evaluations.  Each
+    MINPACK's Levenberg-Marquardt lmder, called directly (_lmder), works
+    on the log-parameters, without bounds, with the analytic Jacobian of the
+    model handed over column-major (one row per log-parameter, as lmder
+    stores it); ``max_iterations`` caps its residual evaluations.  Each
     sample gives two real residuals, so a sweep of 3 samples is the least
     that fixes the 6 parameters (lmder needs m >= n).  A trial point with a
     log-parameter beyond +-_LOG_BOUND or NaN has an infinite residual, so
@@ -226,46 +253,39 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
     w = _weights(curve.values) if opts.weight_mode == "inverse-magnitude" else np.ones(n)
     s = _jw(curve.freq_hz)
     # The model at the last point evaluated, (q, pm, ps, num, den, y) for
-    # its element values q, that point's bytes, and its Jacobian once asked
-    # for.  lm asks for the Jacobian at the point whose residual it has just
-    # evaluated, so the two share one evaluation; leastsq's shape check and
-    # lmder's first iteration both ask for the Jacobian at x0, which is
-    # built once.
-    last_key = last = last_jac = None
+    # its element values q, and that point's bytes.  lm asks for the
+    # Jacobian at the point whose residual it has just evaluated, so the two
+    # share one evaluation.
+    last_key = last = None
 
     def model(x):
-        nonlocal last_key, last, last_jac
+        nonlocal last_key, last
         key = x.tobytes()
         if key != last_key:
             q = rm, lm, cm, c0, rs, ls = np.exp(x).tolist()
             pm, ps, num, den = _circuit_terms(s, rm, lm, cm, c0, _routing(s, rs, ls))
-            last_key, last, last_jac = key, (q, pm, ps, num, den, num / den), None
+            last_key, last = key, (q, pm, ps, num, den, num / den)
         return last
 
     def residual(x):
-        # A new array on every call, the infinite one included: leastsq
-        # may hold on to a residual it was handed, and one buffer reused
-        # across calls changes the fit's results.  The test is written so
-        # that a NaN trial point is out of range too.
+        # A new array on every call, the infinite one included: lmder may
+        # hold on to a residual it was handed, and one buffer reused across
+        # calls changes the fit's results.  The test is written so that a
+        # NaN trial point is out of range too.
         if not np.max(np.abs(x)) <= _LOG_BOUND:
             return np.full(2 * n, np.inf)
         d = model(x)[-1] - curve.values
         return np.concatenate([d.real * w, d.imag * w])
 
     def jacobian(x):
-        nonlocal last_jac
         q, pm, ps, _, den, y = model(x)
-        if last_jac is None:
-            # Each row straight into its place in the (6, 2n) layout lmder
-            # takes: the weighted real parts, then the imaginary parts.
-            jac = np.empty((n_free, 2 * n))
-            for row, out in zip(_log_jacobian(q, s, pm, ps, den, y), jac):
-                np.multiply(row.real, w, out=out[:n])
-                np.multiply(row.imag, w, out=out[n:])
-            # Handed out once per call: a caller that writes to it raises.
-            jac.flags.writeable = False
-            last_jac = jac
-        return last_jac
+        # Each row straight into its place in the (6, 2n) layout lmder
+        # takes: the weighted real parts, then the imaginary parts.
+        jac = np.empty((n_free, 2 * n))
+        for row, out in zip(_log_jacobian(q, s, pm, ps, den, y), jac):
+            np.multiply(row.real, w, out=out[:n])
+            np.multiply(row.imag, w, out=out[n:])
+        return jac
 
     x0 = _pack(init)
     # Trial steps far from the data can overflow; lm counts a non-finite
@@ -274,9 +294,10 @@ def fit_mbvd(curve: ComplexCurve, init: MbvdParams, opts: FitOptions = FitOption
         r0 = residual(x0)
         if not math.isfinite(float(r0 @ r0)):
             raise DomainError("weighted residual at the initial guess is not finite")
-        x, _, info, _, ier = leastsq(residual, x0, Dfun=jacobian, col_deriv=True,
-                                     full_output=True, ftol=_TOL, xtol=_TOL, gtol=_TOL,
-                                     maxfev=opts.max_iterations)
+        # No extra arguments, full output, column-major Jacobian, and
+        # leastsq's step bound factor 100 with lmder's own column scaling.
+        x, info, ier = _lmder(residual, jacobian, x0, (), 1, 1, _TOL, _TOL, _TOL,
+                              opts.max_iterations, 100.0, None)
     params = MbvdParams(*np.exp(x).tolist())
     # MINPACK's info 1-4 are the convergence tests; 5 is the evaluation cap.
     converged = ier in (1, 2, 3, 4)

@@ -164,18 +164,21 @@ def _number(token: str, lineno: int) -> float:
 
 
 def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
-              previous_hz: float | None, s_data: bool) -> tuple[float, list[float]]:
-    """The frequency in hertz and the numbers of one data row, checked.
+              previous_hz: float | None, s_data: bool,
+              nums: list[float] | None = None) -> tuple[float, list[float]]:
+    """The frequency in hertz and the numbers of one data row, checked;
+    nums are the fields as numbers, when the caller has converted them.
 
     A row fails if a number is not finite, its frequency overflows in
     hertz, is not positive or does not exceed previous_hz, or (S data in DB
     format) a magnitude overflows; the first check it fails names it.  An
     S-data magnitude of -inf dB is an exact zero, as the DB writer gives it.
     """
-    try:
-        nums = list(map(float, fields))
-    except ValueError as exc:
-        raise FormatError(f"malformed number: {exc}", lineno)
+    if nums is None:
+        try:
+            nums = list(map(float, fields))
+        except ValueError as exc:
+            raise FormatError(f"malformed number: {exc}", lineno)
     db = s_data and header.format == "DB"
     if not all(map(math.isfinite, nums)):
         for i, (tok, v) in enumerate(zip(fields, nums)):
@@ -267,14 +270,25 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
             continue
         if fields[0].startswith("#"):
             raise FormatError("duplicate option line", lineno)
-        if width == 9 and (noise_hz is not None or _number(fields[0], lineno) * scale <= last_hz):
+        nums = head = None
+        if width == 9 and noise_hz is None:
+            # A two-port row is converted once.  Its first field tells
+            # whether it starts the noise block, so a malformed one is named
+            # here; a malformed later one is named by _data_row, after the
+            # column counts are checked.
+            try:
+                nums = list(map(float, fields))
+            except ValueError:
+                pass
+            head = nums[0] if nums is not None else _number(fields[0], lineno)
+        if noise_hz is not None or (head is not None and head * scale <= last_hz):
             # A noise row: frequency, NFmin (dB), |Gamma_opt|, angle of
             # Gamma_opt and the normalized noise resistance.
             if len(fields) != 5:
                 raise FormatError(
                     f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
                 )
-            noise_hz = _data_row(fields, header, lineno, noise_hz, s_data=False)[0]
+            noise_hz = _data_row(fields, header, lineno, noise_hz, s_data=False, nums=nums)[0]
             continue
         if len(fields) != width:
             if len(fields) not in (3, 9):
@@ -284,7 +298,7 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
             if width:
                 raise FormatError("inconsistent column count", lineno)
             width = len(fields)
-        last_hz, nums = _data_row(fields, header, lineno, last_hz, s_data=True)
+        last_hz, nums = _data_row(fields, header, lineno, last_hz, s_data=True, nums=nums)
         rows.append(nums)
     cols = _columns(header, np.array(rows).reshape(-1, width or 3))
     if cols is None:

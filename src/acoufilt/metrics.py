@@ -9,7 +9,7 @@ bandwidth ratio, and out-of-band rejection over a guarded stopband.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,9 @@ class FilterMetrics:
 
     def as_rows(self) -> list[tuple[str, float]]:
         """Named (metric, value) rows, the CSV serialization order."""
-        return list(zip(METRIC_NAMES, astuple(self)))
+        return list(zip(METRIC_NAMES, (
+            self.fc, self.il_db, self.bw3_hz, self.fbw3, self.f_lo3, self.f_hi3, self.bw20_hz,
+            self.shape_factor20, self.oob_rejection_db)))
 
 
 def crossing_interpolate(

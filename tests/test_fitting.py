@@ -1,7 +1,10 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
@@ -180,8 +183,8 @@ def test_fit_residual_norm_matches_the_returned_params():
 
 def test_fit_evaluates_each_point_once(monkeypatch):
     # The residual and the Jacobian at one point share one model evaluation,
-    # the start is evaluated once, and so is each Jacobian, the one at the
-    # start that leastsq's shape check and lmder both ask for included.
+    # the start is evaluated once (by the fit's own finiteness check and
+    # lmder's first call), and lmder asks for each Jacobian once.
     points = []
     jacobians = []
     circuit_terms = fitting._circuit_terms
@@ -214,14 +217,15 @@ def test_fit_hands_minpack_the_jacobian_of_its_residual(monkeypatch, curve, weig
     # differences of the residual, each Jacobian asked for after a residual
     # at another point, so that one cached for a stale point fails.
     calls = []
-    leastsq = fitting.leastsq
+    lmder = fitting._lmder
 
-    def spy(func, x0, Dfun, **kw):
-        out = leastsq(func, x0, Dfun=Dfun, **kw)
-        calls.append((func, Dfun, x0, out[0]))
+    def spy(func, Dfun, x0, *args):
+        start = x0.copy()  # lmder writes its solution into x0
+        out = lmder(func, Dfun, x0, *args)
+        calls.append((func, Dfun, start, out[0]))
         return out
 
-    monkeypatch.setattr(fitting, "leastsq", spy)
+    monkeypatch.setattr(fitting, "_lmder", spy)
     fit_mbvd(curve, initial_guess(curve), FitOptions(weight_mode=weight_mode))
     [(residual, jacobian, x0, x_end)] = calls
     h = 1e-6
@@ -263,25 +267,27 @@ def test_fit_builds_one_params_before_its_summary(monkeypatch):
 # residual evaluations) and the noisy one in 4, so a cap of 3 on the noisy
 # fit stops it before it converges.
 @pytest.mark.parametrize("noisy, max_iterations", [(False, 200), (True, 200), (True, 3)])
-def test_leastsq_takes_the_steps_of_least_squares_lm(monkeypatch, noisy, max_iterations):
-    # leastsq and least_squares(method="lm", x_scale="jac") both run MINPACK
-    # lmder with factor 100 and diag=None; the fit's column-major Jacobian,
-    # transposed, is the row-major one least_squares expects.
+def test_lmder_takes_the_steps_of_least_squares_lm(monkeypatch, noisy, max_iterations):
+    # The fit's lmder call and least_squares(method="lm", x_scale="jac") both
+    # run MINPACK lmder with factor 100 and diag=None; the fit's column-major
+    # Jacobian, transposed, is the row-major one least_squares expects.
     curve = _seeded_noisy_curve() if noisy else CURVE
     runs = []
-    leastsq = fitting.leastsq
+    lmder = fitting._lmder
 
-    def spy(func, x0, **kw):
-        out = leastsq(func, x0, **kw)
-        ref = least_squares(func, x0, jac=lambda x: kw["Dfun"](x).T, method="lm",
-                            x_scale="jac", ftol=kw["ftol"], xtol=kw["xtol"],
-                            gtol=kw["gtol"], max_nfev=kw["maxfev"])
+    def spy(func, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev, factor,
+            diag):
+        assert (args, full_output, col_deriv, factor, diag) == ((), 1, 1, 100.0, None)
+        ref = least_squares(func, x0.copy(), jac=lambda x: Dfun(x).T, method="lm",
+                            x_scale="jac", ftol=ftol, xtol=xtol, gtol=gtol, max_nfev=maxfev)
+        out = lmder(func, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev,
+                    factor, diag)
         runs.append((out, ref))
         return out
 
-    monkeypatch.setattr(fitting, "leastsq", spy)
+    monkeypatch.setattr(fitting, "_lmder", spy)
     result = fit_mbvd(curve, initial_guess(curve), FitOptions(max_iterations=max_iterations))
-    (((x, _, info, _, _), ref),) = runs
+    (((x, info, _), ref),) = runs
     assert x.tobytes() == ref.x.tobytes()
     assert (info["nfev"], info["njev"]) == (ref.nfev, ref.njev)
     assert info["fvec"].tobytes() == ref.fun.tobytes()
@@ -291,14 +297,23 @@ def test_leastsq_takes_the_steps_of_least_squares_lm(monkeypatch, noisy, max_ite
 def test_nan_trial_point_has_an_infinite_residual(monkeypatch):
     # lmder can step to a NaN point; the residual must reject it, not hand
     # it to the model.
-    leastsq = fitting.leastsq
+    lmder = fitting._lmder
 
-    def spy(func, x0, **kw):
+    def spy(func, *args):
         assert np.all(func(np.full(6, np.nan)) == np.inf)
-        return leastsq(func, x0, **kw)
+        return lmder(func, *args)
 
-    monkeypatch.setattr(fitting, "leastsq", spy)
+    monkeypatch.setattr(fitting, "_lmder", spy)
     assert fit_mbvd(CURVE, TRUTH).converged
+
+
+def test_a_missing_minpack_extension_is_named(monkeypatch, tmp_path):
+    # Looked for in scipy's own directory only, with no second way to load it.
+    monkeypatch.delitem(sys.modules, "scipy.optimize._minpack", raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=rf"^scipy\.optimize\._minpack not found in scipy "
+                                          rf"{re.escape(scipy.__version__)}$"):
+        fit_mbvd(CURVE, TRUTH)
 
 
 def test_refit_is_a_fixed_point():
@@ -433,21 +448,21 @@ def test_converged_fit_without_a_resonance_is_named():
 
 
 def test_no_two_residuals_share_memory(monkeypatch):
-    # leastsq may hold on to a residual it was handed, so each one, the
+    # lmder may hold on to a residual it was handed, so each one, the
     # infinite residual of a point beyond the log-parameter limit included,
     # must be an array of its own.  From NOISE_DIP_SEED the search crosses
     # that limit.
     residuals = []
-    leastsq = fitting.leastsq
+    lmder = fitting._lmder
 
-    def spy(func, x0, **kw):
+    def spy(func, *args):
         def recording(x):
             residuals.append(func(x))
             return residuals[-1]
 
-        return leastsq(recording, x0, **kw)
+        return lmder(recording, *args)
 
-    monkeypatch.setattr(fitting, "leastsq", spy)
+    monkeypatch.setattr(fitting, "_lmder", spy)
     fit_mbvd(CURVE, initial_guess(CURVE))
     _, curve = _runaway_sweep(111, 15)
     with pytest.raises(SearchError):

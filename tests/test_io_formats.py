@@ -344,6 +344,14 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
     # the first field of a two-port row is read to tell a noise row
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS.replace("2.0", "1..0")),
      FormatError, "^line 3: malformed number: could not convert string to float: '1..0'$"),
+    # a two-port row is converted once, but a malformed later number is
+    # named only after its column count
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 0.8 0.3x 45.0\n"),
+     FormatError, "^line 4: expected 5 columns in the noise parameter block, got 4$"),
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "3.0 0.8 0.3x\n"),
+     FormatError, "^line 4: inconsistent column count$"),
+    (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 0.8 0.3x 45.0 0.2\n"),
+     FormatError, "^line 4: malformed number: could not convert string to float: '0.3x'$"),
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "1.0 nan 0.3 45.0 0.2\n"),
      FormatError, "^line 4: non-finite number 'nan'$"),
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS + "-1.0 0.8 0.3 45.0 0.2\n"),
@@ -358,7 +366,9 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
         "option-y", "option-r-without-value", "option-r-not-a-number",
         "option-repeated-unit", "option-repeated-parameter", "option-repeated-format",
         "option-repeated-r",
-        "two-port-first-field-malformed", "noise-non-finite", "noise-non-positive",
+        "two-port-first-field-malformed", "noise-columns-before-malformed-number",
+        "columns-before-malformed-number", "noise-malformed-number", "noise-non-finite",
+        "noise-non-positive",
         "inconsistent-columns", "resonator-section", "non-canonical-ladder"])
 def test_io_rejections(call, error, match):
     with pytest.raises(error, match=match):

@@ -256,6 +256,11 @@ def test_metrics_are_python_floats(curve, guard):
     assert [type(v) for v in astuple(m)] == [float] * len(METRIC_NAMES)
 
 
+def test_rows_name_every_field_in_field_order():
+    m = metrics.FilterMetrics(*(0.5 + i for i in range(len(METRIC_NAMES))))
+    assert m.as_rows() == list(zip(METRIC_NAMES, astuple(m)))
+
+
 def _adjacent_doubles(f, n):
     grid = [f]
     for _ in range(n - 1):

@@ -86,11 +86,68 @@ def test_only_fit_loads_scipy(tmp_path):
         "    assert acoufilt.cli.main(argv) == 0, argv\n"
         "    assert loaded() == [], (argv[0], loaded())\n"
     )
+    _run_fresh(code, tmp_path)
+
+
+def _run_fresh(code, cwd):
+    """Run code in a fresh interpreter that imports this tree's src/; it must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, cwd=tmp_path)
+                         env=env, cwd=cwd)
     assert out.returncode == 0, out.stderr
+
+
+# The set-up of a fresh interpreter that fits, through cli.main, the .s1p of
+# a 20 GHz resonator that simulate writes.
+_FIT = (
+    "import sys\n"
+    "import acoufilt.cli\n"
+    "from acoufilt import io_formats, mbvd_from_targets\n"
+    "with open('r.kv', 'w') as fh:\n"
+    "    fh.write(io_formats.write_resonator(mbvd_from_targets(20e9, 0.42, 50e-15, 60.0)))\n"
+    "assert acoufilt.cli.main(['simulate', '--design', 'r.kv', '--grid', '1e10:3e10:2001',\n"
+    "                          '--out', 'r.s1p']) == 0\n"
+    "def fit():\n"
+    "    assert acoufilt.cli.main(['fit', '--input', 'r.s1p', '--out', 'f.kv']) == 0\n"
+    "def optimize():\n"
+    "    return sorted(m for m in sys.modules if m.startswith('scipy.optimize'))\n"
+)
+
+
+def test_fit_loads_only_the_minpack_extension_of_scipy_optimize(tmp_path):
+    # The fit calls lmder in scipy.optimize._minpack without importing the
+    # scipy.optimize package, which loads about 700 modules; a later import
+    # of the package takes the extension the fit loaded.
+    code = _FIT + (
+        "assert optimize() == [], optimize()\n"
+        "fit()\n"
+        "assert optimize() == ['scipy.optimize._minpack'], optimize()\n"
+        "minpack = sys.modules['scipy.optimize._minpack']\n"
+        "import scipy.optimize\n"
+        "assert scipy.optimize._minpack_py._minpack is minpack\n"
+        "assert acoufilt.fitting._minpack() is minpack\n"
+        "fit()\n"
+    )
+    _run_fresh(code, tmp_path)
+
+
+def test_fit_calls_the_minpack_of_scipy_optimize_imported_first(tmp_path):
+    # The extension is never loaded twice: with scipy.optimize imported
+    # first, the fit calls lmder in the module that package loaded.
+    code = "import scipy.optimize\n" + _FIT + (
+        "minpack = sys.modules['scipy.optimize._minpack']\n"
+        "lmder = minpack._lmder\n"
+        "calls = []\n"
+        "def counting(*args):\n"
+        "    calls.append(args)\n"
+        "    return lmder(*args)\n"
+        "minpack._lmder = counting\n"
+        "fit()\n"
+        "assert len(calls) == 1, calls\n"
+        "assert acoufilt.fitting._minpack() is minpack\n"
+    )
+    _run_fresh(code, tmp_path)
 
 
 def test_every_name_the_tracer_patches_exists():

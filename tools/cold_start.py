@@ -16,9 +16,13 @@ Every run keeps its bytecode under a temporary ``PYTHONPYCACHEPREFIX``
 and writes it there even where ``PYTHONDONTWRITEBYTECODE`` is set, so the
 trees get no ``__pycache__``; a first, untimed round fills it with every
 module the commands import.  The table gives the median wall time of each
-command per tree over the ``--runs`` timed rounds.  A
-command that exits non-zero stops the run with exit status 1.  Standard
-library only.
+command per tree over the ``--runs`` timed rounds, and beside it the
+median peak resident set size of its process (``ru_maxrss`` from
+``os.wait4``, in MB of 2**20 bytes; Linux reports it in KiB).  On Linux
+a child's ``ru_maxrss`` is at least its launcher's RSS at the fork, which
+for this script (about 15 MB) is below every command's own.  A command
+that exits non-zero stops the run with exit status 1.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -85,17 +89,22 @@ def commands(points: int) -> dict[str, list[str]]:
     }
 
 
-def cli(tree: Path, argv: list[str], cwd: str, env: dict[str, str]) -> float:
-    """Wall time of one fresh ``acoufilt`` run of tree in env; raises when it fails."""
+def cli(tree: Path, argv: list[str], cwd: str, env: dict[str, str]) -> tuple[float, float]:
+    """Wall time and peak RSS in MB of one fresh ``acoufilt`` run of tree
+    in env; raises when it fails."""
     env = dict(env, PYTHONPATH=str(tree / "src"))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "acoufilt.cli", *argv], cwd=cwd, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    elapsed = time.perf_counter() - t0
+    with subprocess.Popen([sys.executable, "-m", "acoufilt.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        stderr = proc.stderr.read()
+        # Reaped here rather than by Popen, for the child's resource usage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: acoufilt {' '.join(argv)} exited {proc.returncode}: "
-                           f"{proc.stderr.strip()}")
-    return elapsed
+                           f"{stderr.strip()}")
+    return elapsed, usage.ru_maxrss / 1024.0
 
 
 def prepare(tree: Path, points: int, cwd: str, env: dict[str, str]) -> None:
@@ -110,8 +119,10 @@ def prepare(tree: Path, points: int, cwd: str, env: dict[str, str]) -> None:
                "--out", "resonator.s1p"], cwd, env)
 
 
-def measure(trees: tuple[Path, Path], runs: int, points: int) -> dict[str, list[list[float]]]:
-    """Per command, the wall times of each tree over runs alternating rounds."""
+def measure(trees: tuple[Path, Path], runs: int,
+            points: int) -> dict[str, list[list[tuple[float, float]]]]:
+    """Per command, the (wall time, peak RSS) of each tree's runs over runs
+    alternating rounds."""
     argvs = commands(points)
     times = {name: [[], []] for name in argvs}
     with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as pycache:
@@ -123,17 +134,19 @@ def measure(trees: tuple[Path, Path], runs: int, points: int) -> dict[str, list[
             order = (0, 1) if round_ % 2 == 0 else (1, 0)
             for name, argv in argvs.items():
                 for side in order:
-                    elapsed = cli(trees[side], argv, cwd, env)
+                    run = cli(trees[side], argv, cwd, env)
                     if round_ >= 0:
-                        times[name][side].append(elapsed)
+                        times[name][side].append(run)
     return times
 
 
-def table(times: dict[str, list[list[float]]]) -> list[str]:
-    lines = [f"{'command':<10} {'parent_s':>9} {'change_s':>9} {'ratio':>6}"]
-    for name, (parent, change) in times.items():
-        a, b = statistics.median(parent), statistics.median(change)
-        lines.append(f"{name:<10} {a:9.3f} {b:9.3f} {b / a:6.2f}")
+def table(times: dict[str, list[list[tuple[float, float]]]]) -> list[str]:
+    lines = [f"{'command':<10} {'parent_s':>9} {'change_s':>9} {'ratio':>6} "
+             f"{'parent_mb':>9} {'change_mb':>9}"]
+    for name, runs in times.items():
+        (a, a_mb), (b, b_mb) = ([statistics.median(column) for column in zip(*side)]
+                                for side in runs)
+        lines.append(f"{name:<10} {a:9.3f} {b:9.3f} {b / a:6.2f} {a_mb:9.1f} {b_mb:9.1f}")
     return lines
 
 
@@ -153,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"median wall time of {args.runs} cold runs per tree, {args.points} points, "
-          f"Python {sys.version.split()[0]}")
+    print(f"median wall time and peak RSS of {args.runs} cold runs per tree, "
+          f"{args.points} points, Python {sys.version.split()[0]}")
     for line in table(times):
         print(line)
     return 0
