@@ -117,7 +117,7 @@ _FIT = (
 
 def test_fit_loads_only_the_minpack_extension_of_scipy_optimize(tmp_path):
     # The fit calls lmder in scipy.optimize._minpack without importing the
-    # scipy.optimize package, which loads about 700 modules; a later import
+    # scipy.optimize package, which loads hundreds of modules; a later import
     # of the package takes the extension the fit loaded.
     code = _FIT + (
         "assert optimize() == [], optimize()\n"
