@@ -1,10 +1,10 @@
 """Serialization: Touchstone v1, key-value design files, and CSV reports.
 
 Readers reject malformed input instead of repairing it; an error names the
-offending line, or the missing section or key.  read_touchstone reads the
-option line once for both data paths.  One key table (_SECTION_KEYS,
-_REQUIRED) serves the design-file readers, which build from parsed sections
-(_build), and the writers (_write_sections).
+offending line, or the missing section or key.  read_touchstone parses the
+option line once, for whichever reader reads the rows.  One key table
+(_SECTION_KEYS, _REQUIRED) serves the design-file readers, which build from
+parsed sections (_build), and the writers (_write_sections).
 
 Writers emit every number as "%.16e" (_NUM), 17 significant digits, so
 write-then-read gives back the same float; the option line's R reads back
@@ -18,14 +18,15 @@ does (non-finite, outside [1e-280, 1e280], near a rounding tie, or with k
 one off) is formatted by "%.16e" itself, so the text is the same, byte
 for byte.
 
-read_touchstone has two readers.  A file in the writer's own grammar is
-read back by the mirror kernel (_read_chunk), about 192 kB of text at a
-time: it reads each number's 17 digits as machine words, forms the
-mantissa exactly, and multiplies it by 10**(E - 16) from the same table of
-powers as a double-double product.  A number it cannot prove rounds as
-float() does (exponent or value outside the table's range, or near a
-rounding tie) is read by float() itself, so the bits are float()'s.  Every
-other file goes to the line walk (_read_lines).
+read_touchstone has two readers.  After a first line that is an option
+line of printable ASCII, a file in the writer's own grammar is read back
+by the mirror kernel (_read_chunk), about 192 kB of text at a time: it
+reads each number's 17 digits as machine words, forms the mantissa
+exactly, and multiplies it by 10**(E - 16) from the same table of powers
+as a double-double product.  A number it cannot prove rounds as float()
+does (exponent or value outside the table's range, or near a rounding
+tie) is read by float() itself, so the bits are float()'s.  A file the
+kernel refuses, and every other text, goes to the line walk (_read_lines).
 """
 
 from __future__ import annotations
@@ -163,11 +164,10 @@ def _number(token: str, lineno: int) -> float:
         raise FormatError(f"malformed number: {exc}", lineno)
 
 
-def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
-              previous_hz: float | None, s_data: bool,
-              nums: list[float] | None = None) -> tuple[float, list[float]]:
-    """The frequency in hertz and the numbers of one data row, checked;
-    nums are the fields as numbers, when the caller has converted them.
+def _data_row(fields: list[str], nums: list[float] | None, header: TouchstoneHeader,
+              lineno: int, previous_hz: float | None, s_data: bool) -> float:
+    """The frequency in hertz of one data row, checked; nums are the fields
+    as numbers, or None if one is malformed, which is then named.
 
     A row fails if a number is not finite, its frequency overflows in
     hertz, is not positive or does not exceed previous_hz, or (S data in DB
@@ -175,10 +175,7 @@ def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
     S-data magnitude of -inf dB is an exact zero, as the DB writer gives it.
     """
     if nums is None:
-        try:
-            nums = list(map(float, fields))
-        except ValueError as exc:
-            raise FormatError(f"malformed number: {exc}", lineno)
+        nums = [_number(tok, lineno) for tok in fields]
     db = s_data and header.format == "DB"
     if not all(map(math.isfinite, nums)):
         for i, (tok, v) in enumerate(zip(fields, nums)):
@@ -197,7 +194,7 @@ def _data_row(fields: list[str], header: TouchstoneHeader, lineno: int,
         with np.errstate(over="ignore"):
             if not np.isfinite(10.0 ** (np.array(nums[1::2]) / 20.0)).all():
                 raise FormatError("DB magnitude overflows", lineno)
-    return f_hz, nums
+    return f_hz
 
 
 def _columns(header: TouchstoneHeader,
@@ -238,13 +235,22 @@ def read_touchstone(text: str) -> TouchstoneData:
     one starts the noise-parameter block (Touchstone v1.1): its 5-column
     rows are checked and ignored.
 
-    Two readers: a file in the writer's own grammar is read by the table
-    kernel (_read_written), and every other file by the line walk, which
-    checks each row as it reads it and so names the first offending line.
+    The option line is parsed once.  When it is the first line and printable
+    ASCII, a file in the writer's own grammar is read by the table kernel
+    (_written_table); a file it refuses, and every other text, goes to the
+    line walk, which checks each row as it reads it and so names the first
+    offending line.
     """
-    data = _read_written(text)
-    if data is not None:
-        return data
+    start = text.find("\n") + 1
+    first = text[:start - 1]
+    if start and first.startswith("#") and first.isascii() and first.isprintable():
+        header = _parse_option_line(first.split("!", 1)[0][1:].split(), 1)
+        table = _written_table(text, start) if text.endswith("\n") else None
+        if table is not None and table.shape[1] in (3, 9):
+            cols = _columns(header, table)
+            if cols is not None:
+                return TouchstoneData(header, *cols)
+        return _read_lines(header, text.splitlines(), 1)
     lines = text.splitlines()
     # The first non-blank line is the option line, or a data line of a file
     # without one; lines[start:] are the lines after the option line.
@@ -270,25 +276,23 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
             continue
         if fields[0].startswith("#"):
             raise FormatError("duplicate option line", lineno)
-        nums = head = None
-        if width == 9 and noise_hz is None:
-            # A two-port row is converted once.  Its first field tells
-            # whether it starts the noise block, so a malformed one is named
-            # here; a malformed later one is named by _data_row, after the
-            # column counts are checked.
-            try:
-                nums = list(map(float, fields))
-            except ValueError:
-                pass
-            head = nums[0] if nums is not None else _number(fields[0], lineno)
-        if noise_hz is not None or (head is not None and head * scale <= last_hz):
+        # Each row is converted once.  The first field of a two-port row
+        # tells whether it starts the noise block, so a malformed one is
+        # named here; a malformed later one is named by _data_row, after
+        # the column counts are checked.
+        try:
+            nums = list(map(float, fields))
+        except ValueError:
+            nums = None
+        if noise_hz is not None or (width == 9 and (
+                nums[0] if nums else _number(fields[0], lineno)) * scale <= last_hz):
             # A noise row: frequency, NFmin (dB), |Gamma_opt|, angle of
             # Gamma_opt and the normalized noise resistance.
             if len(fields) != 5:
                 raise FormatError(
                     f"expected 5 columns in the noise parameter block, got {len(fields)}", lineno
                 )
-            noise_hz = _data_row(fields, header, lineno, noise_hz, s_data=False, nums=nums)[0]
+            noise_hz = _data_row(fields, nums, header, lineno, noise_hz, s_data=False)
             continue
         if len(fields) != width:
             if len(fields) not in (3, 9):
@@ -298,33 +302,12 @@ def _read_lines(header: TouchstoneHeader, lines: list[str], start: int) -> Touch
             if width:
                 raise FormatError("inconsistent column count", lineno)
             width = len(fields)
-        last_hz, nums = _data_row(fields, header, lineno, last_hz, s_data=True, nums=nums)
+        last_hz = _data_row(fields, nums, header, lineno, last_hz, s_data=True)
         rows.append(nums)
     cols = _columns(header, np.array(rows).reshape(-1, width or 3))
     if cols is None:
         raise AssertionError("_columns refused rows that _data_row accepted")
     return TouchstoneData(header, *cols)
-
-
-def _read_written(text: str) -> TouchstoneData | None:
-    """The data of a file in the writer's own grammar, or None.
-
-    The grammar is an option line of printable ASCII starting with "#",
-    then rows of 3 or 9 numbers as _written_table reads them.  The table
-    goes through _columns, so a file that fails a check is None too: the
-    line walk, the other of the two readers, names its line.
-    """
-    start = text.find("\n") + 1
-    head = text[:start - 1]
-    if not (0 < start < len(text) and head.startswith("#") and head.isascii()
-            and head.isprintable() and text.endswith("\n")):
-        return None
-    header = _parse_option_line(head.split("!", 1)[0][1:].split(), 1)
-    table = _written_table(text, start)
-    if table is None or table.shape[1] not in (3, 9):
-        return None
-    cols = _columns(header, table)
-    return None if cols is None else TouchstoneData(header, *cols)
 
 
 def _written_table(text: str, start: int) -> np.ndarray | None:

@@ -414,6 +414,16 @@ def test_fit_of_non_finite_sweep_is_exit_1(tmp_path, capsys):
     assert err.startswith("error: line 3:") and err.count("\n") == 1
 
 
+def test_metrics_of_a_zero_reference_resistance_is_exit_1(tmp_path, capsys):
+    s2p = tmp_path / "zero.s2p"
+    s2p.write_text("# GHz S RI R 0\n1 0 0 1 0 1 0 0 0\n")
+    rc = main(["metrics", "--input", str(s2p), "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: reference resistance must be positive and finite\n")
+    assert sorted(tmp_path.iterdir()) == [s2p]
+
+
 def test_fit_of_db_overflow_is_exit_1(tmp_path, capsys):
     s1p = tmp_path / "loud.s1p"
     s1p.write_text("# GHz S DB R 50\n1 7000 0\n")
@@ -810,3 +820,20 @@ def test_a_fifo_output_is_written_through(tmp_path, reference_design):
     assert got == [(tmp_path / "direct.s2p").read_text()]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.s2p", "pipe.s2p",
                                                          "reference.kv"]
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                         ids=["oserror", "keyboard-interrupt"])
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, error):
+    # The rename is the last step: the temp file is written and chmod'ed.
+    def fail(src, dst):
+        raise error
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(type(error)) as exc:
+        cli._atomic_write("out.s2p", "text\n")
+    if isinstance(error, OSError):
+        # Named by the path as given, not its realpath or the temp file.
+        assert (exc.value.errno, exc.value.filename) == (28, "out.s2p")
+    assert list(tmp_path.iterdir()) == []

@@ -341,6 +341,16 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
      "^line 1: repeated option 'MA': a second format$"),
     (lambda: read_touchstone("# GHz S RI R 50 R 75\n1 0 0\n"), FormatError,
      "^line 1: repeated option 'R': a second reference resistance$"),
+    (lambda: read_touchstone("# GHz S RI R -50\n1 0 0\n"), FormatError,
+     "^line 1: reference resistance must be positive and finite$"),
+    (lambda: read_touchstone("# GHz S RI R 0\n1 0 0\n"), FormatError,
+     "^line 1: reference resistance must be positive and finite$"),
+    (lambda: read_touchstone("# GHz S RI R inf\n1 0 0\n"), FormatError,
+     "^line 1: reference resistance must be positive and finite$"),
+    (lambda: read_touchstone("# GHz S RI R nan\n1 0 0\n"), FormatError,
+     "^line 1: reference resistance must be positive and finite$"),
+    (lambda: read_touchstone("# GHz S RI R 1e-400\n1 0 0\n"), FormatError,
+     "^line 1: reference resistance must be positive and finite$"),
     # the first field of a two-port row is read to tell a noise row
     (lambda: read_touchstone("# GHz S RI R 50\n" + TWO_PORT_ROWS.replace("2.0", "1..0")),
      FormatError, "^line 3: malformed number: could not convert string to float: '1..0'$"),
@@ -365,7 +375,8 @@ _RESONATOR = MbvdParams(rm=7.7, lm=2.45e-9, cm=2.58e-14, c0=5e-14)
 ], ids=["header-unit", "header-parameter", "header-format", "to-curve-two-port",
         "option-y", "option-r-without-value", "option-r-not-a-number",
         "option-repeated-unit", "option-repeated-parameter", "option-repeated-format",
-        "option-repeated-r",
+        "option-repeated-r", "option-r-negative", "option-r-zero", "option-r-inf",
+        "option-r-nan", "option-r-underflows-to-zero",
         "two-port-first-field-malformed", "noise-columns-before-malformed-number",
         "columns-before-malformed-number", "noise-malformed-number", "noise-non-finite",
         "noise-non-positive",

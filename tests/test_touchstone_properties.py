@@ -20,7 +20,6 @@ from acoufilt.errors import AcoufiltError, DomainError, FormatError
 from acoufilt.io_formats import (
     TouchstoneData,
     TouchstoneHeader,
-    _number,
     _parse_option_line,
     read_touchstone,
     write_touchstone,
@@ -28,6 +27,14 @@ from acoufilt.io_formats import (
 
 # ---------------------------------------------------------------------------
 # Reference implementation
+
+
+def _number(token: str, lineno: int) -> float:
+    """float() of token; a malformed one is named as the reader names it."""
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise FormatError(f"malformed number: {exc}", lineno)
 
 
 def _pair_to_complex(a: float, b: float, fmt: str, lineno: int) -> complex:
@@ -404,9 +411,34 @@ def test_written_db_file_with_an_exact_zero_reads_as_the_reference(ports):
     assert_same_complex(got.s, want.s, exact=False)
 
 
+def spy_on(monkeypatch, name: str) -> list[tuple]:
+    """The arguments of each call of io_formats.name from now on."""
+    calls = []
+    real = getattr(io_formats, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(io_formats, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("name", NEAR_WRITTEN)
-def test_texts_outside_the_written_grammar_are_left_to_the_other_readers(name):
-    assert io_formats._read_written(NEAR_WRITTEN[name]) is None
+def test_texts_outside_the_written_grammar_are_left_to_the_other_readers(monkeypatch, name):
+    walks = spy_on(monkeypatch, "_read_lines")
+    read_touchstone(NEAR_WRITTEN[name])
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name", ["written", *NEAR_WRITTEN])
+def test_the_option_line_is_parsed_once(monkeypatch, name):
+    # Whichever reader reads the rows, including the line walk after the
+    # table kernel refused them.
+    text = _HEAD + _ROW1 + _ROW2 if name == "written" else NEAR_WRITTEN[name]
+    parses = spy_on(monkeypatch, "_parse_option_line")
+    read_touchstone(text)
+    assert parses == [(text.splitlines()[0].split("!", 1)[0][1:].split(), 1)]
 
 
 def test_reading_builds_none_of_the_writers_digit_words():
@@ -536,6 +568,22 @@ def test_rounding_ties_are_read_by_float(monkeypatch, tie):
     x, width = io_formats._read_chunk(("\n" + tie + "\n" + io_formats._PAD).encode())
     assert width == 1 and tokens == [tie.encode()]
     assert bits(x).tolist() == float_bits(tie).tolist()
+
+
+def test_a_first_row_longer_than_a_chunk_is_left_to_the_line_walk(monkeypatch):
+    # No newline falls within the kernel's first _READ_CHUNK characters, so
+    # it refuses the text before it reads any of it.
+    row = " ".join(["1.0000000000000000e+00"] * 9000) + "\n"
+    assert len(row) > io_formats._READ_CHUNK
+    text = _HEAD + row + _ROW2
+    assert io_formats._written_table(text, len(_HEAD)) is None
+    reads = spy_on(monkeypatch, "_read_chunk")
+    walks = spy_on(monkeypatch, "_read_lines")
+    with pytest.raises(FormatError) as exc:
+        read_touchstone(text)
+    assert reads == [] and len(walks) == 1
+    assert (exc.value.line, str(exc.value)) == (
+        2, "line 2: expected 3 (1-port) or 9 (2-port) columns, got 9000")
 
 
 def test_unproven_numbers_on_both_sides_of_a_chunk_cut(monkeypatch):
