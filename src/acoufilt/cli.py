@@ -165,8 +165,9 @@ def _cmd_synthesize(args) -> int:
     spec = io_formats.read_design_spec(_read(args.spec))
     grid = parse_grid_spec(args.grid)
     result = synthesize_ladder(spec, guard=args.guard)
-    block = build_ladder_response(result.design, grid)
     outputs = [(args.out, io_formats.write_ladder_design(result.design))]
+    if args.touchstone or args.metrics:
+        block = build_ladder_response(result.design, grid)
     if args.touchstone:
         outputs.append((args.touchstone, io_formats.write_touchstone(block)))
     if args.metrics:

@@ -199,28 +199,26 @@ def _data_row(fields: list[str], nums: list[float] | None, header: TouchstoneHea
 
 def _columns(header: TouchstoneHeader,
              table: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Frequencies in hertz and S matrices of the data rows, or None if a
-    row fails a check of _data_row (checked here by column).  Both readers
-    convert here; the line walk's rows are checked already."""
+    """Frequencies in hertz and S matrices of the data rows, or None unless
+    the frequencies are finite, positive and increasing and every S entry
+    is finite, which refuses the rows that _data_row refuses: a -inf dB
+    magnitude (the DB writer's exact zero) gives S = 0, and every other
+    non-finite number, and every DB magnitude that overflows, a non-finite
+    S entry.  Both readers convert here."""
     n, width = table.shape
     a, b = table[:, 1::2], table[:, 2::2]
-    raw_bad = ~np.isfinite(table)
-    if header.format == "DB":
-        # The DB writer gives an exact zero magnitude as -inf dB.
-        raw_bad[:, 1::2] &= a != -np.inf
-    with np.errstate(over="ignore"):
-        f = table[:, 0] * header.unit_scale
-        mag = 10.0 ** (a / 20.0) if header.format == "DB" else a
-    if (raw_bad.any() or not np.isfinite(f).all() or (f <= 0).any()
-            or (f[1:] <= f[:-1]).any() or not np.isfinite(mag).all()):
-        return None
-    if header.format == "RI":
-        re, im = a, b
-    else:
-        rad = np.radians(b)
-        re, im = mag * np.cos(rad), mag * np.sin(rad)
     s = np.empty(a.shape, dtype=complex)
-    s.real, s.imag = re, im
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = table[:, 0] * header.unit_scale
+        if header.format == "RI":
+            s.real, s.imag = a, b
+        else:
+            mag = 10.0 ** (a / 20.0) if header.format == "DB" else a
+            rad = np.radians(b)
+            s.real, s.imag = mag * np.cos(rad), mag * np.sin(rad)
+    if not (np.isfinite(f).all() and (f > 0).all() and (f[1:] > f[:-1]).all()
+            and np.isfinite(s).all()):
+        return None
     ports = 1 if width == 3 else 2
     # v1 two-port order S11 S21 S12 S22 fills each 2x2 matrix column by column.
     return f, s.reshape(n, ports, ports).transpose(0, 2, 1).copy()

@@ -115,10 +115,17 @@ def passband_metrics(s21: ComplexCurve, guard: float = DEFAULT_GUARD) -> FilterM
     The grid must be dense enough to bracket both the 3-dB and the 20-dB
     crossings, and the |S21| maximum must be interior.  ``guard`` is the
     fractional offset from the 3-dB edges at which the stopband starts; it
-    must be nonnegative and finite.
+    must be nonnegative and finite.  A NaN or infinite |S21| sample is a
+    DomainError naming its frequency; a zero one (-inf dB) is kept.
     """
     _check_guard(guard)
-    return _metrics_from_db(s21.freq_hz, s21.magnitude_db, guard)
+    mag_db = s21.magnitude_db
+    finite = mag_db < math.inf
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DomainError(f"|S21| is {mag_db[i]:g} dB at {s21.freq_hz[i]:.10g} Hz: "
+                          "not a finite magnitude")
+    return _metrics_from_db(s21.freq_hz, mag_db, guard)
 
 
 def _check_guard(guard: float) -> None:

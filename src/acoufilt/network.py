@@ -157,17 +157,26 @@ def cascade(blocks: Sequence[AbcdBlock], grid=None) -> AbcdBlock:
     return AbcdBlock(ref, mats)
 
 
-def _b_over_z0(b: np.ndarray, z0: float) -> np.ndarray:
-    """B/z0 as B*(1/z0); where 1/z0 overflows (a subnormal z0), part by part
-    as B.real/z0 and B.imag/z0, so that a zero part stays 0 where 0*inf
-    would be NaN."""
+def _over_z0(q, z0: float):
+    """Q/z0 of a row entry from _row, or B/z0 of a chain matrix's B.
+
+    A scalar, a row entry that no series element touched (+-z0), is
+    divided, so that its Q/z0 is +-1 exactly.  An array is multiplied by
+    1/z0: numpy divides a complex array by a real scalar as a multiply by
+    its reciprocal, so every component keeps its value, and its bits unless
+    it is 0 (which may take the other sign), without a complex division
+    pass.  Where 1/z0 overflows (a subnormal z0), an array is divided part
+    by part, so that a zero part stays 0 where 0*inf would be NaN.
+    """
+    if not isinstance(q, np.ndarray):
+        return q / z0
     inverse = 1.0 / z0
     if inverse < math.inf:
-        return b * inverse
-    bz = np.empty_like(b)
-    np.divide(b.real, z0, out=bz.real)
-    np.divide(b.imag, z0, out=bz.imag)
-    return bz
+        return q * inverse
+    qz = np.empty_like(q)
+    np.divide(q.real, z0, out=qz.real)
+    np.divide(q.imag, z0, out=qz.imag)
+    return qz
 
 
 def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
@@ -177,7 +186,7 @@ def abcd_to_s(block: AbcdBlock, z0: float) -> SParameterBlock:
     f = block.freq_hz
     a, b, c, d = _entries(block.mats)
     with np.errstate(all="ignore"):
-        bz, cz = _b_over_z0(b, z0), c * z0
+        bz, cz = _over_z0(b, z0), c * z0
         delta = _nonzero(f, a + bz + cz + d)
         s = _stack(f.size, (a + bz - cz - d) / delta, 2.0 * (a * d - b * c) / delta,
                    2.0 / delta, (-a + bz - cz + d) / delta)
@@ -212,15 +221,6 @@ def _row(elements, p, q) -> tuple:
     return p, q
 
 
-def _over_z0(q, z0: float):
-    """Q/z0 of a row entry from _row, as Q*(1/z0).
-
-    A Q that no series element touched is still the scalar +-z0, and its
-    Q/z0 is +-1 exactly, where z0*(1/z0) need not be (at a subnormal z0,
-    1/z0 overflows)."""
-    return q * (1.0 / z0) if isinstance(q, np.ndarray) else q / z0
-
-
 def _ladder_delta(design: LadderDesign, freq_hz) -> tuple:
     """The checked grid, the ladder's (series, v) elements (see _row), and
     P, Q/z0 and delta = P + Q/z0 of its row [1, z0].
@@ -230,11 +230,6 @@ def _ladder_delta(design: LadderDesign, freq_hz) -> tuple:
     shunt, which names a lossless resonator sampled exactly at a resonance
     and an overflow.  A delta that is not finite is a DomainError, and a
     zero delta a SingularConversionError.
-
-    Each Q/z0 is formed as Q*(1/z0): numpy divides a complex array by a
-    real scalar as a multiply by its reciprocal, so every component keeps
-    its value, and its bits unless it is 0 (which may take the other sign),
-    without a complex division pass.
     """
     f = validate_grid(np.atleast_1d(np.asarray(freq_hz, dtype=float)))
     z0 = design.z0
@@ -296,7 +291,7 @@ _DB_OF_2 = 20.0 * math.log10(2.0)
 
 def _ladder_s21_db(elements, z0: float) -> np.ndarray:
     """|S21| in dB of the ladder of (series, v) elements (see _row), from
-    delta = P + Q*(1/z0) alone: 20*log10|2/delta| as
+    delta = P + Q/z0 alone: 20*log10|2/delta| as
     20*log10(2) - 20*log10|delta|.
 
     Called under np.errstate.  Where build_ladder_response of the same

@@ -170,6 +170,25 @@ def test_synthesize_writes_design_and_flag(tmp_path, capsys):
     assert io_formats.read_touchstone(s2p.read_text()).n_ports == 2
 
 
+@pytest.mark.parametrize("option", [None, "--touchstone", "--metrics"])
+def test_synthesize_builds_the_response_only_for_its_outputs(tmp_path, capsys, option):
+    # No admittance is finite on this grid, so only an output that needs
+    # the response on it fails, and then no file is written.
+    spec = acoufilt.DesignSpec(10e9, 0.10, 50.0, 10.0, 0.42, 200.0, 0.0, 0.0, 1.0)
+    spec_kv = tmp_path / "spec.kv"
+    spec_kv.write_text(io_formats.write_design_spec(spec))
+    also = [option, str(tmp_path / "response")] if option else []
+    rc = main(["synthesize", "--spec", str(spec_kv), "--grid", "1e300:1e301:3",
+               "--out", str(tmp_path / "d.kv"), *also])
+    if option:
+        assert rc == 1
+        assert capsys.readouterr().err == "error: admittance contains non-finite entries\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.kv"]
+    else:
+        assert rc == 0
+        assert len(io_formats.read_ladder_design((tmp_path / "d.kv").read_text()).elements) == 3
+
+
 def test_sweep_rows_in_input_order(tmp_path, reference_design):
     path, _ = reference_design
     out = tmp_path / "sweep.csv"

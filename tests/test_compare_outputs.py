@@ -67,6 +67,20 @@ def test_the_corpus_holds_each_kind_of_text():
     assert any(not t.endswith("\n") for t in texts)
     noise = " ".join("%.16e" % v for v in (0.8, 0.3, 45.0, 0.2)) + "\n"
     assert any(noise in t for t in texts)
+    # Each overflowing token in each format's frequency column (0) and in
+    # the first (1) and second (2) column of a pair.
+    placed = set()
+    for t in texts:
+        fmt = next((word for line in t.splitlines() if line.startswith("# ")
+                    for word in line.split() if word in ("RI", "MA", "DB")), None)
+        for line in t.splitlines():
+            for i, tok in enumerate(line.split()):
+                if tok in compare_outputs._OVERFLOWING:
+                    placed.add((fmt, 0 if i == 0 else 2 - i % 2, tok))
+    assert placed >= {(fmt, column, tok) for fmt in ("RI", "MA", "DB") for column in (0, 1, 2)
+                      for tok in compare_outputs._OVERFLOWING}
+    assert all(tok not in t for t in texts if len(t) > 2 * compare_outputs.READ_CHUNK
+               for tok in compare_outputs._OVERFLOWING)
 
 
 def test_read_outcomes_name_the_bits_or_the_error():

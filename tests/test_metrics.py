@@ -279,3 +279,19 @@ def test_zero_3db_bandwidth_is_degenerate(freq, db):
     curve = ComplexCurve(freq, 10.0 ** (np.array(db) / 20.0))
     with pytest.raises(DegeneratePassbandError, match="3-dB bandwidth is zero"):
         passband_metrics(curve, guard=0.0)
+
+
+@pytest.mark.parametrize("at, value, db", [
+    (1, math.nan, "nan"),
+    (2, complex(1.5e308, 1.5e308), "inf"),  # |S21| overflows
+    (3, math.inf, "inf"),  # the peak
+], ids=["nan", "overflow", "inf-peak"])
+def test_a_nan_or_infinite_s21_sample_is_named(at, value, db):
+    # A -inf dB sample (an exact zero) stays legal: see
+    # test_zero_3db_bandwidth_is_degenerate.
+    s21 = 10.0 ** (np.array([-50.0, -30.0, -1.0, 0.0, -1.0, -30.0, -50.0]) / 20.0) + 0j
+    s21[at] = value
+    with pytest.raises(DomainError) as exc:
+        passband_metrics(ComplexCurve(_GHZ, s21))
+    assert str(exc.value) == (f"|S21| is {db} dB at {_GHZ[at]:.10g} Hz: "
+                              "not a finite magnitude")

@@ -194,7 +194,7 @@ def test_shunt_only_ladder_at_a_subnormal_z0_is_through():
 
 
 @pytest.mark.parametrize("z0", [5e-324, 1e-310])
-def test_block_api_at_a_subnormal_z0_is_the_ladder_kernel(z0):
+def test_block_api_at_a_subnormal_z0_is_the_ladder_kernel(monkeypatch, z0):
     # 1/z0 overflows, so B*(1/z0) of a zero B would be 0*inf = NaN.  The
     # identity block and a one-shunt block (B = 0) are the exact through
     # that build_ladder_response gives, bit for bit.
@@ -206,6 +206,18 @@ def test_block_api_at_a_subnormal_z0_is_the_ladder_kernel(z0):
     assert_same_bits(s, ref.s)
     # S21 is a strided view of the block.
     assert_same_bits(s[:, 1, 0], ref.s21().values)
+    # One series element of impedance z, set as in
+    # test_s21_alone_fails_where_the_full_response_does_on_active_elements.
+    # Q = z + z0 would give Q*(1/z0) = inf in a nonzero part (the first z)
+    # and 0*inf = NaN in a zero one (the second, real z); Q/z0 is finite.
+    design = LadderDesign(((ElementKind.SERIES, p),), z0=z0)
+    for z in (1e-300 + 2e-300j, 3e-320 + 0j):
+        monkeypatch.setattr(network, "_immittance",
+                            lambda p, f, impedance=False, z=z: np.full(f.shape, z))
+        s = abcd_to_s(element_abcd(ElementKind.SERIES, p, GRID), z0).s
+        ref = build_ladder_response(design, GRID).s
+        assert np.max(np.abs(s - ref)) <= 1e-12
+        assert np.max(np.abs(network._ladder_s21(design, GRID).values - ref[:, 1, 0])) <= 1e-12
 
 
 def test_reference_topology_is_a_bandpass_near_center():
@@ -640,10 +652,14 @@ def test_s21_alone_fails_where_the_full_response_does_on_active_elements(
 
 
 def _reference_ladder_s21_db(elements, z0):
-    """The kernel's |S21| in dB as first written: delta = P + Q/z0 tested
-    entry by entry; None where that names a fault."""
+    """The kernel's |S21| in dB from delta = P + Q/z0 tested entry by
+    entry; None where that names a fault.  Q/z0 is numpy's quotient, or,
+    where 1/z0 overflows, each part of Q divided by z0."""
     p, q = network._row(elements, 1.0, z0)
-    delta = p + q / z0
+    if isinstance(q, np.ndarray) and 1.0 / z0 == math.inf:
+        delta = p + (q.view(float) / z0).view(complex)
+    else:
+        delta = p + q / z0
     if (not np.isfinite(delta).all() or not delta.all()
             or any(series and not v.all() for series, v in elements)):
         return None
@@ -674,6 +690,7 @@ def kernel_elements(draw):
 @example([(False, np.array([complex(math.nan, 1.0)]))], 50.0)
 @example([(False, np.array([-1.0 + 0j]))], 2.0)
 @example([(False, np.array([0j]))], _SUBNORMAL)
+@example([(True, np.array([complex(-_SUBNORMAL, 0.0)]))], _SUBNORMAL)
 def test_kernel_names_a_fault_exactly_where_the_entrywise_test_does(elements, z0):
     # The kernel tests |delta| first and delta's entries only where |delta|
     # is not positive and finite.  It must raise exactly where the
@@ -681,8 +698,9 @@ def test_kernel_names_a_fault_exactly_where_the_entrywise_test_does(elements, z0
     # delta, or a series short), and elsewhere return the same bits.  The
     # examples: a finite delta whose |delta| overflows (-inf dB), a series
     # short, delta = inf and delta = NaN, delta = 0 (a shunt y = -2/z0),
-    # and a shunt-only ladder at a subnormal z0, where Q = z0 is untouched
-    # and Q/z0 = 1 although z0 * (1/z0) overflows.
+    # a shunt-only ladder at a subnormal z0, where Q = z0 is untouched
+    # and Q/z0 = 1 although z0 * (1/z0) overflows, and a series element
+    # there that cancels z0: Q = 0 and Q/z0 = 0, where Q*(1/z0) is NaN.
     with np.errstate(all="ignore"):
         ref = _reference_ladder_s21_db(elements, z0)
         if ref is None:

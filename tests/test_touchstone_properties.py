@@ -441,6 +441,38 @@ def test_the_option_line_is_parsed_once(monkeypatch, name):
     assert parses == [(text.splitlines()[0].split("!", 1)[0][1:].split(), 1)]
 
 
+# A "%.16e"-shaped token that the table kernel reads, as float() does, as inf.
+_OVERFLOWS = "1.0000000000000000e+999"
+
+
+def _with_second_row_number(fmt: str, token: str) -> str:
+    """A written one-port file of format fmt whose second row's magnitude
+    (or real part) is token."""
+    return f"# GHz S {fmt} R 50\n" + _ROW1 + _ROW2.replace("2.5000000000000000e-01", token)
+
+
+def test_an_overflowing_negative_db_magnitude_is_read_by_the_kernel_as_zero(monkeypatch):
+    # -1e+999 dB reads as -inf dB, the writer's exact zero: S = 0.
+    walks = spy_on(monkeypatch, "_read_lines")
+    data = read_touchstone(_with_second_row_number("DB", "-" + _OVERFLOWS))
+    assert walks == []
+    assert data.s[1, 0, 0] == 0 and np.isfinite(data.s).all()
+
+
+@pytest.mark.parametrize("fmt, token", [("DB", _OVERFLOWS), ("MA", "-" + _OVERFLOWS),
+                                        ("RI", _OVERFLOWS)])
+def test_other_overflowing_numbers_are_named_by_the_line_walk(monkeypatch, fmt, token):
+    # The kernel reads the token as an infinity, its S entry is not finite,
+    # and the line walk names the row.
+    text = _with_second_row_number(fmt, token)
+    assert np.isinf(io_formats._written_table(text, text.index("\n") + 1)[1, 1])
+    walks = spy_on(monkeypatch, "_read_lines")
+    with pytest.raises(FormatError) as exc:
+        read_touchstone(text)
+    assert len(walks) == 1
+    assert (exc.value.line, str(exc.value)) == (3, f"line 3: non-finite number {token!r}")
+
+
 def test_reading_builds_none_of_the_writers_digit_words():
     data = TouchstoneData(TouchstoneHeader(), np.array([1e9, 2e9]), np.full((2, 1, 1), 0.5j))
     text = write_touchstone(data)

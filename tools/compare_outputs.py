@@ -51,6 +51,9 @@ def _plain(v):
 READ_CHUNK = 3 * 2**16
 # Numbers outside the table reader's proven range, rounding ties, and zeros.
 _ODD_NUMBERS = (0.0, -0.0, 5e-324, 1e-290, 1e290, 9007199254740993.0, 18014398509481983.0)
+# "%.16e"-shaped numbers that overflow when read: the table reader reads
+# them, as float() does, as infinities.
+_OVERFLOWING = ("1.0000000000000000e+999", "-1.0000000000000000e+999")
 # What a character edit puts in: digits and the writer's characters, and
 # characters the line walk reads or refuses.
 _EDIT_CHARS = "0123456789.e+- \nE!#x\t"
@@ -58,9 +61,10 @@ _EDIT_CHARS = "0123456789.e+- \nE!#x\t"
 
 def touchstone_corpus(seed: int = 0, count: int = 3000) -> list[str]:
     """count seeded Touchstone texts: one- and two-port "%.16e" rows in RI,
-    MA or DB format, some with CRLF endings, a leading comment, noise rows
-    or no final newline, then 0 to 3 character edits.  Every 500th text is
-    longer than two READ_CHUNKs and has at most one edit."""
+    MA or DB format, some with CRLF endings, a leading comment, noise rows,
+    no final newline or, in one column of one row, a number that overflows
+    when read, then 0 to 3 character edits.  Every 500th text is longer
+    than two READ_CHUNKs and has at most one edit and no such number."""
     rng = random.Random(seed)
     texts = []
     for i in range(count):
@@ -71,7 +75,8 @@ def touchstone_corpus(seed: int = 0, count: int = 3000) -> list[str]:
         lines = ["! measured by hand"] if rng.random() < 0.125 else []
         lines.append(f"# {rng.choice(('Hz', 'MHz', 'GHz'))} S {fmt} R {rng.choice((50, 75))}")
         freqs = list(itertools.accumulate(rng.uniform(0.001, 1.0) for _ in range(rows)))
-        for f in freqs:
+        overflow_row = rng.randrange(rows) if not long and rng.random() < 0.125 else None
+        for r, f in enumerate(freqs):
             row = [f]
             for _ in range(width // 2):
                 if fmt == "RI":
@@ -84,7 +89,10 @@ def touchstone_corpus(seed: int = 0, count: int = 3000) -> list[str]:
                     # Not as a DB magnitude, which would mostly overflow.
                     pair[1 if fmt == "DB" else rng.randrange(2)] = rng.choice(_ODD_NUMBERS)
                 row += pair
-            lines.append(" ".join("%.16e" % v for v in row))
+            tokens = ["%.16e" % v for v in row]
+            if r == overflow_row:
+                tokens[rng.randrange(width)] = rng.choice(_OVERFLOWING)
+            lines.append(" ".join(tokens))
         if width == 9 and rng.random() < 0.125:
             # The noise block starts at the first frequency, below the last.
             lines += [" ".join("%.16e" % v for v in (freqs[0] + k, 0.8, 0.3, 45.0, 0.2))
